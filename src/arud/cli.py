@@ -4,6 +4,8 @@ Streams-first: every subcommand reads newline-delimited UTF-8 from
 standard input and writes data to standard output unless file paths are
 given.  Diagnostics always go to the error stream so commands compose
 in shell pipelines.  Exit codes: 0 success, 1 usage error, 2 I/O error.
+A broken pipe (the reader stopped early, as in ``arud scan | head -1``)
+ends the command with exit code 2 and no message.
 """
 
 from __future__ import annotations
@@ -30,6 +32,17 @@ class UsageError(Exception):
 class Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
+
+
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
 
 
 def _open_in(stack: ExitStack, path: str):
@@ -111,7 +124,7 @@ def build_parser() -> Parser:
                    help="treat lines as sentence-medial")
     p.add_argument("--golden", action="store_true",
                    help="also emit the prosodic transcription")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
 
     p = sub.add_parser("normalize", help="raw lines -> scan-ready lines")
     _add_io_args(p)
@@ -128,7 +141,7 @@ def build_parser() -> Parser:
                   "silent-marking", "sukun-defaults"):
         p.add_argument(f"--no-{stage}", action="store_true",
                        help=f"disable the {stage.replace('-', ' ')} stage")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
 
     p = sub.add_parser("filter", help="report acceptance decisions")
     _add_io_args(p)
@@ -147,7 +160,7 @@ def build_parser() -> Parser:
     p.add_argument("--per-line", type=int, default=1)
     p.add_argument("--no-reduce", action="store_true",
                    help="keep context diacritics intact")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
 
     p = sub.add_parser("fill", help="rhythm-constrained phrase search")
     _add_io_args(p)
@@ -262,14 +275,17 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_mask(args) -> int:
-    cfg = MaskConfig(
-        span_p=args.span_p,
-        keep_p=args.keep_p,
-        sukun_drop=args.sukun_drop,
-        seed=args.seed,
-        per_line=args.per_line,
-        reduce_context=not args.no_reduce,
-    )
+    try:
+        cfg = MaskConfig(
+            span_p=args.span_p,
+            keep_p=args.keep_p,
+            sukun_drop=args.sukun_drop,
+            seed=args.seed,
+            per_line=args.per_line,
+            reduce_context=not args.no_reduce,
+        )
+    except ValueError as exc:
+        raise UsageError(f"arud mask: {exc}") from None
     with ExitStack() as stack:
         src = _open_in(stack, args.input)
         dst = _open_out(stack, args.output)
@@ -285,14 +301,17 @@ def _cmd_mask(args) -> int:
 
 
 def _cmd_fill(args) -> int:
-    query = FillQuery(
-        target=args.target,
-        left_context=args.left,
-        right_context=args.right,
-        max_words=args.max_words,
-        max_results=args.max_results,
-        verse_final=args.verse_final,
-    )
+    try:
+        query = FillQuery(
+            target=args.target,
+            left_context=args.left,
+            right_context=args.right,
+            max_words=args.max_words,
+            max_results=args.max_results,
+            verse_final=args.verse_final,
+        )
+    except ValueError as exc:
+        raise UsageError(f"arud fill: {exc}") from None
     with open(args.lexicon, "r", encoding="utf-8") as f:
         lexicon = index_lexicon(f)
     with ExitStack() as stack:
@@ -345,11 +364,29 @@ def main(argv=None) -> int:
         print(str(exc), file=sys.stderr, end="" if str(exc).endswith("\n")
               else "\n")
         return 1
+    except BrokenPipeError:
+        # Subclass of OSError, so it must be caught first.
+        _quiet_broken_stdout()
+        return 2
     except OSError as exc:
         print(f"arud: I/O error: {exc}", file=sys.stderr)
         return 2
+
+
+def _quiet_broken_stdout():
+    """Point stdout at the null device if its reader has gone.
+
+    Output still buffered in sys.stdout would otherwise be flushed into
+    the closed pipe at interpreter exit, which prints an error and
+    changes the exit code.  A pipe that broke elsewhere (an ``-o`` FIFO)
+    leaves stdout as it is.
+    """
+    try:
+        sys.stdout.flush()
     except BrokenPipeError:
-        return 2
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def entrypoint():

@@ -65,12 +65,24 @@ class PredictionRecord:
     coherence: float | None = None
 
     def __post_init__(self):
+        for name in ("target_beats", "generated_text"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string")
+        for name in ("left_context", "right_context"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{name} must be a string or null")
+        if self.coherence is not None \
+                and not isinstance(self.coherence, (int, float)):
+            raise ValueError("coherence must be a number or null")
         if not self.target_beats:
             raise ValueError("target_beats must be non-empty")
 
     @classmethod
     def from_json(cls, text: str) -> "PredictionRecord":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError("record is not a JSON object")
         target = obj.get("target_beats", obj.get("beats"))
         if target is None:
             raise ValueError("record lacks target beats")

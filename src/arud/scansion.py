@@ -10,6 +10,11 @@ nunation expansion -> long-vowel restoration (isba) -> validation.
 The connective alif must see the sun letter's shadda before gemination
 is expanded, and isba needs the final vocalization state, which pins
 this order.
+
+Each rule maps a ScriptLine to a ScriptLine and returns its input object
+itself when it does not fire, so a line no rule touches is never copied.
+Graphemes come from ``script.shared_grapheme``: one instance per distinct
+value, shared by every line in the process, so they must never be mutated.
 """
 
 from __future__ import annotations
@@ -31,10 +36,10 @@ from .script import (
     TANWINS,
     WAW,
     YA,
-    Grapheme,
     ScriptLine,
     Word,
     parse_line,
+    shared_grapheme,
 )
 from .tables import SpecialWordTable, TableSet, default_tables, fold_base
 
@@ -56,18 +61,29 @@ TANWIN_TO_SHORT = {"tanwin_fath": "fatha", "tanwin_damm": "damma",
 # Letters that can host the pronoun/plural suffixes eligible for isba.
 PLURAL_M_HOSTS = (HA, "ك", "ت")
 
-_Lists = list  # list[list[Grapheme]] working representation
+
+def _rewrite_words(line: ScriptLine, rewrite) -> ScriptLine:
+    """Apply a per-word rewrite, copying the line only if a word changed.
+
+    `rewrite` returns None for a word it leaves alone, else the new
+    graphemes.  Words left empty are dropped.
+    """
+    out = None
+    for wi, word in enumerate(line.words):
+        new = rewrite(word)
+        if new is not None:
+            if out is None:
+                out = list(line.words)
+            out[wi] = tuple(new)
+    return _with_words(line, out)
 
 
-def _to_lists(line: ScriptLine) -> list[list[Grapheme]]:
-    return [list(word) for word in line.words]
-
-
-def _from_lists(words: list[list[Grapheme]], verse_final: bool) -> ScriptLine:
-    return ScriptLine(
-        words=tuple(tuple(w) for w in words if w),
-        verse_final=verse_final,
-    )
+def _with_words(line: ScriptLine, words) -> ScriptLine:
+    """`line` if `words` is None, else a line of the non-empty words."""
+    if words is None:
+        return line
+    return ScriptLine(words=tuple(filter(None, words)),
+                      verse_final=line.verse_final)
 
 
 def compatible_replacement(word: Word, repl: Word) -> bool:
@@ -98,34 +114,44 @@ def compatible_replacement(word: Word, repl: Word) -> bool:
 
 def apply_special_words(line: ScriptLine, table: SpecialWordTable) -> ScriptLine:
     """Replace known words missing a long-vowel grapheme."""
-    words = []
-    for word in line.words:
+    def replacement(word):
         for cand in table.candidates(word):
             if compatible_replacement(word, cand):
-                word = cand
-                break
-        words.append(word)
-    return ScriptLine(words=tuple(words), verse_final=line.verse_final)
+                return cand
+        return None
+    return _rewrite_words(line, replacement)
+
+
+def _drop_silent(word):
+    for g in word:
+        if g.silent:
+            return [g for g in word if not g.silent]
+    return None
 
 
 def remove_silent_graphemes(line: ScriptLine) -> ScriptLine:
-    words = [[g for g in word if not g.silent] for word in line.words]
-    return _from_lists(words, line.verse_final)
+    return _rewrite_words(line, _drop_silent)
+
+
+def _split_madda(word):
+    for g in word:
+        if g.base == MADDA_ALIF:
+            break
+    else:
+        return None
+    out = []
+    for g in word:
+        if g.base == MADDA_ALIF:
+            out.append(shared_grapheme(HAMZA_ALIF, vowel="fatha"))
+            out.append(shared_grapheme(ALIF))
+        else:
+            out.append(g)
+    return out
 
 
 def expand_madda(line: ScriptLine) -> ScriptLine:
     """Split the madda letter into hamza+fatha followed by a bare alif."""
-    words = []
-    for word in line.words:
-        out = []
-        for g in word:
-            if g.base == MADDA_ALIF:
-                out.append(Grapheme(HAMZA_ALIF, vowel="fatha"))
-                out.append(Grapheme(ALIF))
-            else:
-                out.append(g)
-        words.append(out)
-    return _from_lists(words, line.verse_final)
+    return _rewrite_words(line, _split_madda)
 
 
 def _prev_position(words, wi, gi):
@@ -155,7 +181,16 @@ def process_hamzat_wasl(
     """Resolve every connective alif per its phonetic context."""
     if juncture is None:
         juncture = default_tables().juncture
-    words = _to_lists(line)
+    for word in line.words:
+        for g in word:
+            if g.is_wasl:
+                break
+        else:
+            continue
+        break
+    else:
+        return line  # no connective alif to resolve
+    words = [list(word) for word in line.words]
 
     # Case 1: definite article before a geminated sun letter loses its lam.
     for word in words:
@@ -168,85 +203,100 @@ def process_hamzat_wasl(
                 del word[i + 1]
             i += 1
 
-    # Positional cases, resolved left to right.
-    while True:
-        pos = next(
-            ((wi, gi) for wi, word in enumerate(words)
-             for gi, g in enumerate(word) if g.is_wasl),
-            None,
-        )
-        if pos is None:
+    # Positional cases, in one left-to-right pass.  Resolving an alif
+    # changes only it and the letters before it, so every alif still
+    # sees the context a fresh search from the line start would give it.
+    for wi, word in enumerate(words):
+        gi = 0
+        while gi < len(word):
+            if not word[gi].is_wasl:
+                gi += 1
+                continue
+            prev = _prev_position(words, wi, gi)
+            if prev is None:
+                if not sentence_initial:
+                    raise DanglingWasl("line-initial connective alif "
+                                       "outside a sentence start")
+                # Case 2: sentence-initial, pronounced as a glottal stop /'a/
+                word[gi] = shared_grapheme(HAMZA_ALIF, vowel="fatha")
+                gi += 1
+                continue
+            pw, pg = prev
+            pgraph = words[pw][pg]
+            if pgraph.vocalized or pgraph.vowel in TANWINS:
+                # Case 3: silent after a vowel
+                del word[gi]
+            elif _is_extension(words, pw, pg):
+                # Case 4: a long vowel and the connective alif both drop
+                del word[gi]
+                del words[pw][pg]
+                if pw == wi:
+                    gi -= 1
+            elif pgraph.unvocalized:
+                # Case 5: the preceding unvocalized letter takes the
+                # juncture vowel and the connective alif drops
+                del word[gi]
+                words[pw][pg] = pgraph.with_vowel(juncture.vowel_for(
+                    tuple(words[pw])))
+            else:
+                raise DanglingWasl(
+                    "connective alif with no resolvable context")
+    return _with_words(line, map(tuple, words))
+
+
+def _split_shadda(word):
+    for g in word:
+        if g.shadda:
             break
-        wi, gi = pos
-        prev = _prev_position(words, wi, gi)
-        if prev is None:
-            if not sentence_initial:
-                raise DanglingWasl("line-initial connective alif "
-                                   "outside a sentence start")
-            # Case 2: sentence-initial, pronounced as a glottal stop /'a/
-            words[wi][gi] = Grapheme(HAMZA_ALIF, vowel="fatha")
-            continue
-        pw, pg = prev
-        pgraph = words[pw][pg]
-        if pgraph.vocalized or pgraph.vowel in TANWINS:
-            # Case 3: silent after a vowel
-            del words[wi][gi]
-        elif _is_extension(words, pw, pg):
-            # Case 4: a long vowel and the connective alif both drop
-            del words[wi][gi]
-            del words[pw][pg]
-        elif pgraph.unvocalized:
-            # Case 5: the preceding unvocalized letter takes the
-            # juncture vowel and the connective alif drops
-            del words[wi][gi]
-            words[pw][pg] = pgraph.with_vowel(juncture.vowel_for(
-                tuple(words[pw])))
+    else:
+        return None
+    out = []
+    for g in word:
+        if g.shadda:
+            if g.vowel is None or g.vowel == "sukun":
+                raise ShaddaWithoutVowel(
+                    f"geminated {g.base!r} has no vowel mark")
+            out.append(shared_grapheme(g.base, vowel="sukun"))
+            out.append(shared_grapheme(g.base, vowel=g.vowel))
         else:
-            raise DanglingWasl("connective alif with no resolvable context")
-    return _from_lists(words, line.verse_final)
+            out.append(g)
+    return out
 
 
 def expand_gemination(line: ScriptLine) -> ScriptLine:
     """Split geminated letters into sukun copy + vocalized copy."""
-    words = []
-    for word in line.words:
-        out = []
-        for g in word:
-            if g.shadda:
-                if g.vowel is None or g.vowel == "sukun":
-                    raise ShaddaWithoutVowel(
-                        f"geminated {g.base!r} has no vowel mark")
-                out.append(Grapheme(g.base, vowel="sukun"))
-                out.append(Grapheme(g.base, vowel=g.vowel))
-            else:
-                out.append(g)
-        words.append(out)
-    return _from_lists(words, line.verse_final)
+    return _rewrite_words(line, _split_shadda)
+
+
+def _split_tanwin(word):
+    for g in word:
+        if g.vowel in TANWINS:
+            break
+    else:
+        return None
+    out = []
+    skip = False
+    for i, g in enumerate(word):
+        if skip:
+            skip = False
+            continue
+        if g.vowel in TANWINS:
+            tanwin = g.vowel
+            out.append(g.with_vowel(TANWIN_TO_SHORT[tanwin]))
+            out.append(shared_grapheme(NUN, vowel="sukun"))
+            if tanwin == "tanwin_fath" and i + 1 < len(word):
+                nxt = word[i + 1]
+                if (nxt.base in (ALIF, ALIF_MAKSURA) and nxt.unvocalized
+                        and not nxt.shadda):
+                    skip = True  # drop the orthographic alif
+        else:
+            out.append(g)
+    return out
 
 
 def expand_tanwin(line: ScriptLine) -> ScriptLine:
     """Replace nunation with its short vowel plus a sukun-bearing nun."""
-    words = []
-    for word in line.words:
-        out = []
-        skip = False
-        for i, g in enumerate(word):
-            if skip:
-                skip = False
-                continue
-            if g.vowel in TANWINS:
-                tanwin = g.vowel
-                out.append(g.with_vowel(TANWIN_TO_SHORT[tanwin]))
-                out.append(Grapheme(NUN, vowel="sukun"))
-                if tanwin == "tanwin_fath" and i + 1 < len(word):
-                    nxt = word[i + 1]
-                    if (nxt.base in (ALIF, ALIF_MAKSURA) and nxt.unvocalized
-                            and not nxt.shadda):
-                        skip = True  # drop the orthographic alif
-            else:
-                out.append(g)
-        words.append(out)
-    return _from_lists(words, line.verse_final)
+    return _rewrite_words(line, _split_tanwin)
 
 
 def apply_isba(
@@ -255,62 +305,79 @@ def apply_isba(
     optional_plural_m: bool = False,
 ) -> ScriptLine:
     """Restore long vowels after pronoun clitics, plural-m and verse ends."""
-    words = _to_lists(line)
-    for wi, word in enumerate(words):
+    # Each decision reads the word's own ending and the next word's first
+    # letter, which no earlier decision changes, so the input line is read
+    # and only the changed words are rebuilt.
+    words = line.words
+    out = None
+    for wi in range(len(words) - 1):
+        word = words[wi]
         if len(word) < 2:
             continue
-        nxt = words[wi + 1][0] if wi + 1 < len(words) and words[wi + 1] else None
+        nxt = words[wi + 1][0] if words[wi + 1] else None
         if nxt is None or not nxt.vocalized:
             continue
         g = word[-1]
         if not word[-2].vocalized:
             continue
+        new = None
         if g.base == HA and g.vowel in ("damma", "kasra"):
             # pronoun clitic hu/hi between two vocalized letters
-            word.append(Grapheme(EXTENSION_FOR_VOWEL[g.vowel]))
+            new = word + (shared_grapheme(EXTENSION_FOR_VOWEL[g.vowel]),)
         elif g.base == MIM and word[-2].base in PLURAL_M_HOSTS:
             if g.vowel in SHORT_VOWELS:
-                word.append(Grapheme(EXTENSION_FOR_VOWEL[g.vowel]))
+                new = word + (shared_grapheme(EXTENSION_FOR_VOWEL[g.vowel]),)
             elif optional_plural_m and g.unvocalized:
                 # poetic license: vocalize a bare plural-m when the
                 # rhythm requires it
-                word[-1] = g.with_vowel("damma")
-                word.append(Grapheme(WAW))
+                new = word[:-1] + (g.with_vowel("damma"),
+                                   shared_grapheme(WAW))
+        if new is not None:
+            if out is None:
+                out = list(words)
+            out[wi] = new
     if verse_final and words and words[-1]:
         last = words[-1][-1]
         if last.vowel in SHORT_VOWELS:
-            words[-1].append(Grapheme(EXTENSION_FOR_VOWEL[last.vowel]))
-    return _from_lists(words, line.verse_final)
+            if out is None:
+                out = list(words)
+            out[-1] = words[-1] + (
+                shared_grapheme(EXTENSION_FOR_VOWEL[last.vowel]),)
+    return _with_words(line, out)
+
+
+def _sukun_for_bare(word):
+    out = None
+    for i, g in enumerate(word):
+        if g.vowel is None and not g.silent and not g.is_wasl \
+                and not g.shadda:
+            if out is None:
+                out = list(word)
+            out[i] = g.with_vowel("sukun")
+    return out
 
 
 def _fill_default_sukun(line: ScriptLine) -> ScriptLine:
-    words = []
-    for word in line.words:
-        words.append([
-            g.with_vowel("sukun")
-            if g.vowel is None and not g.silent and not g.is_wasl and not g.shadda
-            else g
-            for g in word
-        ])
-    return _from_lists(words, line.verse_final)
+    return _rewrite_words(line, _sukun_for_bare)
 
 
 def validate_scansion(line: ScriptLine) -> ScansionLine:
     """Assert the one-of-four-marks property on every grapheme."""
-    for g in line.graphemes():
-        if g.shadda or g.silent or g.is_wasl:
-            raise UnderDiacritized(
-                f"unresolved mark on {g.base!r} after transformation")
-        if g.vowel not in ("fatha", "damma", "kasra", "sukun"):
-            raise UnderDiacritized(
-                f"grapheme {g.base!r} lacks one of the four marks")
+    for word in line.words:
+        for g in word:
+            if g.shadda or g.silent or g.is_wasl:
+                raise UnderDiacritized(
+                    f"unresolved mark on {g.base!r} after transformation")
+            if g.vowel not in ("fatha", "damma", "kasra", "sukun"):
+                raise UnderDiacritized(
+                    f"grapheme {g.base!r} lacks one of the four marks")
     return line
 
 
 def beat_segments(scansion: ScansionLine) -> list[BeatPattern]:
     """Per-word beat contributions of a validated transcription."""
     return [
-        "".join("1" if g.vowel in SHORT_VOWELS else "0" for g in word)
+        "".join(["1" if g.vowel in SHORT_VOWELS else "0" for g in word])
         for word in scansion.words
     ]
 
@@ -326,6 +393,10 @@ def scan(
     Word boundaries contribute no beat; the returned pattern is the
     concatenation of the per-word contributions.
     """
+    if not all(line.words):
+        # Rules that do not fire keep empty words, so drop them here once.
+        line = ScriptLine(words=tuple(filter(None, line.words)),
+                          verse_final=line.verse_final)
     if not line.words:
         return line, ""
     if tables is None:

@@ -1,9 +1,15 @@
 """Subcommand behavior, exit codes and stream separation."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import arud
+from arud import cli
 from arud.cli import main
 
 
@@ -123,6 +129,17 @@ class TestMask:
                       "-i", src)
         assert a == b
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--span-p", "2"), ("--keep-p", "0"), ("--per-line", "0")])
+    def test_out_of_range_config_is_usage_error(self, tmp_path, capsys,
+                                                flag, value):
+        src = write(tmp_path, "in.txt", f"{FIG_LINE}\n")
+        code, out, err = run(capsys, "mask", "--seed", "3", flag, value,
+                             "-i", src)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("arud mask: ")
+
     def test_short_line_diagnosed(self, tmp_path, capsys):
         src = write(tmp_path, "in.txt", "مَا\n")
         code, out, err = run(capsys, "mask", "--seed", "3", "-i", src)
@@ -139,6 +156,15 @@ class TestFill:
         assert code == 0
         assert out.strip() == "لَهُ مَا"
 
+    @pytest.mark.parametrize("flags", [
+        ["--target", "2"], ["--target", "10", "--max-words", "0"]])
+    def test_invalid_query_is_usage_error(self, tmp_path, capsys, flags):
+        lex = write(tmp_path, "lex.txt", "مَا\n")
+        code, out, err = run(capsys, "fill", "--lexicon", lex, *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("arud fill: ")
+
 
 class TestEval:
     def test_report(self, tmp_path, capsys):
@@ -152,6 +178,19 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "-i", src)
         assert code == 0
         assert "exact_accuracy: 100.00" in out
+
+    def test_malformed_records_skipped(self, tmp_path, capsys):
+        records = "\n".join([
+            "[1]",
+            json.dumps({"target_beats": "10", "generated_text": 7}),
+            json.dumps({"target_beats": "10", "generated_text": "مَا"},
+                       ensure_ascii=False),
+        ])
+        src = write(tmp_path, "pred.jsonl", records + "\n")
+        code, out, err = run(capsys, "eval", "-i", src)
+        assert code == 0
+        assert "n: 1" in out
+        assert "malformed records skipped: 2" in err
 
 
 class TestTopLevel:
@@ -174,3 +213,46 @@ class TestTopLevel:
         code, _, err = run(capsys, "scan", "-i", "/nonexistent/in.txt")
         assert code == 2
         assert "I/O error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["scan"], ["normalize"], ["mask", "--seed", "1"]])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, argv):
+        src = write(tmp_path, "in.txt", f"{FIG_LINE}\n")
+        code, out, err = run(capsys, *argv, "--jobs", "0", "-i", src)
+        assert code == 1
+        assert out == ""
+        assert "--jobs: must be at least 1" in err
+
+    def test_broken_pipe_ends_quietly(self, tmp_path):
+        # Far more output than a pipe buffers, so writes continue after
+        # the reader has closed its end.
+        src = write(tmp_path, "in.txt", (FIG_LINE + "\n") * 3000)
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(arud.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "arud.cli", "scan", "--golden", "-i", src],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert err == b""
+        assert code == 2
+
+    def test_broken_pipe_elsewhere_keeps_stdout(self, tmp_path, monkeypatch):
+        # A pipe that broke on another stream (say an -o FIFO) must not
+        # redirect the stdout of a process that calls main in-process.
+        def broken(args):
+            raise BrokenPipeError(32, "Broken pipe")
+        monkeypatch.setitem(cli.COMMANDS, "scan", broken)
+        path = tmp_path / "stdout.txt"
+        with open(path, "w", encoding="utf-8") as out:
+            monkeypatch.setattr(sys, "stdout", out)
+            assert main(["scan"]) == 2
+            out.write("still here\n")
+        assert path.read_text(encoding="utf-8") == "still here\n"

@@ -164,6 +164,22 @@ class TestPredictionFile:
         assert len(records) == 2
         assert bad == 2
 
+    def test_wrong_field_types_counted_as_malformed(self):
+        good = {"target_beats": "10", "generated_text": "مَا"}
+        stream = io.StringIO("\n".join([
+            json.dumps(good),
+            "[1]",
+            '"text"',
+            json.dumps({**good, "target_beats": 10}),
+            json.dumps({**good, "generated_text": None}),
+            json.dumps({**good, "left_context": ["مَا"]}),
+            json.dumps({**good, "right_context": 3}),
+            json.dumps({**good, "coherence": "high"}),
+        ]))
+        records, bad = read_prediction_file(stream)
+        assert len(records) == 1
+        assert bad == 7
+
     def test_empty_target_rejected(self):
         with pytest.raises(ValueError):
             PredictionRecord(target_beats="", generated_text="مَا")

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arud import scansion
-from arud.errors import DanglingWasl, ShaddaWithoutVowel, UnderDiacritized
+from arud.errors import (
+    DanglingWasl,
+    ScriptError,
+    ShaddaWithoutVowel,
+    UnderDiacritized,
+)
 from arud.scansion import (
     apply_isba,
     apply_special_words,
@@ -88,6 +93,87 @@ class TestHamzatWasl:
     def test_moon_article_keeps_lam(self):
         out = process_hamzat_wasl(parse_line("وَٱلْقَمَرُ"), True)
         assert rendered(out) == "وَلْقَمَرُ"
+
+    def test_two_in_one_word_after_long_vowel(self):
+        out = process_hamzat_wasl(parse_line("يَاٱبْنَٱبْنِ مَالِكٍ"), True)
+        assert rendered(out) == "يَبْنَبْنِ مَالِكٍ"
+
+    def test_adjacent_alifs_after_long_vowel(self):
+        out = process_hamzat_wasl(parse_line("يَاٱٱبْنِ"), True)
+        assert rendered(out) == "يَبْنِ"
+
+    def test_word_of_only_the_alif_vanishes(self):
+        out = process_hamzat_wasl(parse_line("مَا ٱ لَهُ"), True)
+        assert rendered(out) == "مَ لَهُ"
+
+    @given(st.lists(st.lists(st.tuples(
+        st.sampled_from("بلماويشٱ"),
+        st.sampled_from(["fatha", "damma", "kasra", "sukun", None,
+                         "tanwin_damm"]),
+        st.booleans()), min_size=1, max_size=4), min_size=1, max_size=4),
+        st.booleans())
+    @settings(max_examples=300)
+    def test_matches_search_from_line_start(self, spec, sentence_initial):
+        line = ScriptLine(tuple(
+            tuple(Grapheme("ٱ", is_wasl=True) if base == "ٱ"
+                  else Grapheme(base, vowel=vowel, shadda=shadda)
+                  for base, vowel, shadda in word)
+            for word in spec))
+        juncture = default_tables().juncture
+        want = _outcome(lambda: _wasl_by_restart(line, sentence_initial,
+                                                 juncture))
+        got = _outcome(lambda: process_hamzat_wasl(line, sentence_initial,
+                                                   juncture))
+        assert got == want
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ScriptError as exc:
+        return type(exc), str(exc)
+
+
+def _wasl_by_restart(line, sentence_initial, juncture):
+    """Reference resolution: search again from the line start after each."""
+    words = [list(w) for w in line.words]
+    for word in words:
+        i = 0
+        while i + 2 < len(word):
+            if word[i].is_wasl \
+                    and word[i + 1].base == "ل" and word[i + 1].unvocalized \
+                    and not word[i + 1].shadda \
+                    and word[i + 2].base in scansion.SUN_LETTERS \
+                    and word[i + 2].shadda:
+                del word[i + 1]
+            i += 1
+    while True:
+        pos = next(((wi, gi) for wi, word in enumerate(words)
+                    for gi, g in enumerate(word) if g.is_wasl), None)
+        if pos is None:
+            break
+        wi, gi = pos
+        prev = scansion._prev_position(words, wi, gi)
+        if prev is None:
+            if not sentence_initial:
+                raise DanglingWasl("line-initial connective alif "
+                                   "outside a sentence start")
+            words[wi][gi] = Grapheme("أ", vowel="fatha")
+            continue
+        pw, pg = prev
+        pgraph = words[pw][pg]
+        if pgraph.vocalized or pgraph.vowel in scansion.TANWINS:
+            del words[wi][gi]
+        elif scansion._is_extension(words, pw, pg):
+            del words[wi][gi]
+            del words[pw][pg]
+        elif pgraph.unvocalized:
+            del words[wi][gi]
+            words[pw][pg] = pgraph.with_vowel(
+                juncture.vowel_for(tuple(words[pw])))
+        else:
+            raise DanglingWasl("connective alif with no resolvable context")
+    return ScriptLine(tuple(tuple(w) for w in words if w), line.verse_final)
 
 
 class TestGemination:
@@ -197,6 +283,37 @@ class TestScan:
     def test_word_boundaries_contribute_no_beat(self):
         line, beats = scan_text("مَا مَا")
         assert beats == "".join(beat_segments(line))
+
+    def test_empty_words_are_dropped(self):
+        # Idle rules keep their input, so scan itself drops empty words.
+        words = parse_line("لَهُ مَا").words
+        padded = ScriptLine(((),) + words[:1] + ((),) + words[1:] + ((),))
+        line, beats = scan(padded)
+        assert (line, beats) == scan(ScriptLine(words))
+        assert len(line.words) == 2
+        assert beat_segments(line) == ["110", "10"]
+
+    def test_only_empty_words(self):
+        line, beats = scan(ScriptLine(((), ()), verse_final=True))
+        assert line == ScriptLine((), verse_final=True) and beats == ""
+
+
+class TestIdleRuleReturnsItsInput:
+    @pytest.mark.parametrize("rule,text", [
+        (lambda line: apply_special_words(line, default_tables().special),
+         "مَا لَهُ"),
+        (remove_silent_graphemes, "عَمْرٌو"),
+        (expand_madda, "أَمَلٌ"),
+        (lambda line: process_hamzat_wasl(line, False), "مَا لَهُ"),
+        (expand_gemination, "عَلَمَ"),
+        (expand_tanwin, "قَتَلَ"),
+        (lambda line: apply_isba(line, verse_final=False), "قَتَلَ مِنْهُ"),
+        (scansion._fill_default_sukun, "مَاْ لَهُ"),
+        (scansion.validate_scansion, "مَاْ لَهُ"),
+    ])
+    def test_same_object(self, rule, text):
+        line = parse_line(text)
+        assert rule(line) is line
 
 
 SAFE = "بتجحدرسعفقكلمنهو"

@@ -10,6 +10,7 @@ from arud.errors import (
     ForeignCharacter,
     LeadingDiacritic,
 )
+from arud import script
 from arud.script import (
     ARABIC_LETTERS,
     FATHA,
@@ -21,7 +22,9 @@ from arud.script import (
     ScriptLine,
     fix_diacritic_order,
     parse_line,
+    render_grapheme,
     render_line,
+    shared_grapheme,
     word_diacritization_ratio,
 )
 
@@ -116,6 +119,70 @@ class TestGraphemeInvariants:
     def test_non_letter_base_rejected(self):
         with pytest.raises(ForeignCharacter):
             Grapheme("x")
+
+
+def _raised(fn):
+    try:
+        fn()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+class TestSharedGraphemes:
+    @given(st.sampled_from(sorted(ARABIC_LETTERS)), st.sampled_from(VOWELS),
+           st.booleans(), st.booleans(), st.booleans())
+    def test_same_value_and_errors_as_direct_construction(
+            self, base, vowel, shadda, silent, is_wasl):
+        args = (base, vowel, shadda, silent, is_wasl)
+        direct_error = _raised(lambda: Grapheme(*args))
+        assert _raised(lambda: shared_grapheme(*args)) == direct_error
+        if direct_error is None:
+            shared = shared_grapheme(*args)
+            fresh = Grapheme(*args)
+            assert shared == fresh
+            assert hash(shared) == hash(fresh)
+            assert repr(shared) == repr(fresh)
+            assert render_grapheme(shared) == render_grapheme(fresh)
+            assert shared_grapheme(*args) is shared
+
+    @pytest.mark.parametrize("args", [
+        ("x",),
+        ("م", "schwa"),
+        ("و", "fatha", False, True),
+        ("م", None, False, False, True),
+        ("ٱ", None, True, False, True),
+    ])
+    def test_invalid_values_raise_each_time(self, args):
+        direct = _raised(lambda: Grapheme(*args))
+        assert direct is not None
+        for _ in range(2):  # a failure is not cached
+            assert _raised(lambda: shared_grapheme(*args)) == direct
+
+    def test_with_vowel_returns_shared_values(self):
+        g = Grapheme("م", vowel="fatha")
+        assert g.with_vowel("kasra") == Grapheme("م", vowel="kasra")
+        assert g.with_vowel("kasra") is g.with_vowel("kasra")
+        assert _raised(lambda: g.with_vowel("schwa")) == \
+            _raised(lambda: Grapheme("م", vowel="schwa"))
+
+    def test_parsed_graphemes_are_shared(self):
+        first = parse_line("مَا مَا").words
+        assert first[0][0] is first[1][0]
+        assert parse_line("مَا").words[0][0] is first[0][0]
+
+    def test_word_memo_stays_within_its_size(self):
+        script._parse_word.cache_clear()
+        letters = sorted(ARABIC_LETTERS - {"ٱ"})
+        n = script.WORD_MEMO_SIZE + 50
+        words = [letters[i % len(letters)] + FATHA
+                 + letters[i // len(letters) % len(letters)] + SUKUN
+                 + letters[i // len(letters) ** 2] for i in range(n)]
+        assert len(set(words)) == n
+        for word in words:
+            parse_line(word)
+        assert script._parse_word.cache_info().currsize \
+            == script.WORD_MEMO_SIZE
 
 
 class TestFixDiacriticOrder:
