@@ -3,26 +3,29 @@
 Streams-first: every subcommand reads newline-delimited UTF-8 from
 standard input and writes data to standard output unless file paths are
 given.  Diagnostics always go to the error stream so commands compose
-in shell pipelines.  Exit codes: 0 success, 1 usage error, 2 I/O error.
-A broken pipe (the reader stopped early, as in ``arud scan | head -1``)
-ends the command with exit code 2 and no message.
+in shell pipelines.  Exit codes: 0 success, 1 usage error, 2 I/O error
+or malformed data table.  A broken pipe (the reader stopped early, as in
+``arud scan | head -1``) ends the command with exit code 2 and no message.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 
 from . import __version__, corpus, masking, metrics
-from .errors import ScriptError
+from .errors import ScriptError, TableError
 from .filler import FillQuery, fill, index_lexicon
 from .masking import MaskConfig, line_rng
 from .scansion import scan_text
 from .script import parse_line, render_line
-from .tables import ENV_TABLE_DIR, data_version
+from .tables import TableSet, data_version, default_tables
+
+ENV_TABLE_DIR = "ARUD_TABLE_DIR"
 
 
 class UsageError(Exception):
@@ -69,10 +72,11 @@ def _pmap(fn, items, jobs: int):
 # Worker functions must be importable for multiprocessing.
 
 def _scan_one(args):
-    text, verse_final, sentence_initial, golden = args
+    text, verse_final, sentence_initial, golden, tables = args
     try:
         scansion_line, beats = scan_text(
-            text, verse_final=verse_final, sentence_initial=sentence_initial)
+            text, verse_final=verse_final, tables=tables,
+            sentence_initial=sentence_initial)
     except ScriptError as exc:
         return False, f"{type(exc).__name__}: {exc}"
     if golden:
@@ -88,7 +92,7 @@ def _normalize_one(args):
 
 
 def _mask_one(args):
-    index, text, cfg = args
+    index, text, cfg, tables = args
     try:
         line = parse_line(text)
     except ScriptError as exc:
@@ -97,7 +101,7 @@ def _mask_one(args):
     for repeat in range(cfg.per_line):
         rng = line_rng(cfg.seed, index, repeat)
         try:
-            example = masking.build_training_example(line, cfg, rng)
+            example = masking.build_training_example(line, cfg, rng, tables)
         except ScriptError as exc:
             return index, None, f"{type(exc).__name__}: {exc}"
         out.append(example.to_json())
@@ -109,12 +113,15 @@ def _add_io_args(p: argparse.ArgumentParser):
     p.add_argument("-o", "--output", default="-", help="output path or -")
 
 
+@functools.cache
 def build_parser() -> Parser:
+    """The argument parser, built once per process and shared."""
     parser = Parser(prog="arud", description=__doc__)
     parser.add_argument("--version", action="store_true",
                         help="print tool and table-data versions")
-    parser.add_argument("--tables", metavar="DIR",
-                        help="override the data table directory")
+    parser.add_argument("--tables", metavar="DIR", dest="table_dir",
+                        help="data table directory (default: "
+                        f"${ENV_TABLE_DIR}, else the shipped tables)")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("scan", help="lines -> beat patterns")
@@ -183,7 +190,8 @@ def _cmd_scan(args) -> int:
         src = _open_in(stack, args.input)
         dst = _open_out(stack, args.output)
         work = ((line.rstrip("\n"), args.verse_final,
-                 not args.mid_sentence, args.golden) for line in src)
+                 not args.mid_sentence, args.golden, args.tables)
+                for line in src)
         for lineno, (ok, payload) in enumerate(
                 _pmap(_scan_one, work, args.jobs), start=1):
             if ok:
@@ -204,6 +212,7 @@ def _cmd_normalize(args) -> int:
         silent_marking=not args.no_silent_marking,
         sukun_defaults=not args.no_sukun_defaults,
         verse_final=args.verse_final,
+        tables=args.tables,
     )
     stats = corpus.DiacriticStats()
     with ExitStack() as stack:
@@ -241,13 +250,8 @@ def _cmd_filter(args) -> int:
         src = _open_in(stack, args.input)
         dst = _open_out(stack, args.output)
         for raw in src:
-            cleaned = corpus.clean_line(raw.rstrip("\n"))
-            if not cleaned:
-                print(corpus.REASON_FOREIGN_RESIDUE, file=dst)
-                continue
-            try:
-                line = corpus.parse_line(cleaned)
-            except ScriptError:
+            line = corpus.clean_and_parse(raw.rstrip("\n"))
+            if line is None:
                 print(corpus.REASON_FOREIGN_RESIDUE, file=dst)
                 continue
             decision = corpus.filter_line(line, args.min_words,
@@ -289,7 +293,7 @@ def _cmd_mask(args) -> int:
     with ExitStack() as stack:
         src = _open_in(stack, args.input)
         dst = _open_out(stack, args.output)
-        work = ((index, line.rstrip("\n"), cfg)
+        work = ((index, line.rstrip("\n"), cfg, args.tables)
                 for index, line in enumerate(src))
         for index, records, err in _pmap(_mask_one, work, args.jobs):
             if err is not None:
@@ -313,10 +317,10 @@ def _cmd_fill(args) -> int:
     except ValueError as exc:
         raise UsageError(f"arud fill: {exc}") from None
     with open(args.lexicon, "r", encoding="utf-8") as f:
-        lexicon = index_lexicon(f)
+        lexicon = index_lexicon(f, args.tables)
     with ExitStack() as stack:
         dst = _open_out(stack, args.output)
-        for phrase in fill(query, lexicon):
+        for phrase in fill(query, lexicon, args.tables):
             print(phrase, file=dst)
     return 0
 
@@ -327,7 +331,7 @@ def _cmd_eval(args) -> int:
         dst = _open_out(stack, args.output)
         records, bad = metrics.read_prediction_file(src)
         try:
-            report = metrics.evaluate_predictions(records)
+            report = metrics.evaluate_predictions(records, args.tables)
         except ScriptError as exc:
             print(f"eval: {exc}", file=sys.stderr)
             return 1
@@ -352,18 +356,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        table_dir = args.table_dir or os.environ.get(ENV_TABLE_DIR)
         if args.version:
-            print(f"arud {__version__} (tables {data_version(args.tables)})")
+            print(f"arud {__version__} (tables {data_version(table_dir)})")
             return 0
-        if args.tables:
-            os.environ[ENV_TABLE_DIR] = args.tables
         if not args.command:
             raise UsageError(parser.format_usage())
+        args.tables = TableSet.load(table_dir) if table_dir \
+            else default_tables()
         return COMMANDS[args.command](args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr, end="" if str(exc).endswith("\n")
               else "\n")
         return 1
+    except TableError as exc:
+        print(f"arud: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Subclass of OSError, so it must be caught first.
         _quiet_broken_stdout()

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 
 from .errors import EmptyHemistich, ScanError, ScriptError
 from . import scansion
+from .scansion import assign_default_sukun
 from .script import (
     ALIF,
     ARABIC_LETTERS,
@@ -30,7 +31,7 @@ from .script import (
     render_line,
     word_diacritization_ratio,
 )
-from .tables import KnownWordTable, SilentWordTable, TableSet, default_tables
+from .tables import SilentWordTable, TableSet, WordTable, default_tables
 
 log = logging.getLogger(__name__)
 
@@ -157,6 +158,17 @@ def clean_line(raw: str) -> str:
     return fix_diacritic_order(collapsed)
 
 
+def clean_and_parse(raw: str, verse_final: bool = False) -> ScriptLine | None:
+    """`raw` cleaned and parsed, or None when no parseable text is left."""
+    cleaned = clean_line(raw)
+    if not cleaned:
+        return None
+    try:
+        return parse_line(cleaned, verse_final=verse_final)
+    except ScriptError:
+        return None
+
+
 def filter_line(line: ScriptLine, min_words: int = 4,
                 min_ratio: float = 0.5) -> FilterDecision:
     """Acceptance rules: enough words, every word sufficiently marked."""
@@ -236,32 +248,12 @@ def apply_lam_kasra(line: ScriptLine) -> ScriptLine:
     return ScriptLine(tuple(tuple(w) for w in words), line.verse_final)
 
 
-def assign_default_sukun(line: ScriptLine) -> ScriptLine:
-    """Give sukun to every remaining bare letter.
-
-    Geminated letters without a vowel are left alone so the verification
-    scan can flag the line as under-diacritized.
-    """
-    words = [
-        tuple(g.with_vowel("sukun") if _bare(g) else g for g in word)
-        for word in line.words
-    ]
-    return ScriptLine(tuple(words), line.verse_final)
-
-
 def diacritize_known_words(line: ScriptLine,
-                           table: KnownWordTable | None = None) -> ScriptLine:
+                           table: WordTable | None = None) -> ScriptLine:
     """Replace bare/partial words that match an unambiguous-word entry."""
     if table is None:
         table = default_tables().known
-    words = []
-    for word in line.words:
-        for cand in table.candidates(word):
-            if scansion.compatible_replacement(word, cand):
-                word = cand
-                break
-        words.append(word)
-    return ScriptLine(tuple(words), line.verse_final)
+    return scansion.apply_special_words(line, table)
 
 
 @dataclass
@@ -289,12 +281,8 @@ def process_line(raw: str, cfg: PipelineConfig | None = None):
     if cfg is None:
         cfg = PipelineConfig()
     tables = cfg.table_set()
-    cleaned = clean_line(raw)
-    if not cleaned:
-        return None, REASON_FOREIGN_RESIDUE
-    try:
-        line = parse_line(cleaned, verse_final=cfg.verse_final)
-    except ScriptError:
+    line = clean_and_parse(raw, cfg.verse_final)
+    if line is None:
         return None, REASON_FOREIGN_RESIDUE
     if cfg.known_words:
         line = diacritize_known_words(line, tables.known)

@@ -55,3 +55,7 @@ class EmptyHemistich(ScriptError):
 
 class EmptyEvaluation(ScriptError):
     """Evaluation requested over zero records."""
+
+
+class TableError(ValueError):
+    """A data table row that cannot be loaded: "FILE:LINE: reason"."""

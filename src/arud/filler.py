@@ -47,19 +47,6 @@ class BeatTrie:
             node = node.children.setdefault(ch, BeatTrie())
         node.entries.append(entry)
 
-    def keys(self) -> set:
-        """All complete beat patterns stored in the tree."""
-        out = set()
-
-        def walk(node, path):
-            if node.entries:
-                out.add(path)
-            for ch, child in node.children.items():
-                walk(child, path + ch)
-
-        walk(self, "")
-        return out
-
 
 @dataclass
 class Lexicon:
@@ -113,6 +100,21 @@ def index_lexicon(words, tables: TableSet | None = None) -> Lexicon:
     return lexicon
 
 
+def edit_row(a: str, b: str) -> list:
+    """Last row of the unit-cost edit-distance DP of `a` against `b`.
+
+    Entry j is the insert/delete/substitute distance from `a` to `b[:j]`.
+    """
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            current.append(min(previous[j] + 1, current[j - 1] + 1,
+                               previous[j - 1] + (ca != cb)))
+        previous = current
+    return previous
+
+
 def _prefix_compatible(partial: str, target: str, slack: int) -> bool:
     """Admissible check: partial must be within `slack` edits of some
     target prefix.
@@ -124,15 +126,7 @@ def _prefix_compatible(partial: str, target: str, slack: int) -> bool:
     """
     if len(partial) > len(target) + slack:
         return False
-    # one DP row of edit distance partial -> prefixes of target
-    previous = list(range(len(target) + 1))
-    for i, ch in enumerate(partial, start=1):
-        current = [i]
-        for j, tch in enumerate(target, start=1):
-            current.append(min(previous[j] + 1, current[j - 1] + 1,
-                               previous[j - 1] + (ch != tch)))
-        previous = current
-    return min(previous) <= slack
+    return min(edit_row(partial, target)) <= slack
 
 
 def _trie_candidates(trie: BeatTrie, partial: str, target: str,

@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass
 
 from .errors import EmptyEvaluation, ScriptError
-from .filler import phrase_beats_in_context
+from .filler import edit_row, phrase_beats_in_context
 from .scansion import scan_text
 from .script import parse_line
 from .tables import TableSet
@@ -21,20 +21,10 @@ log = logging.getLogger(__name__)
 
 
 def edit_distance(a: str, b: str) -> int:
-    """Unit-cost insert/delete/substitute distance, two-row DP."""
+    """Unit-cost insert/delete/substitute distance."""
     if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            current.append(min(
-                previous[j] + 1,
-                current[j - 1] + 1,
-                previous[j - 1] + (ca != cb),
-            ))
-        previous = current
-    return previous[len(b)]
+        a, b = b, a  # the DP row runs over the shorter string
+    return edit_row(a, b)[-1]
 
 
 def levenshtein_similarity(a: str, b: str) -> float:
@@ -42,17 +32,6 @@ def levenshtein_similarity(a: str, b: str) -> float:
     if not a and not b:
         return 100.0
     return 100.0 * (1.0 - edit_distance(a, b) / max(len(a), len(b)))
-
-
-def exact_accuracy(pairs) -> float:
-    total = 0
-    hits = 0
-    for target, generated in pairs:
-        total += 1
-        hits += target == generated
-    if total == 0:
-        raise EmptyEvaluation("no pairs to evaluate")
-    return 100.0 * hits / total
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ then maps short-vowel letters to '1' and sukun letters to '0'.
 
 Rule order: special words -> silent removal -> madda expansion ->
 connective-alif (hamzat al-wasl) resolution -> gemination expansion ->
-nunation expansion -> long-vowel restoration (isba) -> validation.
+nunation expansion -> long-vowel restoration (isba) -> default sukun ->
+validation.
 The connective alif must see the sun letter's shadda before gemination
 is expanded, and isba needs the final vocalization state, which pins
 this order.
@@ -41,7 +42,7 @@ from .script import (
     parse_line,
     shared_grapheme,
 )
-from .tables import SpecialWordTable, TableSet, default_tables, fold_base
+from .tables import TableSet, WordTable, default_tables, fold_base
 
 log = logging.getLogger(__name__)
 
@@ -112,8 +113,9 @@ def compatible_replacement(word: Word, repl: Word) -> bool:
     return True
 
 
-def apply_special_words(line: ScriptLine, table: SpecialWordTable) -> ScriptLine:
-    """Replace known words missing a long-vowel grapheme."""
+def apply_special_words(line: ScriptLine, table: WordTable) -> ScriptLine:
+    """Replace each word by its first compatible table candidate, such
+    as a special word's spelling with the long vowel it omits."""
     def replacement(word):
         for cand in table.candidates(word):
             if compatible_replacement(word, cand):
@@ -357,7 +359,12 @@ def _sukun_for_bare(word):
     return out
 
 
-def _fill_default_sukun(line: ScriptLine) -> ScriptLine:
+def assign_default_sukun(line: ScriptLine) -> ScriptLine:
+    """Give sukun to every remaining bare letter.
+
+    Geminated letters without a vowel are left alone so that validation
+    flags the line as under-diacritized.
+    """
     return _rewrite_words(line, _sukun_for_bare)
 
 
@@ -408,7 +415,7 @@ def scan(
     out = expand_gemination(out)
     out = expand_tanwin(out)
     out = apply_isba(out, line.verse_final, optional_plural_m)
-    out = _fill_default_sukun(out)
+    out = assign_default_sukun(out)
     out = validate_scansion(out)
     beats = "".join(beat_segments(out))
     if "00" in beats[:-2]:

@@ -1,41 +1,51 @@
 """Loading of the shipped, editable data tables.
 
 All tables are UTF-8 text files, one mapping per line, tab-separated.
-``#`` starts a comment line.  The default files live in ``arud/data``;
-the ``ARUD_TABLE_DIR`` environment variable overrides the directory.
+``#`` starts a comment line.  The shipped files live in ``arud/data``;
+``TableSet.load(DIR)`` reads the same file names from ``DIR`` instead.
+A row that cannot be loaded raises ``TableError`` naming its file and
+1-based line.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
 from . import script
+from .errors import TableError
 from .script import ALIF, WASL_ALIF, Word, parse_line
 
-ENV_TABLE_DIR = "ARUD_TABLE_DIR"
 
+def _read_table(name: str, table_dir: str | None, nfields: int, parse):
+    """`parse(*fields)` for each data row of table `name`, in file order.
 
-def _read_table(name: str, table_dir: str | None = None) -> list[str]:
-    table_dir = table_dir or os.environ.get(ENV_TABLE_DIR)
-    if table_dir:
-        text = Path(table_dir, name).read_text(encoding="utf-8")
-    else:
-        text = resources.files("arud.data").joinpath(name).read_text("utf-8")
-    lines = []
-    for line in text.splitlines():
-        line = line.rstrip("\n")
+    A row without `nfields` tab-separated fields, or one that `parse`
+    rejects with a ValueError, raises TableError.
+    """
+    path = Path(table_dir, name) if table_dir \
+        else resources.files("arud.data").joinpath(name)
+    rows = []
+    for lineno, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
-        lines.append(line)
-    return lines
+        fields = line.split("\t")
+        try:
+            if len(fields) != nfields:
+                raise ValueError(f"expected {nfields} tab-separated "
+                                 f"field(s), got {len(fields)}")
+            rows.append(parse(*fields))
+        except ValueError as exc:
+            raise TableError(f"{path}:{lineno}: {exc}") from None
+    return rows
 
 
 def data_version(table_dir: str | None = None) -> str:
     try:
-        return _read_table("VERSION", table_dir)[0].strip()
+        return _read_table("VERSION", table_dir, 1, str.strip)[0]
     except (FileNotFoundError, IndexError):
         return "unknown"
 
@@ -46,26 +56,49 @@ def fold_base(base: str) -> str:
 
 
 def word_key(word: Word) -> str:
-    return "".join(fold_base(g.base) for g in word)
+    """The word's base letters, folded as by `fold_base`."""
+    return "".join([g.base for g in word]).replace(WASL_ALIF, ALIF)
+
+
+def _one_word(text: str) -> Word:
+    words = parse_line(text).words
+    if len(words) != 1:
+        raise ValueError(f"expected one word, got {len(words)}")
+    return words[0]
+
+
+def _special_row(key, text):
+    return key, _one_word(text)
+
+
+def _known_row(text):
+    word = _one_word(text.strip())
+    return word_key(word), word
 
 
 @dataclass
-class SpecialWordTable:
-    """Surface base letters -> prosodically complete replacement words."""
+class WordTable:
+    """Base-letter keys -> replacement words, tried in file order."""
 
     entries: dict[str, list[Word]] = field(default_factory=dict)
 
     @classmethod
-    def load(cls, table_dir: str | None = None) -> "SpecialWordTable":
-        entries: dict[str, list[Word]] = {}
-        for line in _read_table("special_words.tsv", table_dir):
-            key, repl = line.split("\t")
-            word = parse_line(repl).words[0]
-            entries.setdefault(key, []).append(word)
-        return cls(entries)
+    def from_rows(cls, rows) -> "WordTable":
+        table = cls()
+        for key, word in rows:
+            table.entries.setdefault(key, []).append(word)
+        return table
 
     def candidates(self, word: Word) -> list[Word]:
         return self.entries.get(word_key(word), [])
+
+
+def _juncture_row(key, vowel, mode):
+    if vowel not in script.VOWEL_KIND_TO_CHAR:
+        raise ValueError(f"unknown juncture vowel {vowel!r}")
+    if mode not in ("exact", "suffix"):
+        raise ValueError(f"unknown juncture mode {mode!r}")
+    return key, vowel, mode
 
 
 @dataclass
@@ -79,16 +112,9 @@ class JunctureTable:
     @classmethod
     def load(cls, table_dir: str | None = None) -> "JunctureTable":
         table = cls()
-        for line in _read_table("juncture.tsv", table_dir):
-            key, vowel, mode = line.split("\t")
-            if vowel not in script.VOWEL_KIND_TO_CHAR:
-                raise ValueError(f"unknown juncture vowel {vowel!r}")
-            if mode == "exact":
-                table.exact[key] = vowel
-            elif mode == "suffix":
-                table.suffix[key] = vowel
-            else:
-                raise ValueError(f"unknown juncture mode {mode!r}")
+        for key, vowel, mode in _read_table("juncture.tsv", table_dir, 3,
+                                            _juncture_row):
+            getattr(table, mode)[key] = vowel
         return table
 
     def vowel_for(self, word: Word) -> str:
@@ -102,24 +128,6 @@ class JunctureTable:
 
 
 @dataclass
-class KnownWordTable:
-    """Unambiguous fully diacritized words, keyed by base letters."""
-
-    entries: dict[str, list[Word]] = field(default_factory=dict)
-
-    @classmethod
-    def load(cls, table_dir: str | None = None) -> "KnownWordTable":
-        entries: dict[str, list[Word]] = {}
-        for line in _read_table("known_words.tsv", table_dir):
-            word = parse_line(line.strip()).words[0]
-            entries.setdefault(word_key(word), []).append(word)
-        return cls(entries)
-
-    def candidates(self, word: Word) -> list[Word]:
-        return self.entries.get(word_key(word), [])
-
-
-@dataclass
 class SilentWordTable:
     """Word base letters -> zero-based index of the silent letter."""
 
@@ -127,11 +135,8 @@ class SilentWordTable:
 
     @classmethod
     def load(cls, table_dir: str | None = None) -> "SilentWordTable":
-        entries = {}
-        for line in _read_table("silent_words.tsv", table_dir):
-            key, idx = line.split("\t")
-            entries[key] = int(idx)
-        return cls(entries)
+        return cls(dict(_read_table("silent_words.tsv", table_dir, 2,
+                                    lambda key, idx: (key, int(idx)))))
 
     def silent_index(self, word: Word) -> int | None:
         return self.entries.get(word_key(word))
@@ -139,27 +144,30 @@ class SilentWordTable:
 
 @dataclass
 class TableSet:
-    special: SpecialWordTable
+    special: WordTable
     juncture: JunctureTable
-    known: KnownWordTable
+    known: WordTable
     silent: SilentWordTable
 
     @classmethod
     def load(cls, table_dir: str | None = None) -> "TableSet":
+        """The tables in `table_dir`, or the shipped ones when it is None.
+
+        ``special_words.tsv`` rows are a key and its replacement word;
+        ``known_words.tsv`` rows are one word, keyed by its base letters.
+        """
         return cls(
-            special=SpecialWordTable.load(table_dir),
+            special=WordTable.from_rows(_read_table(
+                "special_words.tsv", table_dir, 2, _special_row)),
             juncture=JunctureTable.load(table_dir),
-            known=KnownWordTable.load(table_dir),
+            known=WordTable.from_rows(_read_table(
+                "known_words.tsv", table_dir, 1, _known_row)),
             silent=SilentWordTable.load(table_dir),
         )
 
 
-_default_tables: TableSet | None = None
-
-
+@cache
 def default_tables() -> TableSet:
-    """Shared lazily loaded table set for the default data directory."""
-    global _default_tables
-    if _default_tables is None:
-        _default_tables = TableSet.load()
-    return _default_tables
+    """The shipped tables, loaded once per process and shared: callers
+    must not modify them."""
+    return TableSet.load()

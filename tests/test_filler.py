@@ -20,13 +20,15 @@ from arud.script import parse_line
 
 class TestIndex:
     def test_prefix_tree_keys(self):
+        # each word is found under its own isolated beats
         lex = index_lexicon(["مَا", "لَهُ"])
-        assert lex.trie.keys() == {"10", "11"}
+        assert fill(FillQuery(target="10", max_words=1), lex) == ["مَا"]
+        assert fill(FillQuery(target="11", max_words=1), lex) == ["لَهُ"]
         assert len(lex) == 2
 
     def test_empty_stream(self):
         lex = index_lexicon([])
-        assert len(lex) == 0 and lex.trie.keys() == set()
+        assert len(lex) == 0 and fill(FillQuery(target="10"), lex) == []
 
     def test_unscannable_word_skipped(self):
         # geminated letter with no vowel cannot scan

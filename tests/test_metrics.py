@@ -12,7 +12,6 @@ from arud.metrics import (
     PredictionRecord,
     edit_distance,
     evaluate_predictions,
-    exact_accuracy,
     levenshtein_similarity,
     read_prediction_file,
 )
@@ -67,23 +66,31 @@ class TestSimilarity:
         assert edit_distance(a, b) == naive_edit_distance(a, b)
 
 
+def _records(pairs):
+    return [PredictionRecord(target_beats=t, generated_text=g)
+            for t, g in pairs]
+
+
 class TestExactAccuracy:
+    # مَا scans to "10", لَهُ to "11", عَلَّمَ to "1011".
     def test_half(self):
-        assert exact_accuracy([("10", "10"), ("10", "11")]) == 50.0
+        report = evaluate_predictions(_records([("10", "مَا"),
+                                                ("10", "لَهُ")]))
+        assert report.exact_accuracy == 50.0
 
     def test_all_identical(self):
-        assert exact_accuracy([("10", "10")] * 5) == 100.0
+        report = evaluate_predictions(_records([("10", "مَا")] * 5))
+        assert report.exact_accuracy == 100.0
 
-    def test_empty(self):
-        with pytest.raises(EmptyEvaluation):
-            exact_accuracy([])
-
-    @given(st.lists(st.tuples(patterns, patterns), min_size=1, max_size=20),
+    @given(st.lists(st.tuples(st.sampled_from(["10", "11", "1011", "0"]),
+                              st.sampled_from(["مَا", "لَهُ", "عَلَّمَ"])),
+                    min_size=1, max_size=20),
            st.randoms(use_true_random=False))
     def test_permutation_invariant(self, pairs, rnd):
         shuffled = list(pairs)
         rnd.shuffle(shuffled)
-        assert exact_accuracy(pairs) == exact_accuracy(shuffled)
+        assert evaluate_predictions(_records(pairs)).exact_accuracy \
+            == evaluate_predictions(_records(shuffled)).exact_accuracy
 
 
 class TestEvaluate:

@@ -308,7 +308,7 @@ class TestIdleRuleReturnsItsInput:
         (expand_gemination, "عَلَمَ"),
         (expand_tanwin, "قَتَلَ"),
         (lambda line: apply_isba(line, verse_final=False), "قَتَلَ مِنْهُ"),
-        (scansion._fill_default_sukun, "مَاْ لَهُ"),
+        (scansion.assign_default_sukun, "مَاْ لَهُ"),
         (scansion.validate_scansion, "مَاْ لَهُ"),
     ])
     def test_same_object(self, rule, text):
