@@ -20,7 +20,7 @@ from contextlib import ExitStack
 from . import __version__, corpus, masking, metrics
 from .errors import ScriptError, TableError
 from .filler import FillQuery, fill, index_lexicon
-from .masking import MaskConfig, line_rng
+from .masking import MaskConfig
 from .scansion import scan_text
 from .script import parse_line, render_line
 from .tables import TableSet, data_version, default_tables
@@ -69,13 +69,13 @@ def _pmap(fn, items, jobs: int):
         yield from executor.map(fn, items, chunksize=64)
 
 
-# Worker functions must be importable for multiprocessing.
+# Worker functions must be importable for multiprocessing; each command
+# binds its run's settings to one with functools.partial.
 
-def _scan_one(args):
-    text, verse_final, sentence_initial, golden, tables = args
+def _scan_one(line, verse_final, sentence_initial, golden, tables):
     try:
         scansion_line, beats = scan_text(
-            text, verse_final=verse_final, tables=tables,
+            line.rstrip("\n"), verse_final=verse_final, tables=tables,
             sentence_initial=sentence_initial)
     except ScriptError as exc:
         return False, f"{type(exc).__name__}: {exc}"
@@ -86,26 +86,15 @@ def _scan_one(args):
     return True, beats
 
 
-def _normalize_one(args):
-    raw, cfg = args
-    return corpus.process_line(raw, cfg)
-
-
-def _mask_one(args):
-    index, text, cfg, tables = args
+def _mask_one(numbered_line, cfg, tables):
+    """JSON records of the line at 0-based `index`, or an error text."""
+    index, line = numbered_line
     try:
-        line = parse_line(text)
+        examples = masking.line_examples(parse_line(line.rstrip("\n")),
+                                         index, cfg, tables)
     except ScriptError as exc:
-        return index, None, f"{type(exc).__name__}: {exc}"
-    out = []
-    for repeat in range(cfg.per_line):
-        rng = line_rng(cfg.seed, index, repeat)
-        try:
-            example = masking.build_training_example(line, cfg, rng, tables)
-        except ScriptError as exc:
-            return index, None, f"{type(exc).__name__}: {exc}"
-        out.append(example.to_json())
-    return index, out, None
+        return None, f"{type(exc).__name__}: {exc}"
+    return [example.to_json() for example in examples], None
 
 
 def _add_io_args(p: argparse.ArgumentParser):
@@ -170,7 +159,7 @@ def build_parser() -> Parser:
     p.add_argument("--jobs", type=_jobs, default=1)
 
     p = sub.add_parser("fill", help="rhythm-constrained phrase search")
-    _add_io_args(p)
+    p.add_argument("-o", "--output", default="-", help="output path or -")
     p.add_argument("--lexicon", required=True, metavar="PATH")
     p.add_argument("--target", required=True, metavar="BEATS")
     p.add_argument("--left", default="", help="left context text")
@@ -189,11 +178,12 @@ def _cmd_scan(args) -> int:
     with ExitStack() as stack:
         src = _open_in(stack, args.input)
         dst = _open_out(stack, args.output)
-        work = ((line.rstrip("\n"), args.verse_final,
-                 not args.mid_sentence, args.golden, args.tables)
-                for line in src)
+        scan_one = functools.partial(
+            _scan_one, verse_final=args.verse_final,
+            sentence_initial=not args.mid_sentence, golden=args.golden,
+            tables=args.tables)
         for lineno, (ok, payload) in enumerate(
-                _pmap(_scan_one, work, args.jobs), start=1):
+                _pmap(scan_one, src, args.jobs), start=1):
             if ok:
                 print(payload, file=dst)
             else:
@@ -230,10 +220,11 @@ def _cmd_normalize(args) -> int:
                         raw = corpus.join_hemistichs(first, second)
                     except ScriptError:
                         raw = ""
-                yield raw, cfg
+                yield raw
 
+        process_line = functools.partial(corpus.process_line, cfg=cfg)
         for lineno, (text, reason) in enumerate(
-                _pmap(_normalize_one, rows(), args.jobs), start=1):
+                _pmap(process_line, rows(), args.jobs), start=1):
             if text is None:
                 print(f"{lineno}\t{reason}", file=reject)
                 continue
@@ -293,11 +284,11 @@ def _cmd_mask(args) -> int:
     with ExitStack() as stack:
         src = _open_in(stack, args.input)
         dst = _open_out(stack, args.output)
-        work = ((index, line.rstrip("\n"), cfg, args.tables)
-                for index, line in enumerate(src))
-        for index, records, err in _pmap(_mask_one, work, args.jobs):
+        mask_one = functools.partial(_mask_one, cfg=cfg, tables=args.tables)
+        for lineno, (records, err) in enumerate(
+                _pmap(mask_one, enumerate(src), args.jobs), start=1):
             if err is not None:
-                print(f"line {index}: {err}", file=sys.stderr)
+                print(f"line {lineno}: {err}", file=sys.stderr)
                 continue
             for record in records:
                 print(record, file=dst)

@@ -3,8 +3,10 @@
 Samples a contiguous word span, embeds the span's in-context beat
 pattern between markers, reduces the context diacritics to mimic
 real-world partially diacritized text, and emits (input, target)
-records.  Output is a pure function of (corpus, config): every line
-gets its own random stream derived from the seed and line index.
+records.  Output is a pure function of (corpus, config): each of a
+line's `per_line` examples draws from its own random stream, keyed by
+the seed, the 0-based line index and the repeat, and a line gives all
+its examples or none (`line_examples`).
 """
 
 from __future__ import annotations
@@ -183,25 +185,32 @@ def line_rng(seed: int, line_index: int, repeat: int = 0) -> random.Random:
     return random.Random(f"{seed}:{line_index}:{repeat}")
 
 
+def line_examples(line: ScriptLine, index: int, cfg: MaskConfig,
+                  tables: TableSet | None = None) -> list[MaskedExample]:
+    """All ``cfg.per_line`` examples of the scan-ready line at `index`.
+
+    Repeat r draws from ``line_rng(cfg.seed, index, r)``.  A line gives
+    all its examples or raises ScriptError: every failure (too few words,
+    a scan error, lost word alignment) is decided by the line alone,
+    before any random draw matters, so it shows on repeat 0 or never.
+    """
+    return [build_training_example(line, cfg, line_rng(cfg.seed, index, r),
+                                   tables)
+            for r in range(cfg.per_line)]
+
+
 def generate_dataset(lines, cfg: MaskConfig, tables: TableSet | None = None):
     """Yield (line_index, example) records; unbuildable lines are skipped.
 
-    `lines` may hold ScriptLine values or raw text.
+    `lines` may hold ScriptLine values or raw text.  `line_index` counts
+    from 0 and keys the line's random streams (see `line_examples`).
     """
     for index, item in enumerate(lines):
-        if isinstance(item, ScriptLine):
-            line = item
-        else:
-            try:
-                line = parse_line(item)
-            except ScriptError as exc:
-                log.warning("line %d unparseable, skipped: %s", index, exc)
-                continue
-        for repeat in range(cfg.per_line):
-            rng = line_rng(cfg.seed, index, repeat)
-            try:
-                example = build_training_example(line, cfg, rng, tables)
-            except ScriptError as exc:
-                log.warning("line %d skipped: %s", index, exc)
-                break
+        try:
+            line = item if isinstance(item, ScriptLine) else parse_line(item)
+            examples = line_examples(line, index, cfg, tables)
+        except ScriptError as exc:
+            log.warning("line %d skipped: %s", index, exc)
+            continue
+        for example in examples:
             yield index, example

@@ -430,10 +430,9 @@ def scan_text(
     verse_final: bool = False,
     tables: TableSet | None = None,
     sentence_initial: bool = True,
-    optional_plural_m: bool = False,
 ) -> tuple[ScansionLine, BeatPattern]:
     """Parse then scan; blank input yields an empty pattern."""
     if not raw.strip():
         return ScriptLine(words=(), verse_final=verse_final), ""
     line = parse_line(raw, verse_final=verse_final)
-    return scan(line, tables, sentence_initial, optional_plural_m)
+    return scan(line, tables, sentence_initial)

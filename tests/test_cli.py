@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 import arud
 from arud import cli
 from arud.cli import main
+from arud.masking import MaskConfig, generate_dataset
 
 
 def run(capsys, *argv):
@@ -145,7 +147,33 @@ class TestMask:
         code, out, err = run(capsys, "mask", "--seed", "3", "-i", src)
         assert code == 0
         assert out == ""
-        assert "line 0" in err
+        assert "line 1:" in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_same_records_and_skips_as_library(self, tmp_path, capsys,
+                                                jobs):
+        lines = [
+            FIG_LINE,
+            "َعَلَمَ مَا",          # unparseable: leading mark
+            "مَا",                # one word
+            "بَمّ مَا",             # fails to scan
+            "مَا ٱ لَهُ",           # loses word alignment
+            "لَهُ مَا عَلَّمَ",
+            "",
+            FIG_LINE,
+        ]
+        src = write(tmp_path, "in.txt", "\n".join(lines) + "\n")
+        code, out, err = run(capsys, "mask", "--seed", "9", "--per-line",
+                             "3", "--jobs", jobs, "-i", src)
+        records = list(generate_dataset(lines, MaskConfig(seed=9,
+                                                          per_line=3)))
+        assert code == 0
+        assert out.splitlines() == [ex.to_json() for _, ex in records]
+        kept = {index for index, _ in records}
+        skipped = [n for n in range(1, len(lines) + 1) if n - 1 not in kept]
+        assert skipped == [2, 3, 4, 5, 7]
+        assert [int(re.match(r"line (\d+): \w+: ", diag)[1])
+                for diag in err.splitlines()] == skipped
 
 
 class TestFill:
@@ -164,6 +192,15 @@ class TestFill:
         assert code == 1
         assert out == ""
         assert err.startswith("arud fill: ")
+
+    @pytest.mark.parametrize("flag", ["-i", "--input"])
+    def test_reads_no_input_stream(self, tmp_path, capsys, flag):
+        lex = write(tmp_path, "lex.txt", "مَا\n")
+        code, out, err = run(capsys, "fill", "--lexicon", lex, "--target",
+                             "10", flag, lex)
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
 
 
 class TestEval:

@@ -1,17 +1,19 @@
 """Span sampling, context reduction and training-example assembly."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arud.errors import LineTooShort
+from arud.errors import LineTooShort, ScriptError
 from arud.masking import (
     MaskConfig,
     MaskedExample,
     build_training_example,
     generate_dataset,
     geometric,
+    line_examples,
     line_rng,
     reduce_context_diacritics,
     sample_mask_span,
@@ -197,3 +199,37 @@ class TestGenerateDataset:
         rng = line_rng(cfg.seed, 3)
         ex = build_training_example(parse_line(FIG_LINE), cfg, rng)
         assert full[3] == ex
+
+    def test_line_examples_all_or_nothing(self):
+        line = parse_line(FIG_LINE)
+        cfg = MaskConfig(seed=4, per_line=3)
+        assert line_examples(line, 6, cfg) == [
+            build_training_example(line, cfg, line_rng(4, 6, r))
+            for r in range(3)]
+        with pytest.raises(LineTooShort):
+            line_examples(parse_line("مَا"), 0, cfg)
+
+    def test_failure_does_not_depend_on_the_draws(self):
+        # Why all or nothing loses no example: a line that cannot be
+        # masked fails on every random stream alike.
+        path = (Path(__file__).parent / "data" / "behaviour_snapshot"
+                / "mask_input.txt")
+        cfg = MaskConfig(span_p=0.5, keep_p=0.5)
+        failing = 0
+        for index, text in enumerate(
+                path.read_text(encoding="utf-8").splitlines()):
+            try:
+                line = parse_line(text)
+            except ScriptError:
+                continue
+            outcomes = set()
+            for repeat in range(6):
+                try:
+                    build_training_example(line, cfg,
+                                           line_rng(1, index, repeat))
+                    outcomes.add(None)
+                except ScriptError as exc:
+                    outcomes.add(type(exc))
+            assert len(outcomes) == 1, text
+            failing += None not in outcomes
+        assert failing >= 5
