@@ -204,7 +204,7 @@ def _cmd_normalize(args) -> int:
         verse_final=args.verse_final,
         tables=args.tables,
     )
-    stats = corpus.DiacriticStats()
+    stats = corpus.DiacriticStats() if args.stats else None
     with ExitStack() as stack:
         src = _open_in(stack, args.input)
         dst = _open_out(stack, args.output)
@@ -229,8 +229,9 @@ def _cmd_normalize(args) -> int:
                 print(f"{lineno}\t{reason}", file=reject)
                 continue
             print(text, file=dst)
-            stats.add_line(corpus.parse_line(text))
-        if args.stats:
+            if stats is not None:
+                stats.add_line(corpus.parse_line(text))
+        if stats is not None:
             with open(args.stats, "w", encoding="utf-8") as f:
                 print(stats.render_report(), file=f)
     return 0

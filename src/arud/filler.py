@@ -6,6 +6,13 @@ per-word patterns only prune the search; the decision procedure is
 always a full rescan of left context + candidate phrase + right context,
 because juncture effects (long-vowel restoration, connective alifs)
 make naive beat concatenation unsound.
+
+Both costs of the search are incremental where that is exact.  The
+rescan reads the assembly with and without the optional plural-m
+license, and the two readings share one pass over the rules before
+isba (``scansion.scan_readings``).  The pruning test's edit-distance
+row is carried down the beat trie and from one phrase word to the next
+(``next_row``), so no prefix's row is computed twice.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .errors import ScriptError
-from .scansion import beat_segments, scan
+from .scansion import beat_segments, scan, scan_readings
 from .script import ScriptLine, Word, parse_line
 from .tables import TableSet
 
@@ -100,19 +107,29 @@ def index_lexicon(words, tables: TableSet | None = None) -> Lexicon:
     return lexicon
 
 
+def next_row(row: list, ch: str, target: str) -> list:
+    """The edit-distance DP row after one more source character `ch`.
+
+    `row` is the row of some source string against `target`; the result
+    is the row of that string extended by `ch`.
+    """
+    left = row[0] + 1
+    current = [left]
+    for up, diagonal, cb in zip(row[1:], row, target):
+        left = min(up + 1, left + 1, diagonal + (ch != cb))
+        current.append(left)
+    return current
+
+
 def edit_row(a: str, b: str) -> list:
     """Last row of the unit-cost edit-distance DP of `a` against `b`.
 
     Entry j is the insert/delete/substitute distance from `a` to `b[:j]`.
     """
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            current.append(min(previous[j] + 1, current[j - 1] + 1,
-                               previous[j - 1] + (ca != cb)))
-        previous = current
-    return previous
+    row = list(range(len(b) + 1))
+    for ca in a:
+        row = next_row(row, ca, b)
+    return row
 
 
 def _prefix_compatible(partial: str, target: str, slack: int) -> bool:
@@ -129,22 +146,38 @@ def _prefix_compatible(partial: str, target: str, slack: int) -> bool:
     return min(edit_row(partial, target)) <= slack
 
 
-def _trie_candidates(trie: BeatTrie, partial: str, target: str,
+def _trie_candidates(trie: BeatTrie, row: list, target: str,
                      slack: int) -> list:
-    """Entries whose isolated beats keep the combined prefix viable."""
+    """(entry, row) pairs whose isolated beats keep the prefix viable.
+
+    `row` is the edit-distance row of the beats chosen so far; each
+    returned row extends it by the entry's beats.  A node passes when
+    `_prefix_compatible` passes its combined prefix, tested on a row
+    carried down from the parent's.  Its length bound needs no test of
+    its own: a prefix of length n is at least n - len(target) edits from
+    every target prefix, so min(row) <= slack already implies it.
+    """
     found = []
 
-    def walk(node, path):
-        if not _prefix_compatible(partial + path, target, slack):
+    def walk(node, row):
+        if min(row) > slack:
             return
-        found.extend(node.entries)
+        found.extend((entry, row) for entry in node.entries)
         for ch in ("0", "1"):
             child = node.children.get(ch)
             if child is not None:
-                walk(child, path + ch)
+                walk(child, next_row(row, ch, target))
 
-    walk(trie, "")
+    walk(trie, row)
     return found
+
+
+def _phrase_beats(scansion_line, n_words: int, lo: int, hi: int) -> str | None:
+    """Beats of words lo..hi of a scanned assembly of `n_words` words, or
+    None when the transformation lost word alignment."""
+    if len(scansion_line.words) != n_words:
+        return None
+    return "".join(beat_segments(scansion_line)[lo:hi])
 
 
 def phrase_beats_in_context(
@@ -153,7 +186,6 @@ def phrase_beats_in_context(
     right_words,
     verse_final: bool,
     tables: TableSet | None = None,
-    optional_plural_m: bool = False,
 ) -> str | None:
     """Beat contribution of the phrase inside the full assembly.
 
@@ -163,28 +195,33 @@ def phrase_beats_in_context(
     words = tuple(left_words) + tuple(phrase_words) + tuple(right_words)
     line = ScriptLine(words=words, verse_final=verse_final)
     try:
-        scansion_line, _ = scan(line, tables, sentence_initial=True,
-                                optional_plural_m=optional_plural_m)
+        scansion_line, _ = scan(line, tables, sentence_initial=True)
     except ScriptError:
         return None
-    if len(scansion_line.words) != len(words):
-        return None
-    segments = beat_segments(scansion_line)
     lo = len(left_words)
-    return "".join(segments[lo:lo + len(phrase_words)])
+    return _phrase_beats(scansion_line, len(words), lo, lo + len(phrase_words))
 
 
 def matches_target(phrase_words, left_words, right_words, query: FillQuery,
                    tables: TableSet | None = None) -> bool:
-    """Full-rescan decision, exploring optional plural-m as a branch."""
-    verse_final = query.verse_final and not right_words
-    for optional in (False, True):
-        beats = phrase_beats_in_context(
-            phrase_words, left_words, right_words, verse_final,
-            tables, optional_plural_m=optional)
-        if beats == query.target:
-            return True
-    return False
+    """Full-rescan decision, exploring optional plural-m as a branch.
+
+    True when the phrase's in-context beats equal the target under the
+    plain reading or, where it differs, the licensed one.
+    """
+    words = tuple(left_words) + tuple(phrase_words) + tuple(right_words)
+    line = ScriptLine(words=words,
+                      verse_final=query.verse_final and not right_words)
+    try:
+        readings = scan_readings(line, tables, sentence_initial=True)
+    except ScriptError:
+        return False
+    lo = len(left_words)
+    hi = lo + len(phrase_words)
+    return any(
+        not isinstance(reading, ScriptError)
+        and _phrase_beats(reading[0], len(words), lo, hi) == query.target
+        for reading in readings)
 
 
 def fill(query: FillQuery, lexicon: Lexicon,
@@ -201,7 +238,7 @@ def fill(query: FillQuery, lexicon: Lexicon,
 
     results = set()
 
-    def descend(chosen, partial):
+    def descend(chosen, row):
         if chosen:
             phrase = [e.word for e in chosen]
             if matches_target(phrase, left_words, right_words, query, tables):
@@ -209,9 +246,9 @@ def fill(query: FillQuery, lexicon: Lexicon,
         if len(chosen) >= query.max_words:
             return
         slack = JUNCTURE_SLACK * (len(chosen) + 1)
-        for entry in _trie_candidates(lexicon.trie, partial, query.target,
-                                      slack):
-            descend(chosen + [entry], partial + entry.isolated_beats)
+        for entry, entry_row in _trie_candidates(lexicon.trie, row,
+                                                 query.target, slack):
+            descend(chosen + [entry], entry_row)
 
-    descend([], "")
+    descend([], edit_row("", query.target))
     return sorted(results)[:query.max_results]

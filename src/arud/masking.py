@@ -203,14 +203,15 @@ def generate_dataset(lines, cfg: MaskConfig, tables: TableSet | None = None):
     """Yield (line_index, example) records; unbuildable lines are skipped.
 
     `lines` may hold ScriptLine values or raw text.  `line_index` counts
-    from 0 and keys the line's random streams (see `line_examples`).
+    from 0 and keys the line's random streams (see `line_examples`); the
+    warning for a skipped line counts from 1, as CLI diagnostics do.
     """
     for index, item in enumerate(lines):
         try:
             line = item if isinstance(item, ScriptLine) else parse_line(item)
             examples = line_examples(line, index, cfg, tables)
         except ScriptError as exc:
-            log.warning("line %d skipped: %s", index, exc)
+            log.warning("line %d skipped: %s", index + 1, exc)
             continue
         for example in examples:
             yield index, example

@@ -389,23 +389,17 @@ def beat_segments(scansion: ScansionLine) -> list[BeatPattern]:
     ]
 
 
-def scan(
-    line: ScriptLine,
-    tables: TableSet | None = None,
-    sentence_initial: bool = True,
-    optional_plural_m: bool = False,
-) -> tuple[ScansionLine, BeatPattern]:
-    """Full grapheme-to-beat transformation of one line.
+def _drop_empty_words(line: ScriptLine) -> ScriptLine:
+    if all(line.words):
+        return line
+    # Rules that do not fire keep empty words, so drop them here once.
+    return ScriptLine(words=tuple(filter(None, line.words)),
+                      verse_final=line.verse_final)
 
-    Word boundaries contribute no beat; the returned pattern is the
-    concatenation of the per-word contributions.
-    """
-    if not all(line.words):
-        # Rules that do not fire keep empty words, so drop them here once.
-        line = ScriptLine(words=tuple(filter(None, line.words)),
-                          verse_final=line.verse_final)
-    if not line.words:
-        return line, ""
+
+def _before_isba(line: ScriptLine, tables: TableSet | None,
+                 sentence_initial: bool) -> ScriptLine:
+    """The six rules that precede isba, in their fixed order."""
     if tables is None:
         tables = default_tables()
     out = apply_special_words(line, tables.special)
@@ -413,8 +407,11 @@ def scan(
     out = expand_madda(out)
     out = process_hamzat_wasl(out, sentence_initial, tables.juncture)
     out = expand_gemination(out)
-    out = expand_tanwin(out)
-    out = apply_isba(out, line.verse_final, optional_plural_m)
+    return expand_tanwin(out)
+
+
+def _after_isba(out: ScriptLine) -> tuple[ScansionLine, BeatPattern]:
+    """Default sukun, validation and beats of a line isba has seen."""
     out = assign_default_sukun(out)
     out = validate_scansion(out)
     beats = "".join(beat_segments(out))
@@ -423,6 +420,54 @@ def scan(
         # as a diagnostic only
         log.debug("double sakin inside line: %s", beats)
     return out, beats
+
+
+def scan(
+    line: ScriptLine,
+    tables: TableSet | None = None,
+    sentence_initial: bool = True,
+) -> tuple[ScansionLine, BeatPattern]:
+    """Full grapheme-to-beat transformation of one line.
+
+    Word boundaries contribute no beat; the returned pattern is the
+    concatenation of the per-word contributions.
+    """
+    line = _drop_empty_words(line)
+    if not line.words:
+        return line, ""
+    out = _before_isba(line, tables, sentence_initial)
+    return _after_isba(apply_isba(out, line.verse_final))
+
+
+def scan_readings(
+    line: ScriptLine,
+    tables: TableSet | None = None,
+    sentence_initial: bool = True,
+) -> list:
+    """`scan` of `line` without, then with, the optional plural-m license.
+
+    The rules before isba run once for both readings.  The licensed
+    reading is listed only when the license changes the line's words.
+    Each entry is a reading's ``(transcription, beats)`` or the
+    UnderDiacritized error that validating it raised; an error of the
+    shared rules is raised, since every reading would raise it.
+    """
+    line = _drop_empty_words(line)
+    if not line.words:
+        return [(line, "")]
+    out = _before_isba(line, tables, sentence_initial)
+    plain = apply_isba(out, line.verse_final)
+    licensed = apply_isba(out, line.verse_final, optional_plural_m=True)
+    readings = [plain]
+    if licensed.words != plain.words:
+        readings.append(licensed)
+    outcomes = []
+    for reading in readings:
+        try:
+            outcomes.append(_after_isba(reading))
+        except UnderDiacritized as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def scan_text(

@@ -91,6 +91,27 @@ class TestNormalize:
         assert code == 0
         assert "lines: 1" in open(stats, encoding="utf-8").read()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("with_stats", [False, True])
+    def test_stats_built_only_when_asked(self, tmp_path, capsys, monkeypatch,
+                                         jobs, with_stats):
+        calls = []
+        add_line = cli.corpus.DiacriticStats.add_line
+        monkeypatch.setattr(cli.corpus.DiacriticStats, "add_line",
+                            lambda self, line: calls.append(line)
+                            or add_line(self, line))
+        src = write(tmp_path, "in.txt",
+                    f"{self.VERSE}\nمَا لَهُ\n{FIG_LINE}\n")
+        argv = ["normalize", "--jobs", jobs, "-i", src,
+                "-o", str(tmp_path / "out.txt")]
+        if with_stats:
+            argv += ["--stats", str(tmp_path / "stats.txt")]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        accepted = (tmp_path / "out.txt").read_text(encoding="utf-8")
+        assert len(accepted.splitlines()) == 2
+        assert len(calls) == (2 if with_stats else 0)
+
 
 class TestFilterAndStats:
     def test_filter_reasons(self, tmp_path, capsys):

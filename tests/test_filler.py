@@ -3,16 +3,21 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arud.filler import (
     BeatTrie,
     FillQuery,
     JUNCTURE_SLACK,
     Lexicon,
+    LexiconEntry,
     _prefix_compatible,
+    _trie_candidates,
+    edit_row,
     fill,
     index_lexicon,
     matches_target,
+    next_row,
     phrase_beats_in_context,
 )
 from arud.script import parse_line
@@ -97,6 +102,13 @@ class TestFill:
         assert len(out) == 2
         assert out == sorted(out)
 
+    def test_optional_plural_m_in_context(self):
+        # isolated لَهُمْ is "110"; only the licensed reading لَهُمُو gives
+        # "1110" before مَا
+        lex = index_lexicon(["لَهُمْ", "مَا", "قَدْ"])
+        query = FillQuery(target="1110", right_context="مَا", max_words=1)
+        assert fill(query, lex) == ["لَهُمْ"]
+
     def test_invalid_target(self):
         with pytest.raises(ValueError):
             FillQuery(target="102")
@@ -145,3 +157,65 @@ class TestSoundness:
         for phrase in fill(query, lex):
             words = parse_line(phrase).words
             assert matches_target(list(words), (), (), query)
+
+
+BEATS = st.text(alphabet="01", max_size=8)
+
+
+def reference_candidates(trie, partial, target, slack):
+    """Entries in trie order, each node tested by `_prefix_compatible`."""
+    found = []
+
+    def walk(node, path):
+        if not _prefix_compatible(partial + path, target, slack):
+            return
+        found.extend(node.entries)
+        for ch in ("0", "1"):
+            child = node.children.get(ch)
+            if child is not None:
+                walk(child, path + ch)
+
+    walk(trie, "")
+    return found
+
+
+def reference_distance(a, b):
+    """Levenshtein distance by the textbook recursion."""
+    if not a or not b:
+        return len(a) + len(b)
+    return min(reference_distance(a[1:], b) + 1,
+               reference_distance(a, b[1:]) + 1,
+               reference_distance(a[1:], b[1:]) + (a[0] != b[0]))
+
+
+class TestIncrementalRows:
+    @given(BEATS, BEATS)
+    def test_fold_of_next_row_is_edit_row(self, a, b):
+        row = list(range(len(b) + 1))
+        for ch in a:
+            row = next_row(row, ch, b)
+        assert row == edit_row(a, b)
+
+    @given(st.text(alphabet="01", max_size=5), st.text(alphabet="01",
+                                                       max_size=5))
+    def test_edit_row_entries_are_distances(self, a, b):
+        assert edit_row(a, b) == [reference_distance(a, b[:j])
+                                  for j in range(len(b) + 1)]
+
+    @given(st.lists(BEATS, max_size=12), BEATS, st.text(alphabet="01",
+                                                        min_size=1,
+                                                        max_size=8),
+           st.integers(0, 6))
+    @settings(max_examples=300)
+    def test_trie_candidates_match_per_node_check(self, patterns, partial,
+                                                  target, slack):
+        trie = BeatTrie()
+        for i, beats in enumerate(patterns):
+            trie.insert(LexiconEntry(surface=str(i), word=(),
+                                     isolated_beats=beats))
+        found = _trie_candidates(trie, edit_row(partial, target), target,
+                                 slack)
+        assert [entry for entry, _ in found] == \
+            reference_candidates(trie, partial, target, slack)
+        for entry, row in found:
+            assert row == edit_row(partial + entry.isolated_beats, target)

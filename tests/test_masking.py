@@ -192,6 +192,17 @@ class TestGenerateDataset:
                                         MaskConfig(seed=3)))
         assert [i for i, _ in records] == [0, 2]
 
+    def test_skip_warning_counts_from_one(self, caplog):
+        # the record index keys the random streams and stays 0-based; the
+        # warning names the line as `arud mask` does, counting from 1
+        with caplog.at_level("WARNING", logger="arud.masking"):
+            records = list(generate_dataset([FIG_LINE, "مَا"],
+                                            MaskConfig(seed=3)))
+        assert [i for i, _ in records] == [0]
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 1
+        assert messages[0].startswith("line 2 skipped: ")
+
     def test_order_independent_streams(self):
         cfg = MaskConfig(seed=9)
         full = {i: ex for i, ex in generate_dataset([FIG_LINE] * 5, cfg)}

@@ -1,5 +1,7 @@
 """Grapheme-to-beat rules: each stage's examples plus scan properties."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +22,7 @@ from arud.scansion import (
     process_hamzat_wasl,
     remove_silent_graphemes,
     scan,
+    scan_readings,
     scan_text,
 )
 from arud.script import Grapheme, ScriptLine, parse_line, render_line
@@ -352,3 +355,82 @@ class TestScanProperties:
         _, beats_b = scan_text(b, sentence_initial=False)
         _, joined = scan_text(f"{a} {b}")
         assert joined == beats_a + beats_b
+
+
+DATA = Path(__file__).parent / "data"
+READING_WORDS = sorted(
+    {word
+     for row in (DATA / "golden_scansion.tsv").read_text(
+         encoding="utf-8").splitlines() if not row.startswith("#")
+     for word in row.split("\t")[0].split()}
+    | set((DATA / "behaviour_snapshot" / "lexicon.txt").read_text(
+        encoding="utf-8").split())
+    | {"لَهُمْ", "عَلَيْكُمْ", "بِهِمْ", "أَنْتُمْ", "مِنْكُمْ", "عَلَيْهِمْ",
+       "لَكُمُ", "بِهِمُ"})
+
+
+def reference_reading(line, sentence_initial, optional_plural_m):
+    """One full pass of the public rules in `scan`'s order with the
+    license set as given: (line after isba, outcome), where the outcome
+    is (transcription, beats) or the exception type; errors of the rules
+    before isba raise."""
+    tables = default_tables()
+    out = apply_special_words(line, tables.special)
+    out = remove_silent_graphemes(out)
+    out = expand_madda(out)
+    out = process_hamzat_wasl(out, sentence_initial, tables.juncture)
+    out = expand_gemination(out)
+    out = expand_tanwin(out)
+    out = apply_isba(out, line.verse_final, optional_plural_m)
+    after_isba = out
+    try:
+        out = scansion.assign_default_sukun(out)
+        out = scansion.validate_scansion(out)
+    except ScriptError as exc:
+        return after_isba, type(exc)
+    return after_isba, (out, "".join(beat_segments(out)))
+
+
+def outcome(reading):
+    return type(reading) if isinstance(reading, ScriptError) else reading
+
+
+class TestScanReadings:
+    @given(st.lists(st.sampled_from(READING_WORDS), min_size=1, max_size=5),
+           st.booleans(), st.booleans())
+    @settings(max_examples=400)
+    def test_equals_two_separate_scans(self, words, verse_final,
+                                       sentence_initial):
+        line = parse_line(" ".join(words), verse_final=verse_final)
+        try:
+            plain_isba, plain = reference_reading(line, sentence_initial,
+                                                  False)
+            licensed_isba, licensed = reference_reading(
+                line, sentence_initial, True)
+        except ScriptError as exc:
+            with pytest.raises(type(exc)):
+                scan_readings(line, sentence_initial=sentence_initial)
+            return
+        readings = scan_readings(line, sentence_initial=sentence_initial)
+        expected = [plain]
+        if licensed_isba.words != plain_isba.words:
+            expected.append(licensed)
+        else:
+            # the reading left out is the plain one again
+            assert licensed == plain
+        assert [outcome(r) for r in readings] == expected
+        if not isinstance(readings[0], ScriptError):
+            assert readings[0] == scan(line, sentence_initial=sentence_initial)
+
+    def test_license_adds_a_reading(self):
+        line = parse_line("لَهُمْ مَا")
+        assert [beats for _, beats in scan_readings(line)] == ["11010",
+                                                               "111010"]
+
+    def test_no_license_one_reading(self):
+        line = parse_line("لَهُ مَا")
+        assert scan_readings(line) == [scan(line)]
+
+    def test_shared_error_raised(self):
+        with pytest.raises(ShaddaWithoutVowel):
+            scan_readings(parse_line("بَمّ مَا"))
