@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import unicodedata
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 
 from .errors import EmptyHemistich, ScanError, ScriptError
 from . import scansion
@@ -228,10 +228,10 @@ def mark_silent_letters(line: ScriptLine,
     for word in words:
         idx = table.silent_index(tuple(word))
         if idx is not None and 0 <= idx < len(word) and _bare(word[idx]):
-            word[idx] = dc_replace(word[idx], silent=True)
+            word[idx] = Grapheme(word[idx].base, silent=True)
         if (len(word) >= 3 and word[-1].base == ALIF and _bare(word[-1])
                 and word[-2].base == WAW):
-            word[-1] = dc_replace(word[-1], silent=True)
+            word[-1] = Grapheme(ALIF, silent=True)
     return ScriptLine(tuple(tuple(w) for w in words), line.verse_final)
 
 

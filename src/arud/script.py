@@ -5,15 +5,16 @@ Each grapheme is one base letter plus its attached marks.  Parsing and
 rendering round-trip exactly, and rendering always emits marks in the
 canonical order: base letter, shadda, vowel-class mark, silence mark.
 
-Parsing and the scansion rules build graphemes through
-``shared_grapheme``, which keeps one validated instance per distinct
-value; those instances are shared process-wide and must never be mutated.
+Constructing a Grapheme interns it: each distinct value has one
+validated, immutable instance, shared process-wide, so graphemes compare
+and hash by identity and words make cheap dictionary keys.
 """
 
 from __future__ import annotations
 
+import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -78,31 +79,54 @@ SUN_LETTERS = set("تثدذرزسش"
                   "صضطظلن")
 
 
-@dataclass(frozen=True)
 class Grapheme:
-    """One base letter plus its attached marks."""
+    """One base letter plus its attached marks.
 
-    base: str
-    vowel: str | None = None
-    shadda: bool = False
-    silent: bool = False
-    is_wasl: bool = False
+    Construction interns: ``Grapheme(...)`` returns the one shared,
+    validated instance for its five values, so ``==`` and ``hash`` are
+    identity.  Instances are immutable, and pickling and copying go back
+    through the constructor, so every process holds one instance per value.
+    """
 
-    # Rendered text, set once on shared instances (see shared_grapheme).
-    # Not a field, so repr, == and hash keep to the five values above.
-    _text = None
+    __slots__ = ("base", "vowel", "shadda", "silent", "is_wasl", "_text")
 
-    def __post_init__(self):
-        if self.base not in ARABIC_LETTERS:
-            raise ForeignCharacter(f"not an Arabic letter: {self.base!r}")
-        if self.vowel is not None and self.vowel not in VOWEL_KIND_TO_CHAR:
-            raise ValueError(f"unknown vowel kind: {self.vowel!r}")
-        if self.silent and (self.vowel is not None or self.shadda):
-            raise DoubleDiacritic("silent letter cannot carry other marks")
-        if self.is_wasl and self.base != WASL_ALIF:
-            raise ValueError("is_wasl requires the wasl-alif base letter")
-        if self.is_wasl and self.shadda:
-            raise DoubleDiacritic("wasl-alif cannot be geminated")
+    def __new__(cls, base: str, vowel: str | None = None,
+                shadda: bool = False, silent: bool = False,
+                is_wasl: bool = False) -> "Grapheme":
+        key = (base, vowel, shadda, silent, is_wasl)
+        g = _SHARED.get(key)
+        if g is None:
+            if base not in ARABIC_LETTERS:
+                raise ForeignCharacter(f"not an Arabic letter: {base!r}")
+            if vowel is not None and vowel not in VOWEL_KIND_TO_CHAR:
+                raise ValueError(f"unknown vowel kind: {vowel!r}")
+            if silent and (vowel is not None or shadda):
+                raise DoubleDiacritic("silent letter cannot carry other marks")
+            if is_wasl and base != WASL_ALIF:
+                raise ValueError("is_wasl requires the wasl-alif base letter")
+            if is_wasl and shadda:
+                raise DoubleDiacritic("wasl-alif cannot be geminated")
+            g = object.__new__(cls)
+            for name, value in zip(cls.__slots__, key):
+                object.__setattr__(g, name, value)
+            object.__setattr__(g, "_text", _render_marks(g))
+            _SHARED[key] = g
+        return g
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Grapheme, (self.base, self.vowel, self.shadda, self.silent,
+                          self.is_wasl)
+
+    def __repr__(self) -> str:
+        return (f"Grapheme(base={self.base!r}, vowel={self.vowel!r}, "
+                f"shadda={self.shadda!r}, silent={self.silent!r}, "
+                f"is_wasl={self.is_wasl!r})")
 
     @property
     def vocalized(self) -> bool:
@@ -115,31 +139,16 @@ class Grapheme:
         return not self.silent and (self.vowel is None or self.vowel == "sukun")
 
     def with_vowel(self, vowel: str | None) -> "Grapheme":
-        return shared_grapheme(self.base, vowel, self.shadda, self.silent,
-                               self.is_wasl)
+        return Grapheme(self.base, vowel, self.shadda, self.silent,
+                        self.is_wasl)
 
 
-# Distinct grapheme values -> their one shared, validated instance.  The
-# key space is letters x mark combinations, so it stays at a few hundred
-# entries.
+# Distinct grapheme values -> their one instance.  The key space is
+# letters x mark combinations, so it stays at a few hundred entries.
 _SHARED: dict[tuple, Grapheme] = {}
 
-
-def shared_grapheme(base: str, vowel: str | None = None, shadda: bool = False,
-                    silent: bool = False, is_wasl: bool = False) -> Grapheme:
-    """The shared Grapheme for these values, validated on first use only.
-
-    The result equals ``Grapheme(base, vowel, shadda, silent, is_wasl)``
-    and raises the same errors.  It is shared by every caller, so it must
-    never be mutated.
-    """
-    key = (base, vowel, shadda, silent, is_wasl)
-    g = _SHARED.get(key)
-    if g is None:
-        g = Grapheme(base, vowel, shadda, silent, is_wasl)
-        object.__setattr__(g, "_text", _render_marks(g))
-        _SHARED[key] = g
-    return g
+# The constructor under its earlier name: construction already shares.
+shared_grapheme = Grapheme
 
 
 Word = tuple[Grapheme, ...]
@@ -174,23 +183,48 @@ def parse_line(raw: str, verse_final: bool = False) -> ScriptLine:
 
 
 # Verse vocabulary repeats words: on perfbench input this memo serves
-# about 60% of word lookups in `scan` and `prepare` runs and 76% in
-# `infill` runs, and makes `scan` about 7% faster than parsing every word.
-# The size is fixed, so the memo's memory is too.
+# 60% of word lookups in `scan` runs, 58% in `prepare` runs and 84% in
+# `infill` runs (seed 71, fixed operations in one process).  A miss
+# looks its letters up in `_BY_TEXT`.  The size is fixed, so the memo's
+# memory is too; a memo holding the whole vocabulary was faster but
+# kept the text of every word resident.
 WORD_MEMO_SIZE = 256
 
 
 @lru_cache(maxsize=WORD_MEMO_SIZE)
 def _parse_word(chunk: str) -> Word:
     """Graphemes of one whitespace-free chunk."""
+    # Split at letters and look each piece up; a piece not met before,
+    # or a character outside every piece, takes the character loop.
+    pieces = _GRAPHEME_TEXT.findall(chunk)
+    graphemes = list(map(_BY_TEXT.get, pieces))
+    if None in graphemes or "".join(pieces) != chunk:
+        return _parse_chars(chunk)
+    return tuple(graphemes)
+
+
+# One letter and the mark run that follows it.
+_GRAPHEME_TEXT = re.compile(
+    f"[{''.join(sorted(ARABIC_LETTERS))}][{''.join(sorted(MARKS))}]*")
+
+# Written text of one grapheme -> its Grapheme, for every piece the
+# character loop has accepted.  A piece is a letter and at most three
+# marks in some order, so the table stays near a thousand entries at
+# most.
+_BY_TEXT: dict[str, Grapheme] = {}
+
+
+def _parse_chars(chunk: str) -> Word:
+    """`_parse_word` character by character, raising the first error."""
     graphemes: list[Grapheme] = []
     base = None
-    for ch in chunk:
+    for i, ch in enumerate(chunk):
         if ch in ARABIC_LETTERS:
             if base is not None:
-                graphemes.append(shared_grapheme(
-                    base, vowel, shadda, silent, base == WASL_ALIF))
+                graphemes.append(_accept(chunk[start:i], base, vowel,
+                                         shadda, silent))
             base = ch
+            start = i
             vowel = None
             shadda = silent = False
         elif ch in MARKS:
@@ -211,13 +245,19 @@ def _parse_word(chunk: str) -> Word:
                 vowel = VOWEL_CHAR_TO_KIND[ch]
         else:
             raise ForeignCharacter(f"disallowed code point {ch!r}")
-    graphemes.append(shared_grapheme(
-        base, vowel, shadda, silent, base == WASL_ALIF))
+    graphemes.append(_accept(chunk[start:], base, vowel, shadda, silent))
     return tuple(graphemes)
 
 
+def _accept(text: str, base: str, vowel, shadda: bool,
+            silent: bool) -> Grapheme:
+    g = _BY_TEXT[text] = Grapheme(base, vowel, shadda, silent,
+                                  base == WASL_ALIF)
+    return g
+
+
 def render_grapheme(g: Grapheme) -> str:
-    return g._text or _render_marks(g)
+    return g._text
 
 
 def _render_marks(g: Grapheme) -> str:
@@ -234,14 +274,14 @@ def _render_marks(g: Grapheme) -> str:
 def render_word(word: Word) -> str:
     if not word:
         raise EmptyWord("cannot render an empty word")
-    return "".join(map(render_grapheme, word))
+    return "".join([g._text for g in word])
 
 
 def render_line(line: ScriptLine) -> str:
     """Serialize a line in canonical mark order."""
     if not line.words:
         raise EmptyLine("cannot render an empty line")
-    return " ".join(render_word(word) for word in line.words)
+    return " ".join(map(render_word, line.words))
 
 
 def _canonical_marks(marks: list[str]) -> list[str]:

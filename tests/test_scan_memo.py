@@ -1,0 +1,247 @@
+"""The per-word memo under `scan`: same results as the whole-line rules,
+errors in the same order, bounded memos and per-table isolation."""
+
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from arud import scansion
+from arud.cli import ENV_TABLE_DIR, main
+from arud.errors import DanglingWasl, ScriptError, ShaddaWithoutVowel
+from arud.scansion import (
+    apply_isba,
+    apply_special_words,
+    assign_default_sukun,
+    beat_segments,
+    expand_gemination,
+    expand_madda,
+    expand_tanwin,
+    process_hamzat_wasl,
+    remove_silent_graphemes,
+    scan,
+    scan_readings,
+    scan_text,
+    validate_scansion,
+)
+from arud.script import ARABIC_LETTERS, FATHA, SUKUN, ScriptLine, parse_line
+from arud.tables import default_tables
+
+DATA = Path(__file__).parent / "data"
+MEMOS = ("_records", "_wasl_records", "_isba_words")
+
+
+def clear_memos():
+    for name in MEMOS:
+        getattr(scansion, name).clear()
+
+
+def whole_line(line, sentence_initial, optional_plural_m):
+    """The rules composed over the whole line, as `scan` ran them before
+    the memo: (line after isba, (transcription, beats) or the error)."""
+    tables = default_tables()
+    out = ScriptLine(tuple(filter(None, line.words)), line.verse_final)
+    out = apply_special_words(out, tables.special)
+    out = remove_silent_graphemes(out)
+    out = expand_madda(out)
+    out = process_hamzat_wasl(out, sentence_initial, tables.juncture)
+    out = expand_gemination(out)
+    out = expand_tanwin(out)
+    after_isba = apply_isba(out, line.verse_final, optional_plural_m)
+    try:
+        out = validate_scansion(assign_default_sukun(after_isba))
+    except ScriptError as exc:
+        return after_isba, error(exc)
+    return after_isba, (out, "".join(beat_segments(out)))
+
+
+def error(exc):
+    return type(exc), str(exc)
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except ScriptError as exc:
+        return error(exc)
+
+
+def _rows(path):
+    return [row for row in path.read_text(encoding="utf-8").splitlines()
+            if row.strip() and not row.startswith("#")]
+
+
+GOLDEN = [row.split("\t")[0] for row in _rows(DATA / "golden_scansion.tsv")]
+SNAPSHOT = _rows(DATA / "engine_snapshot" / "input.txt")
+LEXICON = _rows(DATA / "behaviour_snapshot" / "lexicon.txt")
+# A word whose gemination fails alone but not before a connective alif,
+# and words that silent removal empties.
+PAIR = ["بَمّ", "بَمّ ٱبْنُ"]
+EMPTIED = ["و۠", "ا۠و۠"]
+WORDS = sorted({word for text in GOLDEN + SNAPSHOT + LEXICON + PAIR
+                for word in text.split()} | set(EMPTIED))
+TEXTS = st.one_of(
+    st.sampled_from(GOLDEN + SNAPSHOT + PAIR),
+    st.lists(st.sampled_from(WORDS), min_size=1, max_size=6).map(" ".join),
+    st.tuples(st.sampled_from(EMPTIED), st.sampled_from(WORDS + PAIR),
+              st.sampled_from(WORDS)).map(" ".join),
+)
+
+
+class TestSameAsWholeLine:
+    @given(TEXTS, st.booleans(), st.booleans(),
+           st.sampled_from(["cold", "warm", "kept"]))
+    @settings(max_examples=500, deadline=None)
+    def test_scan_scan_text_and_readings(self, text, verse_final,
+                                         sentence_initial, memo):
+        if memo == "cold":
+            clear_memos()
+        elif memo == "warm":
+            outcome(lambda: scan_text(text, verse_final,
+                                      sentence_initial=sentence_initial))
+        got_text = outcome(lambda: scan_text(
+            text, verse_final, sentence_initial=sentence_initial))
+        try:
+            line = parse_line(text, verse_final=verse_final)
+        except ScriptError as exc:
+            assert got_text == error(exc)
+            return
+        try:
+            plain_isba, plain = whole_line(line, sentence_initial, False)
+            licensed_isba, licensed = whole_line(line, sentence_initial,
+                                                 True)
+        except ScriptError as exc:
+            assert got_text == error(exc)
+            assert outcome(lambda: scan(
+                line, sentence_initial=sentence_initial)) == error(exc)
+            assert outcome(lambda: scan_readings(
+                line, sentence_initial=sentence_initial)) == error(exc)
+            return
+        assert got_text == plain
+        assert outcome(lambda: scan(
+            line, sentence_initial=sentence_initial)) == plain
+        expected = [plain]
+        if licensed_isba.words != plain_isba.words:
+            expected.append(licensed)
+        readings = scan_readings(line, sentence_initial=sentence_initial)
+        assert [error(r) if isinstance(r, ScriptError) else r
+                for r in readings] == expected
+
+    @pytest.mark.parametrize("text, beats", [
+        ("بَمّ ٱبْنُ", "10101"),
+        ("و۠ ٱبْنُ مَا", "10110"),
+        ("مَا و۠ ٱبْنُ", "101"),
+    ])
+    def test_word_context_decides(self, text, beats):
+        clear_memos()
+        with pytest.raises(ShaddaWithoutVowel):
+            scan_text("بَمّ")
+        assert scan_text(text)[1] == beats
+        with pytest.raises(ShaddaWithoutVowel):
+            scan_text("بَمّ")
+
+
+class TestBoundaryReuse:
+    @pytest.mark.parametrize("text, changed", [
+        ("قَالَ ٱبْنُ مَالِكٍ", 1),    # only the alif's word changes
+        ("قُلْ ٱبْنُ مَالِكٍ", 2),     # and the word before it
+    ])
+    def test_words_the_rule_left_alone_keep_their_records(self, text,
+                                                          changed):
+        clear_memos()
+        scan_text(text)
+        assert len(scansion._wasl_records) == changed
+
+
+class TestErrors:
+    @pytest.mark.parametrize("text, kwargs, exc", [
+        ("بَمّ", {}, ShaddaWithoutVowel),
+        ("مَا بَمّ", {}, ShaddaWithoutVowel),
+        ("ٱبْنُ مَا", {"sentence_initial": False}, DanglingWasl),
+    ])
+    def test_same_error_every_time(self, text, kwargs, exc):
+        clear_memos()
+        seen = set()
+        for _ in range(3):
+            with pytest.raises(exc) as info:
+                scan_text(text, **kwargs)
+            seen.add(str(info.value))
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("text, kwargs, exc, message", [
+        # gemination runs over every word, in order, before validation
+        ("بَكّ بَمّ", {}, ShaddaWithoutVowel, "'ك'"),
+        # the connective-alif rule runs before gemination
+        ("ٱبْنُ بَمّ", {"sentence_initial": False}, DanglingWasl,
+         "line-initial"),
+    ])
+    def test_whole_line_order_with_warm_memos(self, text, kwargs, exc,
+                                              message):
+        clear_memos()
+        for word in reversed(text.split()):
+            outcome(lambda: scan_text(word, **kwargs))
+        with pytest.raises(exc, match=message):
+            scan_text(text, **kwargs)
+
+
+def _distinct_words(n, tail=""):
+    letters = sorted(ARABIC_LETTERS - {"ٱ"})
+    k = len(letters)
+    words = [letters[i % k] + FATHA + letters[i // k % k] + FATHA
+             + letters[i // k ** 2] + tail for i in range(n)]
+    assert len(set(words)) == n
+    return words
+
+
+class TestMemoSizes:
+    def test_record_memo(self):
+        clear_memos()
+        for word in _distinct_words(scansion.RECORD_MEMO_SIZE + 50, SUKUN):
+            scan_text(word)
+        assert len(scansion._records) == scansion.RECORD_MEMO_SIZE
+
+    def test_connective_alif_memo(self):
+        # each word ending in sukun takes the juncture vowel, so the rule
+        # changes every one of them
+        clear_memos()
+        for word in _distinct_words(scansion.SIDE_MEMO_SIZE + 50, SUKUN):
+            scan_text(f"{word} ٱبْنُ")
+        assert len(scansion._wasl_records) == scansion.SIDE_MEMO_SIZE
+
+    def test_isba_memo(self):
+        # each word ending in the pronoun hu is lengthened before مَا
+        clear_memos()
+        for word in _distinct_words(scansion.SIDE_MEMO_SIZE + 50, "ُ"):
+            scan_text(f"{word}هُ مَا")
+        assert len(scansion._isba_words) == scansion.SIDE_MEMO_SIZE
+
+
+class TestTablesIsolation:
+    """In-process `main` calls each scan by their own special words."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_default_custom_default(self, capsys, monkeypatch, tmp_path,
+                                    jobs):
+        monkeypatch.delenv(ENV_TABLE_DIR, raising=False)
+        shipped = Path(scansion.__file__).parent / "data"
+        custom = tmp_path / "tables"
+        custom.mkdir()
+        for name in ("juncture.tsv", "known_words.tsv", "silent_words.tsv",
+                     "VERSION"):
+            (custom / name).write_bytes((shipped / name).read_bytes())
+        # مَا gains a second alif: 10 with the shipped tables, 100 here
+        (custom / "special_words.tsv").write_text("ما\tمَاا\n",
+                                                  encoding="utf-8")
+        src = tmp_path / "in.txt"
+        src.write_text("مَا\nقَالَ مَا\n", encoding="utf-8")
+
+        def beats(*top):
+            code = main([*top, "scan", "--jobs", jobs, "-i", str(src)])
+            assert code == 0
+            return capsys.readouterr().out
+
+        default = "10\n10110\n"
+        assert beats() == default
+        assert beats() == default
+        assert beats("--tables", str(custom)) == "100\n101100\n"
+        assert beats() == default

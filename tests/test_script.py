@@ -1,5 +1,12 @@
 """Parsing, rendering, canonical mark order and diacritization ratio."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -245,3 +252,84 @@ class TestDiacritizationRatio:
         shuffled = tuple(reversed(word))
         assert word_diacritization_ratio(word) == pytest.approx(
             word_diacritization_ratio(shuffled))
+
+
+class TestInterning:
+    """One Grapheme instance per value, in this process and after a trip
+    through pickle or copy."""
+
+    @given(st.sampled_from(SAFE_LETTERS), st.sampled_from(VOWELS),
+           st.booleans())
+    def test_construction_returns_the_one_instance(self, base, vowel,
+                                                   shadda):
+        g = Grapheme(base, vowel, shadda)
+        assert Grapheme(base, vowel=vowel, shadda=shadda) is g
+        assert shared_grapheme(base, vowel, shadda) is g
+        assert g.with_vowel(vowel) is g
+
+    @pytest.mark.parametrize("protocol",
+                             range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_returns_the_instance(self, protocol):
+        for g in (Grapheme("م", vowel="fatha", shadda=True),
+                  Grapheme("و", silent=True), Grapheme("ٱ", is_wasl=True)):
+            assert pickle.loads(pickle.dumps(g, protocol)) is g
+
+    def test_copy_returns_the_instance(self):
+        g = Grapheme("ن", vowel="tanwin_damm")
+        assert copy.copy(g) is g
+        assert copy.deepcopy(g) is g
+        assert copy.deepcopy((g, [g]))[1][0] is g
+
+    def test_pickled_table_set_holds_interned_graphemes(self):
+        # pickled in another process, as a --jobs 2 worker receives it
+        code = ("import pickle, sys; from arud.tables import TableSet; "
+                "sys.stdout.buffer.write(pickle.dumps(TableSet.load()))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        blob = subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, env=env).stdout
+        tables = pickle.loads(blob)
+        graphemes = [g for table in (tables.special, tables.known)
+                     for words in table.entries.values()
+                     for word in words for g in word]
+        assert graphemes
+        for g in graphemes:
+            assert g is Grapheme(g.base, g.vowel, g.shadda, g.silent,
+                                 g.is_wasl)
+
+    def test_immutable(self):
+        g = Grapheme("م", vowel="fatha")
+        with pytest.raises(FrozenInstanceError):
+            g.vowel = "kasra"
+        with pytest.raises(FrozenInstanceError):
+            del g.base
+        assert g.vowel == "fatha"
+
+    def test_repr_and_render(self):
+        g = Grapheme("م", vowel="fatha", shadda=True)
+        assert repr(g) == ("Grapheme(base='م', vowel='fatha', shadda=True, "
+                           "silent=False, is_wasl=False)")
+        assert render_grapheme(g) == "م" + SHADDA + FATHA
+
+    def test_equality_and_hash_are_identity(self):
+        g = Grapheme("م", vowel="fatha")
+        assert g == Grapheme("م", vowel="fatha")
+        assert g != Grapheme("م", vowel="kasra")
+        assert hash(g) == object.__hash__(g)
+
+
+class TestParseByPieces:
+    """`_parse_word` looks accepted pieces up; `_parse_chars` is the
+    character loop it must agree with, errors included."""
+
+    @given(st.lists(st.text(alphabet=SAFE_LETTERS[:6] + ["ٱ", FATHA, SUKUN,
+                                                         SHADDA, SILENCE,
+                                                         TANWIN_FATH, "x"],
+                            min_size=1, max_size=8),
+                    min_size=1, max_size=6))
+    def test_same_graphemes_and_errors_as_the_loop(self, chunks):
+        for chunk in chunks:
+            want = _raised(lambda: script._parse_chars(chunk)) \
+                or script._parse_chars(chunk)
+            got = _raised(lambda: script._parse_word.__wrapped__(chunk)) \
+                or script._parse_word.__wrapped__(chunk)
+            assert got == want
