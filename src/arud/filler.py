@@ -172,56 +172,42 @@ def _trie_candidates(trie: BeatTrie, row: list, target: str,
     return found
 
 
-def _phrase_beats(scansion_line, n_words: int, lo: int, hi: int) -> str | None:
-    """Beats of words lo..hi of a scanned assembly of `n_words` words, or
-    None when the transformation lost word alignment."""
-    if len(scansion_line.words) != n_words:
-        return None
-    return "".join(beat_segments(scansion_line)[lo:hi])
-
-
 def phrase_beats_in_context(
     phrase_words,
     left_words,
     right_words,
     verse_final: bool,
     tables: TableSet | None = None,
-) -> str | None:
-    """Beat contribution of the phrase inside the full assembly.
+) -> list:
+    """Beat contribution of the phrase inside the full assembly, under
+    each reading of ``scansion.scan_readings``.
 
-    Returns None when the assembly does not scan or word alignment is
-    lost by the transformation.
+    Empty when the assembly does not scan or the transformation loses
+    word alignment.
     """
     words = tuple(left_words) + tuple(phrase_words) + tuple(right_words)
     line = ScriptLine(words=words, verse_final=verse_final)
     try:
-        scansion_line, _ = scan(line, tables, sentence_initial=True)
+        readings = scan_readings(line, tables, sentence_initial=True)
     except ScriptError:
-        return None
+        return []
+    # The readings differ only inside words, so they keep or lose word
+    # alignment together.
+    if len(readings[0][0].words) != len(words):
+        return []
     lo = len(left_words)
-    return _phrase_beats(scansion_line, len(words), lo, lo + len(phrase_words))
+    hi = lo + len(phrase_words)
+    return ["".join(beat_segments(transcription)[lo:hi])
+            for transcription, _ in readings]
 
 
 def matches_target(phrase_words, left_words, right_words, query: FillQuery,
                    tables: TableSet | None = None) -> bool:
-    """Full-rescan decision, exploring optional plural-m as a branch.
-
-    True when the phrase's in-context beats equal the target under the
-    plain reading or, where it differs, the licensed one.
-    """
-    words = tuple(left_words) + tuple(phrase_words) + tuple(right_words)
-    line = ScriptLine(words=words,
-                      verse_final=query.verse_final and not right_words)
-    try:
-        readings = scan_readings(line, tables, sentence_initial=True)
-    except ScriptError:
-        return False
-    lo = len(left_words)
-    hi = lo + len(phrase_words)
-    return any(
-        not isinstance(reading, ScriptError)
-        and _phrase_beats(reading[0], len(words), lo, hi) == query.target
-        for reading in readings)
+    """Full-rescan decision: the phrase's in-context beats equal the
+    target under the plain or the optional plural-m reading."""
+    return query.target in phrase_beats_in_context(
+        phrase_words, left_words, right_words,
+        query.verse_final and not right_words, tables)
 
 
 def fill(query: FillQuery, lexicon: Lexicon,

@@ -97,7 +97,9 @@ class EvalReport:
 
 
 def _generated_beats(record: PredictionRecord,
-                     tables: TableSet | None) -> str | None:
+                     tables: TableSet | None) -> list:
+    """The generated text's beats under each reading; empty when it does
+    not scan."""
     has_context = bool(record.left_context) or bool(record.right_context)
     try:
         if has_context:
@@ -111,13 +113,17 @@ def _generated_beats(record: PredictionRecord,
                                            tables)
         _, beats = scan_text(record.generated_text,
                              verse_final=record.verse_final, tables=tables)
-        return beats if beats else None
+        return [beats] if beats else []
     except ScriptError:
-        return None
+        return []
 
 
 def evaluate_predictions(records, tables: TableSet | None = None) -> EvalReport:
-    """Score a stream of PredictionRecord values."""
+    """Score a stream of PredictionRecord values.
+
+    A record is exact when any reading of its generated text gives the
+    target, and takes its similarity from the closest reading.
+    """
     n = 0
     exact = 0
     similarity_sum = 0.0
@@ -126,13 +132,14 @@ def evaluate_predictions(records, tables: TableSet | None = None) -> EvalReport:
     coherence_n = 0
     for record in records:
         n += 1
-        beats = _generated_beats(record, tables)
-        if beats is None:
+        readings = _generated_beats(record, tables)
+        if not readings:
             failures += 1
         else:
-            exact += beats == record.target_beats
-            similarity_sum += levenshtein_similarity(record.target_beats,
-                                                     beats)
+            exact += record.target_beats in readings
+            similarity_sum += max(
+                levenshtein_similarity(record.target_beats, beats)
+                for beats in readings)
         if record.coherence is not None:
             coherence_sum += record.coherence
             coherence_n += 1

@@ -23,17 +23,14 @@ itself when it does not fire, so a line no rule touches is never copied.
 Graphemes are interned (see ``script.Grapheme``): one instance per
 distinct value, shared by every line in the process.
 
-Verse repeats its words, so `scan` and `scan_readings` run the word-scope
-groups once per distinct word.  A bounded memo maps each input word to
-its record: the word after step 1 and, where no connective alif waits
-in it, after steps 3 and 5 with its beat segment.  The boundary rules
-run on every line; a word they change takes its later steps from small
-memos keyed by the changed word.  On a miss the rules run as they always
-do, on a one-word line, and errors are never memoized as results: where
-a word's step fails, the whole-line rules run again and raise the error
-a whole-line scan raises first.  On perfbench the record memo serves 96%
-of word lookups in `scan` runs, 98% in `prepare` runs and 99.9% in
-`infill` runs (seed 71, fixed operations in one process).
+Verse repeats its words, so `scan` and `scan_readings` run each
+word-scope step once per distinct word: each has one bounded memo from
+the word it receives to the word it returns (step 5 adds the beat
+segment).  On a miss the step's rules run as they always do, on a
+one-word line.  The boundary rules run on every line.  A step that
+raises stores nothing, and each raises from one rule only (gemination in
+step 3, validation in step 5), so mapping a step over the words left to
+right raises the error the whole-line rules raise first.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ import sys
 
 from .errors import (
     DanglingWasl,
-    ScriptError,
     ShaddaWithoutVowel,
     UnderDiacritized,
 )
@@ -420,30 +416,6 @@ def beat_segments(scansion: ScansionLine) -> list[BeatPattern]:
     ]
 
 
-def _drop_empty_words(line: ScriptLine) -> ScriptLine:
-    if all(line.words):
-        return line
-    # Rules that do not fire keep empty words, so drop them here once.
-    return ScriptLine(words=tuple(filter(None, line.words)),
-                      verse_final=line.verse_final)
-
-
-def _after_isba(out: ScriptLine) -> tuple[ScansionLine, BeatPattern]:
-    """Default sukun, validation and beats of a line isba has seen."""
-    out = assign_default_sukun(out)
-    out = validate_scansion(out)
-    return out, _checked_beats(beat_segments(out))
-
-
-def _checked_beats(segments) -> BeatPattern:
-    beats = "".join(segments)
-    if "00" in beats[:-2]:
-        # classical transcription forbids two mid-line sakins; surfaced
-        # as a diagnostic only
-        log.debug("double sakin inside line: %s", beats)
-    return beats
-
-
 class _Memo(dict):
     """A dict of at most `size` entries; the oldest entry makes room.
 
@@ -465,178 +437,85 @@ class _Memo(dict):
         return value
 
 
-# Fixed memo sizes, in entries, chosen by measurement on perfbench.  The
-# record memo must hold a verse vocabulary: a 25 s `scan` run meets
-# about 3,900 distinct words, and memos of 1024 entries gave no gain.
-# The side memos hold only words that a boundary rule changed: about
-# 1,200 distinct ones after the connective-alif rule and 300 after isba
-# on the same run; halving them cost 7% of `scan`'s speed in a paired run.
-RECORD_MEMO_SIZE = 4096
-SIDE_MEMO_SIZE = 1024
+# Entries per step memo, chosen by measurement on perfbench: a memo must
+# hold a verse vocabulary, a 25 s `scan` run meets about 3,900 distinct
+# words, and memos of 1024 entries gave no gain.
+MEMO_SIZE = 4096
 
-# Input word -> packed record (see `_record`, `_pack`), built with the
-# special-word table `_records.built_with`.  A line reads this global
-# once, so a call with other tables swaps in a new memo without
-# affecting a scan in progress.
-_records = _Memo(RECORD_MEMO_SIZE)
-# Word as the connective-alif rule changed it -> packed record.
-_wasl_records = _Memo(SIDE_MEMO_SIZE)
-# Word as isba changed it -> its `_last_group` result.
-_isba_words = _Memo(SIDE_MEMO_SIZE)
+# Word -> the word after step 1, built with the special-word table
+# `_step1.built_with`.  A line reads this global once, so a call with
+# other tables swaps in a new memo without affecting a scan in progress.
+_step1 = _Memo(MEMO_SIZE)
+# Word after the connective-alif rule -> the word after step 3.
+_step3 = _Memo(MEMO_SIZE)
+# Word after isba -> (the word after step 5, its beat segment).
+_step5 = _Memo(MEMO_SIZE)
 
 
-def _first_group(word: Word, special: WordTable) -> Word:
-    """Special words, silent removal and madda on one word; () if the
-    word was emptied."""
+def _first_step(word: Word, special: WordTable) -> Word:
+    """Special words, silent removal and madda; () if the word was
+    emptied."""
     out = expand_madda(remove_silent_graphemes(apply_special_words(
         ScriptLine((word,)), special)))
     return out.words[0] if out.words else ()
 
 
-def _last_group(word: Word):
-    """Default sukun, validation and beat segment of one word that isba
-    has seen, or (None, None) when validation fails."""
-    try:
-        out = validate_scansion(assign_default_sukun(ScriptLine((word,))))
-    except ScriptError:
-        return None, None
+def _third_step(word: Word) -> Word:
+    """Gemination and tanwin."""
+    return expand_tanwin(expand_gemination(ScriptLine((word,)))).words[0]
+
+
+def _fifth_step(word: Word) -> tuple[Word, BeatPattern]:
+    """Default sukun, validation and the beat segment."""
+    out = validate_scansion(assign_default_sukun(ScriptLine((word,))))
     # Few distinct segments exist, so memoized words share them.
     return out.words[0], sys.intern(beat_segments(out)[0])
 
 
-def _record(word: Word) -> tuple:
-    """``(word, after_second_group, after_last_group, beats)`` of a word
-    that the first group has seen.
+def _each_word(memo: _Memo, step, words, *args) -> list:
+    """`step(word, *args)` of each word, left to right, through `memo`.
 
-    A word with a connective alif, which the boundary rule always
-    changes, and a word whose gemination or tanwin raises get None for
-    the last three; a word that fails validation gets None for the last
-    two.  Callers redo the whole-line rules where they meet a None, so
-    an error is raised in the whole-line order and never taken from the
-    memo as a result.
+    A word whose step raises stores nothing, so the first error raised is
+    the one the step's rules raise first over the whole line.
     """
-    if not word or any(g.is_wasl for g in word):
-        return word, None, None, None
-    try:
-        second = expand_tanwin(expand_gemination(ScriptLine((word,))))
-    except ScriptError:
-        return word, None, None, None
-    after = second.words[0]
-    return (word, after) + _last_group(after)
-
-
-# Kept for a record ``(word, None, None, None)`` of the word it is
-# stored under.
-_UNRESOLVED = "unresolved"
-
-
-def _pack(word: Word, record: tuple):
-    """What a memo keeps under `word` for its record.
-
-    Most words are either left alone by every word rule or wait for the
-    connective-alif rule; for those the record tuple would be most of
-    their memory, so the memo keeps only their beats (a str) or
-    `_UNRESOLVED`.
-    """
-    first, second, last, beats = record
-    if first is word:
-        if second is None:
-            return _UNRESOLVED
-        if second is word and last is word:
-            return beats
-    return record
-
-
-def _unpack(word: Word, kept) -> tuple:
-    if kept is _UNRESOLVED:
-        return word, None, None, None
-    if kept.__class__ is str:
-        return word, word, word, kept
-    return kept
-
-
-def _word_records(line: ScriptLine, tables: TableSet) -> list:
-    """Records of the line's words after the first group, emptied words
-    left out."""
-    global _records
-    memo = _records
-    special = tables.special
-    if special is not memo.built_with:
-        if special != memo.built_with:
-            _records = memo = _Memo(RECORD_MEMO_SIZE, special)
-        else:
-            memo.built_with = special
-    words = line.words
-    kept = list(map(memo.get, words))
-    if None in kept:
-        kept = [k if k is not None else memo.put(word, _pack(
-                    word, _record(_first_group(word, special))))
-                for word, k in zip(words, kept)]
-    return [rec for rec in map(_unpack, words, kept) if rec[0]]
-
-
-def _changed_record(word: Word) -> tuple:
-    """Record of a word as the connective-alif rule changed it."""
-    kept = _wasl_records.get(word)
-    if kept is None:
-        kept = _wasl_records.put(word, _pack(word, _record(word)))
-    return _unpack(word, kept)
+    out = list(map(memo.get, words))
+    if None in out:
+        out = [value if value is not None
+               else memo.put(word, step(word, *args))
+               for word, value in zip(words, out)]
+    return out
 
 
 def _before_isba(line: ScriptLine, tables: TableSet | None,
-                 sentence_initial: bool) -> tuple[list, ScriptLine]:
-    """Records of the words isba sees, and the line of their forms.
-
-    Runs the first group, the connective-alif rule on lines that have
-    a connective alif, and the second group.
-    """
+                 sentence_initial: bool) -> ScriptLine:
+    """Steps 1 to 3 of a line; words emptied, or empty, are dropped."""
+    global _step1
     if tables is None:
         tables = default_tables()
-    records = _word_records(line, tables)
-    seconds = [rec[1] for rec in records]
-    if None in seconds:
-        # A connective alif, or a word whose second group raises.
-        before = ScriptLine(tuple(rec[0] for rec in records),
-                            line.verse_final)
-        after = process_hamzat_wasl(before, sentence_initial,
-                                    tables.juncture)
-        if after is not before:
-            # Words the rule left alone keep their records.
-            by_word = {rec[0]: rec for rec in records}
-            records = [by_word.get(word) or _changed_record(word)
-                       for word in after.words]
-            seconds = [rec[1] for rec in records]
-        if None in seconds:
-            # A word's gemination or tanwin raises: the whole-line rules
-            # raise the error a whole-line scan raises first.
-            expand_tanwin(expand_gemination(after))
-    return records, ScriptLine(tuple(seconds), line.verse_final)
+    memo = _step1
+    special = tables.special
+    if special is not memo.built_with:
+        if special != memo.built_with:
+            _step1 = memo = _Memo(MEMO_SIZE, special)
+        else:
+            memo.built_with = special
+    words = _each_word(memo, _first_step, line.words, special)
+    out = process_hamzat_wasl(
+        ScriptLine(tuple(filter(None, words)), line.verse_final),
+        sentence_initial, tables.juncture)
+    return ScriptLine(tuple(_each_word(_step3, _third_step, out.words)),
+                      line.verse_final)
 
 
-def _after_isba_words(records: list, seen: ScriptLine,
-                      reading: ScriptLine) -> tuple[ScansionLine, BeatPattern]:
-    """Transcription and beats of `reading`, isba's output for `seen`."""
-    if reading is seen:
-        words = [rec[2] for rec in records]
-        segments = [rec[3] for rec in records]
-    else:
-        words = []
-        segments = []
-        for rec, before, after in zip(records, seen.words, reading.words):
-            if after is before:
-                words.append(rec[2])
-                segments.append(rec[3])
-            else:
-                word, segment = _isba_words.get(after) or _isba_words.put(
-                    after, _last_group(after))
-                words.append(word)
-                segments.append(segment)
-    if None in words:
-        # A word fails validation: the whole-line rules raise the error
-        # a whole-line scan raises first.
-        return _after_isba(reading)
-    return (ScriptLine(tuple(words), reading.verse_final),
-            _checked_beats(segments))
+def _after_isba(line: ScriptLine) -> tuple[ScansionLine, BeatPattern]:
+    """Step 5 of a line isba has seen."""
+    done = _each_word(_step5, _fifth_step, line.words)
+    beats = "".join([segment for _, segment in done])
+    if "00" in beats[:-2]:
+        # classical transcription forbids two mid-line sakins; surfaced
+        # as a diagnostic only
+        log.debug("double sakin inside line: %s", beats)
+    return ScriptLine(tuple(word for word, _ in done), line.verse_final), beats
 
 
 def scan(
@@ -649,12 +528,8 @@ def scan(
     Word boundaries contribute no beat; the returned pattern is the
     concatenation of the per-word contributions.
     """
-    line = _drop_empty_words(line)
-    if not line.words:
-        return line, ""
-    records, seen = _before_isba(line, tables, sentence_initial)
-    return _after_isba_words(records, seen,
-                             apply_isba(seen, line.verse_final))
+    seen = _before_isba(line, tables, sentence_initial)
+    return _after_isba(apply_isba(seen, line.verse_final))
 
 
 def scan_readings(
@@ -664,28 +539,17 @@ def scan_readings(
 ) -> list:
     """`scan` of `line` without, then with, the optional plural-m license.
 
-    The rules before isba run once for both readings.  The licensed
-    reading is listed only when the license changes the line's words.
-    Each entry is a reading's ``(transcription, beats)`` or the
-    UnderDiacritized error that validating it raised; an error of the
-    shared rules is raised, since every reading would raise it.
+    Steps 1 to 3 run once for both readings.  Each entry is a reading's
+    ``(transcription, beats)``; the licensed reading is listed only when
+    the license changes the line's words.
     """
-    line = _drop_empty_words(line)
-    if not line.words:
-        return [(line, "")]
-    records, seen = _before_isba(line, tables, sentence_initial)
+    seen = _before_isba(line, tables, sentence_initial)
     plain = apply_isba(seen, line.verse_final)
     licensed = apply_isba(seen, line.verse_final, optional_plural_m=True)
     readings = [plain]
     if licensed.words != plain.words:
         readings.append(licensed)
-    outcomes = []
-    for reading in readings:
-        try:
-            outcomes.append(_after_isba_words(records, seen, reading))
-        except UnderDiacritized as exc:
-            outcomes.append(exc)
-    return outcomes
+    return [_after_isba(reading) for reading in readings]
 
 
 def scan_text(

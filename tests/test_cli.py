@@ -1,18 +1,23 @@
 """Subcommand behavior, exit codes and stream separation."""
 
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import arud
 from arud import cli
 from arud.cli import main
 from arud.masking import MaskConfig, generate_dataset
+from arud.script import ARABIC_LETTERS, MARKS, TATWEEL, WASL_ALIF
 
 
 def run(capsys, *argv):
@@ -62,6 +67,46 @@ class TestScan:
         _, serial, _ = run(capsys, "scan", "-i", src)
         _, parallel, _ = run(capsys, "scan", "--jobs", "3", "-i", src)
         assert serial == parallel
+
+
+# Line text without the two characters that end a line in a text file.
+ANY_CHAR = st.characters(blacklist_categories=("Cs",),
+                         blacklist_characters="\n\r")
+ARABIC_CHAR = st.sampled_from(sorted(ARABIC_LETTERS | MARKS)
+                              + [WASL_ALIF, TATWEEL, " ", "\t"])
+LINES = st.lists(st.one_of(st.text(ANY_CHAR, max_size=12),
+                           st.text(ARABIC_CHAR, max_size=24)),
+                 min_size=1, max_size=6)
+SCAN_FLAGS = st.sets(st.sampled_from(["--golden", "--verse-final",
+                                      "--mid-sentence"]))
+
+
+class TestScanFuzz:
+    @given(LINES, SCAN_FLAGS)
+    @settings(max_examples=300, deadline=None)
+    def test_any_lines(self, lines, flags):
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp, "in.txt")
+            dst = Path(tmp, "out.txt")
+            src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["scan", *sorted(flags), "-i", str(src),
+                             "-o", str(dst)])
+            out = dst.read_text(encoding="utf-8").split("\n")
+        assert code in (0, 1, 2)
+        assert out[-1] == ""
+        assert len(out) - 1 == len(lines)
+        diagnostics = err.getvalue().split("\n")
+        assert diagnostics[-1] == ""
+        numbers = []
+        for diagnostic in diagnostics[:-1]:
+            match = re.match(r"line (\d+): ", diagnostic)
+            assert match, diagnostic
+            numbers.append(int(match.group(1)))
+        assert numbers == sorted(set(numbers))
+        assert all(1 <= n <= len(lines) and out[n - 1] == ""
+                   for n in numbers)
 
 
 class TestNormalize:

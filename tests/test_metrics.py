@@ -2,11 +2,18 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from arud.errors import EmptyEvaluation
+from arud.filler import (
+    FillQuery,
+    fill,
+    index_lexicon,
+    phrase_beats_in_context,
+)
 from arud.metrics import (
     EvalReport,
     PredictionRecord,
@@ -15,6 +22,7 @@ from arud.metrics import (
     levenshtein_similarity,
     read_prediction_file,
 )
+from arud.script import parse_line
 
 patterns = st.text(alphabet="01", max_size=30)
 
@@ -134,6 +142,25 @@ class TestEvaluate:
         report = evaluate_predictions([record])
         assert report.exact_accuracy == 100.0
 
+    def test_licensed_reading_scores_exact(self):
+        # لَهُمْ before مَا reads "110", or "1110" under the optional
+        # plural-m license, which is what `fill` returns it for
+        record = PredictionRecord(target_beats="1110",
+                                  generated_text="لَهُمْ",
+                                  right_context="مَا")
+        report = evaluate_predictions([record])
+        assert report.exact_accuracy == 100.0
+        assert report.mean_levenshtein_similarity == 100.0
+
+    def test_similarity_of_the_closest_reading(self):
+        # "1111" is 2 edits from "110" and 1 edit from "1110"
+        record = PredictionRecord(target_beats="1111",
+                                  generated_text="لَهُمْ",
+                                  right_context="مَا")
+        report = evaluate_predictions([record])
+        assert report.exact_accuracy == 0.0
+        assert report.mean_levenshtein_similarity == 75.0
+
     def test_empty_stream(self):
         with pytest.raises(EmptyEvaluation):
             evaluate_predictions([])
@@ -190,3 +217,64 @@ class TestPredictionFile:
     def test_empty_target_rejected(self):
         with pytest.raises(ValueError):
             PredictionRecord(target_beats="", generated_text="مَا")
+
+
+SNAPSHOT_DIR = Path(__file__).parent / "data" / "behaviour_snapshot"
+SNAPSHOT_LEXICON = [
+    word for word in
+    (SNAPSHOT_DIR / "lexicon.txt").read_text(encoding="utf-8").splitlines()
+    if word.strip()]
+# The contexts of the behaviour snapshot's `fill` cases.
+LEFT_CONTEXTS = ["", "لَهُ", "مِنْ", "قِفَا نَبْكِ"]
+RIGHT_CONTEXTS = ["", "ٱبْنُ مَالِكٍ", "ٱلْقَوْمُ", "مَعًا"]
+PHRASE_WORDS = sorted({word for entry in SNAPSHOT_LEXICON
+                       for word in entry.split()} | {"لَهُمْ"})
+
+
+def _words(text):
+    return parse_line(text).words if text.strip() else ()
+
+
+class TestAgreesWithFill:
+    """Every phrase `fill` returns scores exact under `eval` in the same
+    context: both read the phrase's beats the same way."""
+
+    def _check(self, lexicon, target, left, right, verse_final,
+               max_words):
+        query = FillQuery(target=target, left_context=left,
+                          right_context=right, max_words=max_words,
+                          verse_final=verse_final)
+        found = fill(query, index_lexicon(lexicon))
+        if found:
+            report = evaluate_predictions([
+                PredictionRecord(target_beats=target, generated_text=phrase,
+                                 left_context=left, right_context=right,
+                                 verse_final=verse_final)
+                for phrase in found])
+            assert report.exact_accuracy == 100.0
+            assert report.mean_levenshtein_similarity == 100.0
+        return found
+
+    def test_plural_m_license(self):
+        assert self._check(["لَهُمْ", "مَا", "قَدْ"], "1110", "", "مَا",
+                           False, 1) == ["لَهُمْ"]
+
+    @given(st.sampled_from(LEFT_CONTEXTS), st.sampled_from(RIGHT_CONTEXTS),
+           st.booleans(), st.integers(1, 2),
+           st.one_of(st.text(alphabet="01", min_size=1, max_size=7),
+                     st.lists(st.sampled_from(PHRASE_WORDS), min_size=1,
+                              max_size=2)))
+    @settings(max_examples=150, deadline=None)
+    def test_snapshot_lexicon_and_contexts(self, left, right, verse_final,
+                                           max_words, target):
+        # a context-free record takes `scan_text`'s plain reading
+        assume(left or right)
+        if isinstance(target, list):
+            # the target of a lexicon phrase under its last reading
+            readings = phrase_beats_in_context(
+                [parse_line(w).words[0] for w in target], _words(left),
+                _words(right), verse_final and not right.strip())
+            assume(readings and readings[-1])
+            target = readings[-1]
+        self._check(SNAPSHOT_LEXICON + ["لَهُمْ"], target, left, right,
+                    verse_final, max_words)

@@ -28,7 +28,7 @@ from arud.script import ARABIC_LETTERS, FATHA, SUKUN, ScriptLine, parse_line
 from arud.tables import default_tables
 
 DATA = Path(__file__).parent / "data"
-MEMOS = ("_records", "_wasl_records", "_isba_words")
+MEMOS = ("_step1", "_step3", "_step5")
 
 
 def clear_memos():
@@ -141,16 +141,41 @@ class TestSameAsWholeLine:
             scan_text("بَمّ")
 
 
-class TestBoundaryReuse:
-    @pytest.mark.parametrize("text, changed", [
-        ("قَالَ ٱبْنُ مَالِكٍ", 1),    # only the alif's word changes
-        ("قُلْ ٱبْنُ مَالِكٍ", 2),     # and the word before it
+WORD_RULES = ("apply_special_words", "remove_silent_graphemes",
+              "expand_madda", "expand_gemination", "expand_tanwin",
+              "assign_default_sukun", "validate_scansion", "beat_segments")
+BOUNDARY_RULES = ("process_hamzat_wasl", "apply_isba")
+
+
+class TestWordRulesRunOncePerWord:
+    @pytest.mark.parametrize("text", [
+        "قَالَ ٱبْنُ مَالِكٍ",     # the connective alif changes its word
+        "قُلْ ٱبْنُ مَالِكٍ",      # and the word before it
+        "لَهُمْ مَا عَلَّمَهُ قَدْ",  # isba lengthens a word
+        "و۠ آمَنَ مَعًا",          # silent removal, madda and tanwin
     ])
-    def test_words_the_rule_left_alone_keep_their_records(self, text,
-                                                          changed):
+    def test_second_scan_calls_only_boundary_rules(self, monkeypatch,
+                                                   text):
+        calls = dict.fromkeys(WORD_RULES + BOUNDARY_RULES, 0)
+
+        def counting(name):
+            rule = getattr(scansion, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return rule(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(scansion, name, counting(name))
         clear_memos()
-        scan_text(text)
-        assert len(scansion._wasl_records) == changed
+        first = scan_text(text)
+        assert all(calls[name] for name in WORD_RULES)
+        calls.update(dict.fromkeys(calls, 0))
+        assert scan_text(text) == first
+        assert {name: calls[name] for name in WORD_RULES} == \
+            dict.fromkeys(WORD_RULES, 0)
+        assert all(calls[name] for name in BOUNDARY_RULES)
 
 
 class TestErrors:
@@ -194,26 +219,13 @@ def _distinct_words(n, tail=""):
 
 
 class TestMemoSizes:
-    def test_record_memo(self):
+    @pytest.mark.parametrize("memo", MEMOS)
+    def test_each_memo_stays_at_its_size(self, memo):
+        # no rule changes these words, and each is a key of every memo
         clear_memos()
-        for word in _distinct_words(scansion.RECORD_MEMO_SIZE + 50, SUKUN):
+        for word in _distinct_words(scansion.MEMO_SIZE + 50, SUKUN):
             scan_text(word)
-        assert len(scansion._records) == scansion.RECORD_MEMO_SIZE
-
-    def test_connective_alif_memo(self):
-        # each word ending in sukun takes the juncture vowel, so the rule
-        # changes every one of them
-        clear_memos()
-        for word in _distinct_words(scansion.SIDE_MEMO_SIZE + 50, SUKUN):
-            scan_text(f"{word} ٱبْنُ")
-        assert len(scansion._wasl_records) == scansion.SIDE_MEMO_SIZE
-
-    def test_isba_memo(self):
-        # each word ending in the pronoun hu is lengthened before مَا
-        clear_memos()
-        for word in _distinct_words(scansion.SIDE_MEMO_SIZE + 50, "ُ"):
-            scan_text(f"{word}هُ مَا")
-        assert len(scansion._isba_words) == scansion.SIDE_MEMO_SIZE
+        assert len(getattr(scansion, memo)) == scansion.MEMO_SIZE
 
 
 class TestTablesIsolation:

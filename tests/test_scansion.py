@@ -1,5 +1,6 @@
 """Grapheme-to-beat rules: each stage's examples plus scan properties."""
 
+import itertools
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,14 @@ from arud.scansion import (
     scan_readings,
     scan_text,
 )
-from arud.script import Grapheme, ScriptLine, parse_line, render_line
+from arud.script import (
+    ARABIC_LETTERS,
+    MARKS,
+    Grapheme,
+    ScriptLine,
+    parse_line,
+    render_line,
+)
 from arud.tables import default_tables
 
 
@@ -434,6 +442,52 @@ class TestScanReadings:
     def test_shared_error_raised(self):
         with pytest.raises(ShaddaWithoutVowel):
             scan_readings(parse_line("بَمّ مَا"))
+
+
+def _parses(text):
+    try:
+        parse_line(text)
+    except ScriptError:
+        return False
+    return True
+
+
+# One letter with 0-2 marks in any order, kept when it parses.
+RANDOM_GRAPHEMES = st.tuples(
+    st.sampled_from(sorted(ARABIC_LETTERS)),
+    st.lists(st.sampled_from(sorted(MARKS)), max_size=2),
+).map(lambda t: t[0] + "".join(t[1])).filter(_parses)
+RANDOM_LINES = st.lists(
+    st.one_of(st.lists(RANDOM_GRAPHEMES, min_size=1, max_size=6).map("".join),
+              st.sampled_from(READING_WORDS)),
+    min_size=1, max_size=5).map(" ".join)
+
+
+class TestValidationAcceptsTheRules:
+    """`validate_scansion` never rejects what the rules before it return,
+    so a scan fails only where one of those rules raises."""
+
+    @given(RANDOM_LINES)
+    @settings(max_examples=500, deadline=None)
+    def test_any_parseable_line(self, text):
+        tables = default_tables()
+        parsed = parse_line(text)
+        for verse_final, sentence_initial, optional_plural_m \
+                in itertools.product((False, True), repeat=3):
+            out = ScriptLine(parsed.words, verse_final)
+            try:
+                out = apply_special_words(out, tables.special)
+                out = remove_silent_graphemes(out)
+                out = expand_madda(out)
+                out = process_hamzat_wasl(out, sentence_initial,
+                                          tables.juncture)
+                out = expand_gemination(out)
+                out = expand_tanwin(out)
+                out = apply_isba(out, verse_final, optional_plural_m)
+                out = scansion.assign_default_sukun(out)
+            except ScriptError:
+                continue
+            assert scansion.validate_scansion(out) is out
 
 
 class TestHamzatWaslKeepsIdleWords:
