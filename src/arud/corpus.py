@@ -127,35 +127,51 @@ def join_hemistichs(first: str, second: str) -> str:
     return f"{first} {second}"
 
 
-def clean_line(raw: str) -> str:
-    """Keep Arabic letters, the nine marks and whitespace only.
+# Raw whitespace-free chunk -> its cleaned text ("" when nothing is
+# kept).  Cleaning state resets at whitespace, so a line cleans chunk by
+# chunk, and verse reuses most of its words.
+_clean_memo = scansion._Memo(scansion.MEMO_SIZE)
 
-    Marks whose host character was removed go with it; whitespace runs
-    collapse to single spaces and mark order is canonicalized.
-    """
-    text = unicodedata.normalize("NFC", raw)
+
+def _clean_chunk(chunk: str) -> str:
+    """`clean_line` of one NFC chunk that holds no whitespace."""
     kept: list[str] = []
     host_kept = False  # whether the preceding base character survived
-    for ch in text:
+    for ch in chunk:
         if ch in ARABIC_LETTERS:
             kept.append(ch)
             host_kept = True
         elif ch in MARKS:
             if host_kept:
                 kept.append(ch)
-        elif ch.isspace():
-            kept.append(" ")
-            host_kept = False
         elif ch == TATWEEL or unicodedata.category(ch).startswith("M"):
             # tatweel and out-of-inventory combining marks vanish without
             # cutting the letter/mark linkage
             continue
         else:
             host_kept = False
-    collapsed = " ".join("".join(kept).split())
-    if not collapsed:
+    if not kept:
         return ""
-    return fix_diacritic_order(collapsed)
+    cleaned = fix_diacritic_order("".join(kept))
+    # An unchanged chunk is its own value, so the memo keeps one string.
+    return chunk if cleaned == chunk else cleaned
+
+
+def clean_line(raw: str) -> str:
+    """Keep Arabic letters, the nine marks and whitespace only.
+
+    Marks whose host character was removed go with it; whitespace runs
+    collapse to single spaces and mark order is canonicalized.
+    """
+    memo = _clean_memo
+    out = []
+    for chunk in unicodedata.normalize("NFC", raw).split():
+        cleaned = memo.get(chunk)
+        if cleaned is None:
+            cleaned = memo.put(chunk, _clean_chunk(chunk))
+        if cleaned:
+            out.append(cleaned)
+    return " ".join(out)
 
 
 def clean_and_parse(raw: str, verse_final: bool = False) -> ScriptLine | None:

@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 from .errors import LineTooShort, ScanError, ScriptError
@@ -84,15 +85,20 @@ def geometric(rng: random.Random, p: float) -> int:
     u = rng.random()
     if u >= 1.0 - 1e-15:
         return 0
-    return int(math.log1p(-u) / math.log1p(-p))
+    # A tiny p can push the draw past the float range; callers clamp it.
+    return int(min(math.log1p(-u) / math.log1p(-p), sys.maxsize))
+
+
+def _require_two_words(line: ScriptLine) -> None:
+    if line.word_count() < 2:
+        raise LineTooShort("need at least two words to mask a span")
 
 
 def sample_mask_span(line: ScriptLine, cfg: MaskConfig,
                      rng: random.Random) -> tuple:
     """Contiguous span: geometric length clamped so context survives."""
+    _require_two_words(line)
     n = line.word_count()
-    if n < 2:
-        raise LineTooShort("need at least two words to mask a span")
     length = min(1 + geometric(rng, cfg.span_p), n - 1)
     start = rng.randrange(0, n - length + 1)
     return start, length
@@ -140,18 +146,33 @@ def reduce_context_diacritics(context: ScriptLine, cfg: MaskConfig,
     return ScriptLine(tuple(words), context.verse_final)
 
 
+def _line_segments(line: ScriptLine, tables: TableSet | None) -> list[str]:
+    """Per-word beat segments of a scan-ready line, one per input word.
+
+    Raises ScanError when the scan drops or merges a word, since a span
+    of input words then has no beats of its own.
+    """
+    scansion_line, _ = scan(line, tables, sentence_initial=True)
+    if len(scansion_line.words) != len(line.words):
+        raise ScanError("word alignment lost during transformation")
+    return beat_segments(scansion_line)
+
+
 def build_training_example(
     line: ScriptLine,
     cfg: MaskConfig,
     rng: random.Random,
     tables: TableSet | None = None,
+    segments: list[str] | None = None,
 ) -> MaskedExample:
-    """One (input, target) record for a scan-ready line."""
+    """One (input, target) record for a scan-ready line.
+
+    `segments` are the line's `_line_segments`; when absent, the line is
+    scanned here.
+    """
     start, length = sample_mask_span(line, cfg, rng)
-    scansion_line, _ = scan(line, tables, sentence_initial=True)
-    if len(scansion_line.words) != len(line.words):
-        raise ScanError("word alignment lost during transformation")
-    segments = beat_segments(scansion_line)
+    if segments is None:
+        segments = _line_segments(line, tables)
     beats = "".join(segments[start:start + length])
     target = " ".join(render_word(w) for w in line.words[start:start + length])
 
@@ -192,10 +213,13 @@ def line_examples(line: ScriptLine, index: int, cfg: MaskConfig,
     Repeat r draws from ``line_rng(cfg.seed, index, r)``.  A line gives
     all its examples or raises ScriptError: every failure (too few words,
     a scan error, lost word alignment) is decided by the line alone,
-    before any random draw matters, so it shows on repeat 0 or never.
+    before any random draw matters, so the line is checked and scanned
+    once and every repeat shares its segments.
     """
+    _require_two_words(line)
+    segments = _line_segments(line, tables)
     return [build_training_example(line, cfg, line_rng(cfg.seed, index, r),
-                                   tables)
+                                   tables, segments)
             for r in range(cfg.per_line)]
 
 

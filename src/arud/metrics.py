@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 from dataclasses import dataclass
 
 from .errors import EmptyEvaluation, ScriptError
@@ -51,11 +52,19 @@ class PredictionRecord:
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
                 raise ValueError(f"{name} must be a string or null")
-        if self.coherence is not None \
-                and not isinstance(self.coherence, (int, float)):
-            raise ValueError("coherence must be a number or null")
+        if not isinstance(self.verse_final, bool):
+            raise ValueError("verse_final must be true or false")
+        if self.coherence is not None and (
+                isinstance(self.coherence, bool)
+                or not isinstance(self.coherence, (int, float))
+                or not abs(self.coherence) <= sys.float_info.max):
+            # JSON integers are unbounded; one too large for a float
+            # could not be averaged.
+            raise ValueError("coherence must be a finite number or null")
         if not self.target_beats:
             raise ValueError("target_beats must be non-empty")
+        if self.target_beats.strip("01"):
+            raise ValueError("target_beats must hold only 0 and 1")
 
     @classmethod
     def from_json(cls, text: str) -> "PredictionRecord":
@@ -70,7 +79,7 @@ class PredictionRecord:
             generated_text=obj["generated_text"],
             left_context=obj.get("left_context"),
             right_context=obj.get("right_context"),
-            verse_final=bool(obj.get("verse_final", False)),
+            verse_final=obj.get("verse_final", False),
             coherence=obj.get("coherence"),
         )
 
@@ -164,7 +173,8 @@ def read_prediction_file(stream):
             continue
         try:
             records.append(PredictionRecord.from_json(line))
-        except (ValueError, KeyError) as exc:
+        # RecursionError: JSON nested deeper than the decoder can follow.
+        except (ValueError, KeyError, RecursionError) as exc:
             bad += 1
             log.warning("record %d malformed, skipped: %s", lineno, exc)
     return records, bad

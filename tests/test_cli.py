@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import logging
 import os
 import re
 import subprocess
@@ -109,6 +110,179 @@ class TestScanFuzz:
                    for n in numbers)
 
 
+FIG_LINE = "مِكَرٍّ مِفَرٍّ مُقْبِلٍ مُدْبِرٍ مَعًا"
+SNAPSHOT_DIR = Path(__file__).parent / "data" / "behaviour_snapshot"
+# Words of raw and scan-ready verse, so that fuzzed lines also reach the
+# stages past filtering and the examples past scanning.
+VERSE_WORDS = sorted({
+    word
+    for name in ("raw.txt", "mask_input.txt")
+    for word in (SNAPSHOT_DIR / name).read_text(encoding="utf-8").split()})
+VERSE_LINE = st.lists(st.tuples(st.sampled_from(VERSE_WORDS),
+                                st.sampled_from([" ", " ", " ", "\t"])),
+                      max_size=12).map(
+    lambda pairs: "".join(word + gap for word, gap in pairs).strip(" "))
+CORPUS_LINES = st.lists(st.one_of(st.text(ANY_CHAR, max_size=12),
+                                  st.text(ARABIC_CHAR, max_size=24),
+                                  VERSE_LINE),
+                        min_size=1, max_size=6)
+
+
+def _run_main(argv, lines):
+    """`main(argv)` on `lines` as ``-i IN -o OUT``: the exit code, output
+    lines, stderr lines, warnings logged under ``arud`` and side files.
+    ``{tmp}`` in `argv` names the temporary directory for side files."""
+    warnings = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: warnings.append(record.getMessage())
+    logger = logging.getLogger("arud")
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp, "in.txt")
+        dst = Path(tmp, "out.txt")
+        src.write_text("".join(line + "\n" for line in lines),
+                       encoding="utf-8")
+        err = io.StringIO()
+        logger.addHandler(handler)
+        try:
+            with contextlib.redirect_stderr(err):
+                code = main([arg.replace("{tmp}", tmp) for arg in argv]
+                            + ["-i", str(src), "-o", str(dst)])
+        finally:
+            logger.removeHandler(handler)
+        out = dst.read_text(encoding="utf-8").split("\n") \
+            if dst.exists() else [""]
+        sides = {path.name: path.read_text(encoding="utf-8")
+                 for path in Path(tmp).iterdir()
+                 if path.name not in ("in.txt", "out.txt")}
+    assert out[-1] == ""
+    diagnostics = err.getvalue().split("\n")
+    assert diagnostics[-1] == ""
+    return code, out[:-1], diagnostics[:-1], warnings, sides
+
+
+def _line_numbers(texts, pattern, count):
+    """The line numbers `pattern` reads from `texts`; each must name one
+    of `count` input lines, in order, once."""
+    numbers = []
+    for text in texts:
+        match = re.match(pattern, text)
+        assert match, text
+        numbers.append(int(match.group(1)))
+    assert numbers == sorted(set(numbers))
+    assert all(1 <= n <= count for n in numbers)
+    return numbers
+
+
+NORMALIZE_FLAGS = st.sets(st.sampled_from([
+    "--hemistichs", "--verse-final", "--no-known-words", "--no-lam-kasra",
+    "--no-wasl-heuristic", "--no-silent-marking", "--no-sukun-defaults"]))
+
+
+class TestNormalizeFuzz:
+    @given(CORPUS_LINES, NORMALIZE_FLAGS, st.integers(-1, 8),
+           st.floats(-0.5, 1.5), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_any_lines(self, lines, flags, min_words, min_ratio, reject_log):
+        argv = ["normalize", *sorted(flags), f"--min-words={min_words}",
+                f"--min-ratio={min_ratio}", "--stats", "{tmp}/stats"]
+        if reject_log:
+            argv += ["--reject-log", "{tmp}/rejects"]
+        code, out, diagnostics, warnings, sides = _run_main(argv, lines)
+        assert code == 0
+        assert not warnings
+        rows = sides["rejects"].split("\n") if reject_log else \
+            diagnostics + [""]
+        assert rows[-1] == ""
+        rejected = _line_numbers(rows[:-1], r"(\d+)\t[a-z_]+$", len(lines))
+        # Every input line is accepted or rejected, never both.
+        assert len(out) + len(rejected) == len(lines)
+        assert f"lines: {len(out)}" in sides["stats"]
+
+
+class TestMaskFuzz:
+    @given(CORPUS_LINES, st.integers(1, 3), st.integers(-10, 10**6),
+           st.floats(0.05, 0.95), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_any_lines(self, lines, per_line, seed, span_p, no_reduce):
+        argv = ["mask", f"--seed={seed}", f"--per-line={per_line}",
+                f"--span-p={span_p}"] + (["--no-reduce"] if no_reduce else [])
+        code, out, diagnostics, warnings, _ = _run_main(argv, lines)
+        assert code == 0
+        assert not warnings
+        failed = _line_numbers(diagnostics, r"line (\d+): ", len(lines))
+        # A line gives all its examples or one diagnostic.
+        assert len(out) == per_line * (len(lines) - len(failed))
+        for record in out:
+            assert set(json.loads(record)) == {"v", "input", "target",
+                                               "beats", "span"}
+
+    # --per-line stays small: a line's examples are built in memory.
+    @given(st.one_of(
+        st.tuples(st.sampled_from(["--span-p", "--keep-p", "--sukun-drop"]),
+                  st.one_of(st.floats(), st.integers())),
+        st.tuples(st.just("--per-line"), st.integers(max_value=3))))
+    @settings(max_examples=100, deadline=None)
+    def test_any_setting(self, setting):
+        flag, value = setting
+        code, out, diagnostics, warnings, _ = _run_main(
+            ["mask", "--seed", "1", f"{flag}={value}"], [FIG_LINE])
+        assert code in (0, 1)
+        if code == 1:
+            assert out == []
+            assert diagnostics[0].startswith("arud mask")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8)
+RECORD_FIELDS = ["target_beats", "beats", "generated_text", "left_context",
+                 "right_context", "verse_final", "coherence"]
+CONTEXTS = st.sampled_from(VERSE_WORDS + ["", "   ", FIG_LINE])
+# Well-formed records, each with up to two fields then set to any value.
+RECORDS = st.builds(
+    lambda record, changes: {**record, **changes},
+    st.fixed_dictionaries(
+        {"target_beats": st.text("01", min_size=1, max_size=8),
+         "generated_text": CONTEXTS},
+        optional={"left_context": CONTEXTS, "right_context": CONTEXTS,
+                  "verse_final": st.booleans(),
+                  "coherence": st.floats(0, 5)}),
+    st.dictionaries(st.sampled_from(RECORD_FIELDS), JSON_VALUES,
+                    max_size=2))
+EVAL_LINES = st.lists(
+    st.one_of(st.builds(json.dumps, st.one_of(JSON_VALUES, RECORDS)),
+              st.text(ANY_CHAR, max_size=12)),
+    min_size=1, max_size=6)
+EVAL_REPORT = re.compile(
+    r"n: (\d+)\nexact_accuracy: \d+\.\d\d\n"
+    r"mean_levenshtein_similarity: -?\d+\.\d\d\n"
+    r"scan_failure_count: \d+\n(mean_coherence: \S+\n)?$")
+
+
+class TestEvalFuzz:
+    @given(EVAL_LINES)
+    @settings(max_examples=300, deadline=None)
+    def test_any_records(self, lines):
+        code, out, diagnostics, warnings, _ = _run_main(["eval"], lines)
+        assert code in (0, 1)
+        bad = _line_numbers(warnings, r"record (\d+) malformed, skipped: ",
+                            len(lines))
+        records = sum(1 for line in lines if line.strip()) - len(bad)
+        if records == 0:
+            assert code == 1
+            assert diagnostics[0] == "eval: no records to evaluate"
+            return
+        assert code == 0
+        report = EVAL_REPORT.match("".join(line + "\n" for line in out))
+        assert report, out
+        assert int(report.group(1)) == records
+        assert diagnostics == ([f"malformed records skipped: {len(bad)}"]
+                               if bad else [])
+
+
 class TestNormalize:
     VERSE = "قِفَا نَبْكِ مِنْ ذِكْرَى حَبِيبٍ وَمَنْزِلِ"
 
@@ -171,9 +345,6 @@ class TestFilterAndStats:
         code, out, _ = run(capsys, "stats", "-i", src)
         assert code == 0
         assert "fatha: 3" in out and "shadda: 1" in out
-
-
-FIG_LINE = "مِكَرٍّ مِفَرٍّ مُقْبِلٍ مُدْبِرٍ مَعًا"
 
 
 class TestMask:

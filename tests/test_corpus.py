@@ -1,5 +1,7 @@
 """Cleaning, filtering, normalization heuristics and the full pipeline."""
 
+import unicodedata
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,8 +22,15 @@ from arud.corpus import (
     process_line,
     run_pipeline,
 )
-from arud.scansion import scan_text
-from arud.script import parse_line, render_line
+from arud.scansion import MEMO_SIZE, scan_text
+from arud.script import (
+    ARABIC_LETTERS,
+    MARKS,
+    TATWEEL,
+    fix_diacritic_order,
+    parse_line,
+    render_line,
+)
 
 
 class TestJoinHemistichs:
@@ -49,6 +58,61 @@ class TestCleanLine:
 
     def test_nothing_left(self):
         assert clean_line("123 !!") == ""
+
+
+def whole_line_clean(raw):
+    """`clean_line` as one loop over the whole line, without a memo."""
+    text = unicodedata.normalize("NFC", raw)
+    kept = []
+    host_kept = False
+    for ch in text:
+        if ch in ARABIC_LETTERS:
+            kept.append(ch)
+            host_kept = True
+        elif ch in MARKS:
+            if host_kept:
+                kept.append(ch)
+        elif ch.isspace():
+            kept.append(" ")
+            host_kept = False
+        elif ch == TATWEEL or unicodedata.category(ch).startswith("M"):
+            continue
+        else:
+            host_kept = False
+    collapsed = " ".join("".join(kept).split())
+    if not collapsed:
+        return ""
+    return fix_diacritic_order(collapsed)
+
+
+# Arabic letters and marks, tatweel, the madda and hamza combining marks
+# outside the nine-mark inventory (alone and after the letters NFC
+# composes them with), and whitespace that is not a plain space, next to
+# any other character.
+RAW_TEXT = st.lists(st.one_of(
+    st.characters(blacklist_categories=("Cs",)),
+    st.sampled_from(sorted(ARABIC_LETTERS | MARKS) + [
+        TATWEEL, "\u0653", "\u0654", "\u0655", "\u0627\u0653",
+        "\u0627\u0654", "\u0627\u0655", "\u0648\u0654", "\u064a\u0654",
+        " ", "\u00a0", "\u2000", "\u3000", "\u0085", "\u001c"])),
+    max_size=40).map("".join)
+
+
+class TestCleanLineByChunks:
+    """`clean_line` cleans chunk by chunk through a memo; the result is
+    the whole-line loop's."""
+
+    @given(RAW_TEXT)
+    @settings(max_examples=500, deadline=None)
+    def test_same_as_whole_line(self, raw):
+        expected = whole_line_clean(raw)
+        assert clean_line(raw) == expected
+        assert clean_line(raw) == expected
+
+    def test_memo_stays_at_its_size(self):
+        for n in range(MEMO_SIZE + 50):
+            clean_line(f"{n} مَا{n}")
+        assert len(corpus._clean_memo) == MEMO_SIZE
 
 
 class TestFilterLine:

@@ -1,6 +1,7 @@
 """Span sampling, context reduction and training-example assembly."""
 
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,8 @@ from arud.masking import (
 )
 from arud.scansion import beat_segments, scan
 from arud.script import fix_diacritic_order, parse_line, render_line
+from arud import tables as tables_module
+from arud.tables import TableSet
 
 
 class StubRng:
@@ -65,6 +68,14 @@ class TestConfig:
 class TestGeometric:
     def test_support_starts_at_zero(self):
         assert geometric(StubRng(randoms=[0.0]), 0.2) == 0
+
+    def test_tiny_p_gives_a_finite_draw(self):
+        # The quotient of the two logarithms overflows to infinity here.
+        assert geometric(StubRng(randoms=[0.5]), 5e-324) == sys.maxsize
+        cfg = MaskConfig(span_p=5e-324, keep_p=5e-324)
+        line = parse_line("مَا لَهُ عَلَّمَ مَعًا")
+        example = build_training_example(line, cfg, random.Random(0))
+        assert example.span[1] == 3
 
     def test_mean_matches_distribution(self):
         rng = random.Random(1234)
@@ -244,3 +255,108 @@ class TestGenerateDataset:
             assert len(outcomes) == 1, text
             failing += None not in outcomes
         assert failing >= 5
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _parseable(texts):
+    lines = []
+    for text in texts:
+        try:
+            lines.append(parse_line(text))
+        except ScriptError:
+            pass
+    return lines
+
+
+# Scan-ready lines, lines the scan rejects (a shadda without a vowel,
+# lost word alignment) and one-word lines, as `mask` meets them.
+EQUIVALENCE_LINES = _parseable(
+    (DATA / "engine_snapshot" / "input.txt").read_text(
+        encoding="utf-8").splitlines()
+    + (DATA / "behaviour_snapshot" / "mask_input.txt").read_text(
+        encoding="utf-8").splitlines()
+    + ["مَا", "بَمّ", "ٱبْنُ", "بَمّ قَالَ", "قَالَ بَمّ لَهُ",
+       "مَعًا بَمّ"])
+
+
+@pytest.fixture(scope="module")
+def table_sets(tmp_path_factory):
+    """The shipped tables and a `--tables` directory whose special words
+    lengthen مَا and the frequent مِنْ."""
+    shipped = Path(tables_module.__file__).parent / "data"
+    custom = tmp_path_factory.mktemp("tables")
+    for name in ("juncture.tsv", "known_words.tsv", "silent_words.tsv",
+                 "VERSION"):
+        (custom / name).write_bytes((shipped / name).read_bytes())
+    (custom / "special_words.tsv").write_text("ما\tمَاا\nمن\tمِينْ\n",
+                                              encoding="utf-8")
+    return [None, TableSet.load(str(custom))]
+
+
+def _outcome(make):
+    try:
+        return make()
+    except ScriptError as exc:
+        return type(exc), str(exc)
+
+
+class TestScanOncePerLine:
+    """`line_examples` scans a line once; its examples are those of
+    `build_training_example` scanning the line on every repeat."""
+
+    @given(line=st.sampled_from(EQUIVALENCE_LINES),
+           index=st.integers(0, 10**6),
+           seed=st.integers(0, 10**6),
+           per_line=st.integers(1, 5),
+           probs=st.tuples(*[st.floats(0.05, 0.95)] * 3),
+           reduce_context=st.booleans(),
+           custom=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_same_as_building_each_repeat(self, table_sets, line, index,
+                                           seed, per_line, probs,
+                                           reduce_context, custom):
+        span_p, keep_p, sukun_drop = probs
+        cfg = MaskConfig(span_p=span_p, keep_p=keep_p, sukun_drop=sukun_drop,
+                         seed=seed, per_line=per_line,
+                         reduce_context=reduce_context)
+        tables = table_sets[custom]
+        assert _outcome(lambda: line_examples(line, index, cfg, tables)) \
+            == _outcome(lambda: [
+                build_training_example(line, cfg, line_rng(seed, index, r),
+                                       tables)
+                for r in range(per_line)])
+
+    def test_pool_reaches_every_outcome(self, table_sets):
+        cfg = MaskConfig()
+        outcomes = [[_outcome(lambda: line_examples(line, 0, cfg, tables))
+                     for line in EQUIVALENCE_LINES]
+                    for tables in table_sets]
+        for results in outcomes:
+            kinds = {result[0].__name__ if isinstance(result, tuple)
+                     else "ok" for result in results}
+            assert {"ok", "LineTooShort", "ShaddaWithoutVowel",
+                    "ScanError"} <= kinds
+        # The custom special words change some lines' examples.
+        assert outcomes[0] != outcomes[1]
+
+    def test_one_word_line_fails_before_its_scan_error(self):
+        # بَمّ alone would fail its scan; too few words is reported first.
+        with pytest.raises(LineTooShort,
+                           match="^need at least two words to mask a span$"):
+            line_examples(parse_line("بَمّ"), 0, MaskConfig())
+
+    def test_one_scan_per_line(self, monkeypatch):
+        import arud.masking as masking
+        calls = []
+        real_scan = masking.scan
+
+        def counting_scan(*args, **kwargs):
+            calls.append(args[0])
+            return real_scan(*args, **kwargs)
+
+        monkeypatch.setattr(masking, "scan", counting_scan)
+        line = parse_line(FIG_LINE)
+        line_examples(line, 0, MaskConfig(per_line=4))
+        assert calls == [line]

@@ -214,6 +214,41 @@ class TestPredictionFile:
         assert len(records) == 1
         assert bad == 7
 
+    @pytest.mark.parametrize("field,value", [
+        ("verse_final", "false"), ("verse_final", 0), ("verse_final", None),
+        ("target_beats", "abc"), ("target_beats", "10 1"),
+        ("beats", "1x0"), ("coherence", True), ("coherence", float("nan")),
+        ("coherence", float("inf")),
+        pytest.param("coherence", 10 ** 400, id="coherence-too-large"),
+    ])
+    def test_mistyped_field_is_malformed(self, field, value, caplog):
+        record = {"target_beats": "1110", "generated_text": "قَتَلَ",
+                  field: value}
+        if field == "beats":
+            del record["target_beats"]
+        records, bad = read_prediction_file(io.StringIO(json.dumps(record)))
+        assert (records, bad) == ([], 1)
+        assert caplog.messages[0].startswith("record 1 malformed, skipped: ")
+
+    def test_verse_final_string_is_not_true(self):
+        def report(verse_final):
+            records, _ = read_prediction_file(io.StringIO(
+                '{"target_beats": "1110", "generated_text": "قَتَلَ", '
+                f'"verse_final": {verse_final}}}'))
+            return records and evaluate_predictions(records)
+
+        assert report("true").exact_accuracy == 100.0
+        assert (report("false").exact_accuracy,
+                report("false").mean_levenshtein_similarity) == (0.0, 75.0)
+        assert report('"false"') == []
+
+    def test_deep_nesting_is_malformed(self):
+        stream = io.StringIO("[" * 100_000 + "\n"
+                             + json.dumps({"target_beats": "10",
+                                           "generated_text": "مَا"}))
+        records, bad = read_prediction_file(stream)
+        assert (len(records), bad) == (1, 1)
+
     def test_empty_target_rejected(self):
         with pytest.raises(ValueError):
             PredictionRecord(target_beats="", generated_text="مَا")
