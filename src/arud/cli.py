@@ -153,7 +153,9 @@ def build_parser() -> Parser:
     p.add_argument("--span-p", type=float, default=0.2)
     p.add_argument("--keep-p", type=float, default=0.2)
     p.add_argument("--sukun-drop", type=float, default=0.5)
-    p.add_argument("--per-line", type=int, default=1)
+    p.add_argument("--per-line", type=int, default=1,
+                   help="examples per line, 1 to "
+                        f"{masking.MAX_PER_LINE}")
     p.add_argument("--no-reduce", action="store_true",
                    help="keep context diacritics intact")
     p.add_argument("--jobs", type=_jobs, default=1)

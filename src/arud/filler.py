@@ -10,9 +10,13 @@ make naive beat concatenation unsound.
 Both costs of the search are incremental where that is exact.  The
 rescan reads the assembly with and without the optional plural-m
 license, and the two readings share one pass over the rules before
-isba (``scansion.scan_readings``).  The pruning test's edit-distance
-row is carried down the beat trie and from one phrase word to the next
-(``next_row``), so no prefix's row is computed twice.
+isba (``scansion.scan_readings``).  Every grapheme of a transcription
+gives one beat, so the phrase's beats are sliced from each reading's
+beat string.  The pruning test's edit-distance row is carried down the
+beat trie and from one phrase word to the next (``next_row``), so no
+prefix's row is computed twice, and within one query the trie walk
+below a prefix runs once per (isolated beats of the prefix, slack):
+words that scan alike in isolation share it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .errors import ScriptError
-from .scansion import beat_segments, scan, scan_readings
+from .scansion import scan, scan_readings
 from .script import ScriptLine, Word, parse_line
 from .tables import TableSet
 
@@ -195,10 +199,17 @@ def phrase_beats_in_context(
     # alignment together.
     if len(readings[0][0].words) != len(words):
         return []
+    # Every grapheme of a transcription gives exactly one beat, so the
+    # phrase's beats are the slice of the line's beats that its words'
+    # graphemes span.
     lo = len(left_words)
     hi = lo + len(phrase_words)
-    return ["".join(beat_segments(transcription)[lo:hi])
-            for transcription, _ in readings]
+    out = []
+    for transcription, beats in readings:
+        start = sum(map(len, transcription.words[:lo]))
+        end = start + sum(map(len, transcription.words[lo:hi]))
+        out.append(beats[start:end])
+    return out
 
 
 def matches_target(phrase_words, left_words, right_words, query: FillQuery,
@@ -223,8 +234,12 @@ def fill(query: FillQuery, lexicon: Lexicon,
         if query.right_context.strip() else ()
 
     results = set()
+    # (isolated beats of the chosen words, slack) -> `_trie_candidates`,
+    # which depends on nothing else: words that scan alike in isolation
+    # share one walk of the trie below them.
+    candidates = {}
 
-    def descend(chosen, row):
+    def descend(chosen, beats, row):
         if chosen:
             phrase = [e.word for e in chosen]
             if matches_target(phrase, left_words, right_words, query, tables):
@@ -232,9 +247,13 @@ def fill(query: FillQuery, lexicon: Lexicon,
         if len(chosen) >= query.max_words:
             return
         slack = JUNCTURE_SLACK * (len(chosen) + 1)
-        for entry, entry_row in _trie_candidates(lexicon.trie, row,
-                                                 query.target, slack):
-            descend(chosen + [entry], entry_row)
+        found = candidates.get((beats, slack))
+        if found is None:
+            found = candidates[beats, slack] = _trie_candidates(
+                lexicon.trie, row, query.target, slack)
+        for entry, entry_row in found:
+            descend(chosen + [entry], beats + entry.isolated_beats,
+                    entry_row)
 
-    descend([], edit_row("", query.target))
+    descend([], "", edit_row("", query.target))
     return sorted(results)[:query.max_results]

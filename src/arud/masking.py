@@ -36,6 +36,11 @@ def _check_marker(marker: str) -> None:
         raise ValueError(f"marker {marker!r} contains Arabic characters")
 
 
+# Most examples one line may ask for: a line's examples are built in
+# memory before any is written, so `per_line` must stay bounded.
+MAX_PER_LINE = 1000
+
+
 @dataclass(frozen=True)
 class MaskConfig:
     span_p: float = 0.2
@@ -55,8 +60,9 @@ class MaskConfig:
             raise ValueError("three pairwise distinct markers required")
         for marker in self.markers:
             _check_marker(marker)
-        if self.per_line < 1:
-            raise ValueError("per_line must be positive")
+        if not 1 <= self.per_line <= MAX_PER_LINE:
+            raise ValueError(f"per_line must lie in [1, {MAX_PER_LINE}], "
+                             f"got {self.per_line}")
 
 
 @dataclass(frozen=True)

@@ -27,16 +27,22 @@ Verse repeats its words, so `scan` and `scan_readings` run each
 word-scope step once per distinct word: each has one bounded memo from
 the word it receives to the word it returns (step 5 adds the beat
 segment).  On a miss the step's rules run as they always do, on a
-one-word line.  The boundary rules run on every line.  A step that
-raises stores nothing, and each raises from one rule only (gemination in
-step 3, validation in step 5), so mapping a step over the words left to
-right raises the error the whole-line rules raise first.
+one-word line.  The boundary rules run on every line, but pass over the
+words they cannot change: the connective-alif rule returns a line
+holding no connective alif at once (``script.WASL_GRAPHEMES``) and
+copies only the words holding one and the word before an alif that a
+case changes; isba rejects a word first on its last letter, since it
+extends only a word ending in ha or mim before the next word.  A step
+that raises stores nothing, and each raises from one rule only
+(gemination in step 3, validation in step 5), so mapping a step over the
+words left to right raises the error the whole-line rules raise first.
 """
 
 from __future__ import annotations
 
 import logging
 import sys
+from itertools import chain
 
 from .errors import (
     DanglingWasl,
@@ -55,6 +61,7 @@ from .script import (
     SHORT_VOWELS,
     SUN_LETTERS,
     TANWINS,
+    WASL_GRAPHEMES,
     WAW,
     YA,
     Grapheme,
@@ -81,6 +88,8 @@ TANWIN_TO_SHORT = {"tanwin_fath": "fatha", "tanwin_damm": "damma",
 
 # Letters that can host the pronoun/plural suffixes eligible for isba.
 PLURAL_M_HOSTS = (HA, "ك", "ت")
+# The only word-final letters isba extends before a next word.
+ISBA_FINALS = frozenset((HA, MIM))
 
 
 def _rewrite_words(line: ScriptLine, rewrite) -> ScriptLine:
@@ -195,27 +204,33 @@ def _is_extension(words, wi, gi) -> bool:
     return words[prev[0]][prev[1]].vowel == VOWEL_FOR_EXTENSION[g.base]
 
 
+def _editable(words: list, wi: int) -> list:
+    """`words[wi]` as a list, copied from its tuple on first use."""
+    word = words[wi]
+    if type(word) is tuple:
+        word = words[wi] = list(word)
+    return word
+
+
 def process_hamzat_wasl(
     line: ScriptLine,
     sentence_initial: bool,
     juncture=None,
 ) -> ScriptLine:
     """Resolve every connective alif per its phonetic context."""
+    if WASL_GRAPHEMES.isdisjoint(chain.from_iterable(line.words)):
+        return line  # no connective alif to resolve
     if juncture is None:
         juncture = default_tables().juncture
-    for word in line.words:
-        for g in word:
-            if g.is_wasl:
-                break
-        else:
-            continue
-        break
-    else:
-        return line  # no connective alif to resolve
-    words = [list(word) for word in line.words]
+    # Only the words that hold an alif, and a word before one that a case
+    # changes, are copied into lists; the others stay the input's tuples.
+    words = [word if WASL_GRAPHEMES.isdisjoint(word) else list(word)
+             for word in line.words]
 
     # Case 1: definite article before a geminated sun letter loses its lam.
     for word in words:
+        if type(word) is tuple:
+            continue
         i = 0
         while i + 2 < len(word):
             if word[i].is_wasl \
@@ -228,15 +243,14 @@ def process_hamzat_wasl(
     # Positional cases, in one left-to-right pass.  Resolving an alif
     # changes only it and the letters before it, so every alif still
     # sees the context a fresh search from the line start would give it.
-    # Words no case touched are returned as the input's own objects.
-    touched = set()
     for wi, word in enumerate(words):
+        if type(word) is tuple:
+            continue
         gi = 0
         while gi < len(word):
             if not word[gi].is_wasl:
                 gi += 1
                 continue
-            touched.add(wi)
             prev = _prev_position(words, wi, gi)
             if prev is None:
                 if not sentence_initial:
@@ -254,23 +268,21 @@ def process_hamzat_wasl(
             elif _is_extension(words, pw, pg):
                 # Case 4: a long vowel and the connective alif both drop
                 del word[gi]
-                touched.add(pw)
-                del words[pw][pg]
+                del _editable(words, pw)[pg]
                 if pw == wi:
                     gi -= 1
             elif pgraph.unvocalized:
                 # Case 5: the preceding unvocalized letter takes the
                 # juncture vowel and the connective alif drops
                 del word[gi]
-                touched.add(pw)
-                words[pw][pg] = pgraph.with_vowel(juncture.vowel_for(
-                    tuple(words[pw])))
+                pword = _editable(words, pw)
+                pword[pg] = pgraph.with_vowel(juncture.vowel_for(
+                    tuple(pword)))
             else:
                 raise DanglingWasl(
                     "connective alif with no resolvable context")
-    return _with_words(line, [tuple(word) if wi in touched else old
-                              for wi, (word, old)
-                              in enumerate(zip(words, line.words))])
+    return _with_words(line, [word if type(word) is tuple else tuple(word)
+                              for word in words])
 
 
 def _split_shadda(word):
@@ -336,19 +348,19 @@ def apply_isba(
     """Restore long vowels after pronoun clitics, plural-m and verse ends."""
     # Each decision reads the word's own ending and the next word's first
     # letter, which no earlier decision changes, so the input line is read
-    # and only the changed words are rebuilt.
+    # and only the changed words are rebuilt.  Only a word ending in ha or
+    # mim can be extended before the next word, so any other word is
+    # passed over on its last letter.
     words = line.words
     out = None
     for wi in range(len(words) - 1):
         word = words[wi]
-        if len(word) < 2:
+        if len(word) < 2 or word[-1].base not in ISBA_FINALS:
             continue
-        nxt = words[wi + 1][0] if words[wi + 1] else None
-        if nxt is None or not nxt.vocalized:
+        nxt = words[wi + 1]
+        if not nxt or not nxt[0].vocalized or not word[-2].vocalized:
             continue
         g = word[-1]
-        if not word[-2].vocalized:
-            continue
         new = None
         if g.base == HA and g.vowel in ("damma", "kasra"):
             # pronoun clitic hu/hi between two vocalized letters

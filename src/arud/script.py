@@ -7,7 +7,9 @@ canonical order: base letter, shadda, vowel-class mark, silence mark.
 
 Constructing a Grapheme interns it: each distinct value has one
 validated, immutable instance, shared process-wide, so graphemes compare
-and hash by identity and words make cheap dictionary keys.
+and hash by identity and words make cheap dictionary keys.  The two
+vocalization flags the rules test most are computed once, at interning,
+and the interned connective alifs are collected in ``WASL_GRAPHEMES``.
 """
 
 from __future__ import annotations
@@ -86,9 +88,15 @@ class Grapheme:
     validated instance for its five values, so ``==`` and ``hash`` are
     identity.  Instances are immutable, and pickling and copying go back
     through the constructor, so every process holds one instance per value.
+
+    Two read-only flags are derived from the five values at interning:
+    ``vocalized`` is true when the letter bears one of the three short
+    vowels, and ``unvocalized`` for a non-silent letter with sukun or no
+    vowel-class mark.
     """
 
-    __slots__ = ("base", "vowel", "shadda", "silent", "is_wasl", "_text")
+    __slots__ = ("base", "vowel", "shadda", "silent", "is_wasl", "_text",
+                 "vocalized", "unvocalized")
 
     def __new__(cls, base: str, vowel: str | None = None,
                 shadda: bool = False, silent: bool = False,
@@ -110,7 +118,12 @@ class Grapheme:
             for name, value in zip(cls.__slots__, key):
                 object.__setattr__(g, name, value)
             object.__setattr__(g, "_text", _render_marks(g))
+            object.__setattr__(g, "vocalized", vowel in SHORT_VOWELS)
+            object.__setattr__(g, "unvocalized", not silent and (
+                vowel is None or vowel == "sukun"))
             _SHARED[key] = g
+            if is_wasl:
+                WASL_GRAPHEMES.add(g)
         return g
 
     def __setattr__(self, name, value):
@@ -128,16 +141,6 @@ class Grapheme:
                 f"shadda={self.shadda!r}, silent={self.silent!r}, "
                 f"is_wasl={self.is_wasl!r})")
 
-    @property
-    def vocalized(self) -> bool:
-        """True when the letter bears one of the three short vowels."""
-        return self.vowel in SHORT_VOWELS
-
-    @property
-    def unvocalized(self) -> bool:
-        """True for sukun-bearing or mark-less non-silent letters."""
-        return not self.silent and (self.vowel is None or self.vowel == "sukun")
-
     def with_vowel(self, vowel: str | None) -> "Grapheme":
         return Grapheme(self.base, vowel, self.shadda, self.silent,
                         self.is_wasl)
@@ -146,6 +149,9 @@ class Grapheme:
 # Distinct grapheme values -> their one instance.  The key space is
 # letters x mark combinations, so it stays at a few hundred entries.
 _SHARED: dict[tuple, Grapheme] = {}
+# Every interned connective alif: a rule that resolves them can test a
+# word with `WASL_GRAPHEMES.isdisjoint(word)`.
+WASL_GRAPHEMES: set[Grapheme] = set()
 
 # The constructor under its earlier name: construction already shares.
 shared_grapheme = Grapheme

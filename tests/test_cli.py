@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import arud
 from arud import cli
 from arud.cli import main
-from arud.masking import MaskConfig, generate_dataset
+from arud.masking import MAX_PER_LINE, MaskConfig, generate_dataset
 from arud.script import ARABIC_LETTERS, MARKS, TATWEEL, WASL_ALIF
 
 
@@ -216,11 +216,12 @@ class TestMaskFuzz:
             assert set(json.loads(record)) == {"v", "input", "target",
                                                "beats", "span"}
 
-    # --per-line stays small: a line's examples are built in memory.
+    # MaskConfig rejects a --per-line above MAX_PER_LINE, so any integer
+    # is safe to try.
     @given(st.one_of(
         st.tuples(st.sampled_from(["--span-p", "--keep-p", "--sukun-drop"]),
                   st.one_of(st.floats(), st.integers())),
-        st.tuples(st.just("--per-line"), st.integers(max_value=3))))
+        st.tuples(st.just("--per-line"), st.integers())))
     @settings(max_examples=100, deadline=None)
     def test_any_setting(self, setting):
         flag, value = setting
@@ -369,7 +370,9 @@ class TestMask:
         assert a == b
 
     @pytest.mark.parametrize("flag,value", [
-        ("--span-p", "2"), ("--keep-p", "0"), ("--per-line", "0")])
+        ("--span-p", "2"), ("--keep-p", "0"), ("--per-line", "0"),
+        ("--per-line", "1000000000"),
+        ("--per-line", str(MAX_PER_LINE + 1))])
     def test_out_of_range_config_is_usage_error(self, tmp_path, capsys,
                                                 flag, value):
         src = write(tmp_path, "in.txt", f"{FIG_LINE}\n")

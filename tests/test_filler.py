@@ -5,6 +5,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arud import filler
+from arud.errors import ScriptError
 from arud.filler import (
     BeatTrie,
     FillQuery,
@@ -20,7 +22,8 @@ from arud.filler import (
     next_row,
     phrase_beats_in_context,
 )
-from arud.script import parse_line
+from arud.scansion import beat_segments, scan, scan_readings
+from arud.script import ScriptLine, parse_line
 
 
 class TestIndex:
@@ -149,6 +152,37 @@ class TestBoundedCompleteness:
                           right_context="مَعًا", max_words=2)
         assert fill(query, lex) == brute_force(query, self.LEXICON)
 
+    # In isolation five words scan as 10, two as 11 and two as 1010,
+    # which is also 10 twice.
+    SHARED_PATTERNS = ["مَا", "لَا", "يَا", "قَدْ", "مِنْ", "لَهُ", "بِهِ",
+                       "لَهُمْ", "بَدْرٌ", "دَمْعٌ"]
+
+    @pytest.mark.parametrize("target", ["1010", "101110", "11010",
+                                        "1110", "10101010"])
+    @pytest.mark.parametrize("left, right", [("", ""),
+                                             ("عَلَّمَ", "مَعًا")])
+    def test_shared_patterns_walk_once(self, monkeypatch, target, left,
+                                       right):
+        walks = []
+
+        def counted(*args):
+            walks.append(args)
+            return _trie_candidates(*args)
+
+        lex = index_lexicon(self.SHARED_PATTERNS)
+        query = FillQuery(target=target, left_context=left,
+                          right_context=right, max_words=3)
+        monkeypatch.setattr(filler, "_trie_candidates", counted)
+        got = fill(query, lex)
+        assert got == brute_force(query, self.SHARED_PATTERNS)
+        # At most one walk per distinct prefix of isolated beats at each
+        # depth: the root, then one or two words.
+        patterns = {scan(parse_line(s), sentence_initial=False)[1]
+                    for s in self.SHARED_PATTERNS}
+        assert patterns == {"10", "11", "110", "1010"}
+        pairs = {a + b for a in patterns for b in patterns}
+        assert len(walks) <= 1 + len(patterns) + len(pairs)
+
 
 class TestSoundness:
     def test_results_rescan_to_target(self):
@@ -219,3 +253,46 @@ class TestIncrementalRows:
             reference_candidates(trie, partial, target, slack)
         for entry, row in found:
             assert row == edit_row(partial + entry.isolated_beats, target)
+
+
+def reference_phrase_beats(phrase, left, right, verse_final):
+    """The phrase's segments of each reading, from `beat_segments`."""
+    words = tuple(left) + tuple(phrase) + tuple(right)
+    try:
+        readings = scan_readings(ScriptLine(words, verse_final))
+    except ScriptError:
+        return []
+    if len(readings[0][0].words) != len(words):
+        return []
+    lo, hi = len(left), len(left) + len(phrase)
+    return ["".join(beat_segments(transcription)[lo:hi])
+            for transcription, _ in readings]
+
+
+# Words that change at a boundary (isba, plural-m, connective alifs,
+# tanwin), that vanish, and plain ones.
+CONTEXT_WORDS = ["لَهُمْ", "مَا", "لَهُ", "عَلَيْكُمْ", "بِهِمُ", "قُلْ",
+                 "ٱبْنُ", "ٱلْبَيْتِ", "فِي", "مَعًا", "عَلَّمَ", "و۠",
+                 "قَتَلَ", "بَمّ", "دَمْعٌ", "قَلْبِي"]
+CONTEXT = st.lists(st.sampled_from(CONTEXT_WORDS), max_size=3).map(
+    lambda ws: parse_line(" ".join(ws)).words if ws else ())
+
+
+class TestPhraseBeatsSlice:
+    @given(CONTEXT.filter(bool), CONTEXT, CONTEXT, st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_slice_equals_segments(self, phrase, left, right, verse_final):
+        assert phrase_beats_in_context(phrase, left, right, verse_final) \
+            == reference_phrase_beats(phrase, left, right, verse_final)
+
+    @pytest.mark.parametrize("left", ["", "قَالَ"])
+    @pytest.mark.parametrize("verse_final", [False, True])
+    def test_licensed_plural_m(self, left, verse_final):
+        left_words = parse_line(left).words if left else ()
+        got = phrase_beats_in_context(parse_line("لَهُمْ").words,
+                                      left_words, parse_line("مَا").words,
+                                      verse_final)
+        assert got == ["110", "1110"]
+        assert got == reference_phrase_beats(
+            parse_line("لَهُمْ").words, left_words, parse_line("مَا").words,
+            verse_final)

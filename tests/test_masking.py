@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from arud.errors import LineTooShort, ScriptError
 from arud.masking import (
+    MAX_PER_LINE,
     MaskConfig,
     MaskedExample,
     build_training_example,
@@ -51,10 +52,14 @@ class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("span_p", 0.0), ("span_p", 1.0), ("keep_p", -0.1),
         ("sukun_drop", 1.5), ("per_line", 0),
+        ("per_line", MAX_PER_LINE + 1), ("per_line", 10**9),
     ])
     def test_bad_values(self, field, value):
         with pytest.raises(ValueError):
             MaskConfig(**{field: value})
+
+    def test_per_line_bound_is_inclusive(self):
+        assert MaskConfig(per_line=MAX_PER_LINE).per_line == MAX_PER_LINE
 
     def test_markers_must_differ(self):
         with pytest.raises(ValueError):

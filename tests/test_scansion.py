@@ -187,6 +187,72 @@ def _wasl_by_restart(line, sentence_initial, juncture):
     return ScriptLine(tuple(tuple(w) for w in words if w), line.verse_final)
 
 
+def _isba_word_by_word(line, verse_final, optional_plural_m=False):
+    """Reference isba: every word tested on each condition in turn."""
+    words = line.words
+    out = None
+    for wi in range(len(words) - 1):
+        word = words[wi]
+        if len(word) < 2:
+            continue
+        nxt = words[wi + 1][0] if words[wi + 1] else None
+        if nxt is None or not nxt.vocalized:
+            continue
+        g = word[-1]
+        if not word[-2].vocalized:
+            continue
+        new = None
+        if g.base == "ه" and g.vowel in ("damma", "kasra"):
+            new = word + (Grapheme(scansion.EXTENSION_FOR_VOWEL[g.vowel]),)
+        elif g.base == "م" and word[-2].base in scansion.PLURAL_M_HOSTS:
+            if g.vowel in scansion.SHORT_VOWELS:
+                new = word + (
+                    Grapheme(scansion.EXTENSION_FOR_VOWEL[g.vowel]),)
+            elif optional_plural_m and g.unvocalized:
+                new = word[:-1] + (g.with_vowel("damma"), Grapheme("و"))
+        if new is not None:
+            if out is None:
+                out = list(words)
+            out[wi] = new
+    if verse_final and words and words[-1]:
+        last = words[-1][-1]
+        if last.vowel in scansion.SHORT_VOWELS:
+            if out is None:
+                out = list(words)
+            out[-1] = words[-1] + (
+                Grapheme(scansion.EXTENSION_FOR_VOWEL[last.vowel]),)
+    return scansion._with_words(line, out)
+
+
+# Words whose last letter is mostly ha or mim after a possible host
+# letter, with every vowel state, and some empty words.
+ISBA_GRAPHEMES = st.builds(
+    Grapheme, st.sampled_from("بلمهكتوي"),
+    st.sampled_from(["fatha", "damma", "kasra", "sukun", None,
+                     "tanwin_kasr"]))
+ISBA_WORDS = st.one_of(
+    st.tuples(st.lists(ISBA_GRAPHEMES, max_size=3).map(tuple),
+              st.builds(Grapheme, st.sampled_from("هممهب"),
+                        st.sampled_from(["fatha", "damma", "kasra",
+                                         "sukun", None])))
+    .map(lambda t: t[0] + (t[1],)),
+    st.just(()))
+ISBA_LINES = st.lists(ISBA_WORDS, min_size=1, max_size=5).map(
+    lambda words: ScriptLine(tuple(words)))
+
+
+class TestIsbaAgainstReference:
+    @given(ISBA_LINES)
+    @settings(max_examples=500)
+    def test_same_line_under_every_setting(self, line):
+        for verse_final, optional_plural_m in itertools.product(
+                (False, True), repeat=2):
+            want = _isba_word_by_word(line, verse_final, optional_plural_m)
+            got = apply_isba(line, verse_final, optional_plural_m)
+            assert got == want
+            assert (got is line) == (want is line)
+
+
 class TestGemination:
     def test_allama(self):
         assert rendered(expand_gemination(parse_line("عَلَّمَ"))) == "عَلْلَمَ"

@@ -1,6 +1,7 @@
 """Parsing, rendering, canonical mark order and diacritization ratio."""
 
 import copy
+import itertools
 import os
 import pickle
 import subprocess
@@ -315,6 +316,67 @@ class TestInterning:
         assert g == Grapheme("م", vowel="fatha")
         assert g != Grapheme("م", vowel="kasra")
         assert hash(g) == object.__hash__(g)
+
+
+def _every_grapheme():
+    """Intern every valid value; return every interned grapheme."""
+    for base in sorted(ARABIC_LETTERS):
+        for vowel in VOWELS:
+            for shadda, silent, is_wasl in itertools.product(
+                    (False, True), repeat=3):
+                try:
+                    Grapheme(base, vowel, shadda, silent, is_wasl)
+                except ValueError:  # every ScriptError is one too
+                    pass
+    return list(script._SHARED.values())
+
+
+class TestVocalizationFlags:
+    """The flags set at interning keep the meaning of their definitions."""
+
+    def test_every_interned_grapheme(self):
+        every = _every_grapheme()
+        assert len(every) > 500
+        for g in every:
+            assert g.vocalized == (g.vowel in script.SHORT_VOWELS)
+            assert g.unvocalized == (
+                not g.silent and (g.vowel is None or g.vowel == "sukun"))
+        assert script.WASL_GRAPHEMES == {g for g in every if g.is_wasl}
+
+    @pytest.mark.parametrize("flag", ["vocalized", "unvocalized"])
+    def test_read_only(self, flag):
+        g = Grapheme("م", vowel="fatha")
+        before = getattr(g, flag)
+        with pytest.raises(FrozenInstanceError):
+            setattr(g, flag, not before)
+        with pytest.raises(FrozenInstanceError):
+            delattr(g, flag)
+        assert getattr(g, flag) == before
+
+    @pytest.mark.parametrize("protocol",
+                             range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_survive_pickle_and_deepcopy(self, protocol):
+        for g in _every_grapheme():
+            flags = (g.vocalized, g.unvocalized)
+            for other in (pickle.loads(pickle.dumps(g, protocol)),
+                          copy.deepcopy(g)):
+                assert other is g
+                assert (other.vocalized, other.unvocalized) == flags
+
+    def test_pickled_in_another_process(self):
+        code = ("import pickle, sys; from arud.script import Grapheme; "
+                "sys.stdout.buffer.write(pickle.dumps(["
+                "Grapheme('م', 'kasra'), Grapheme('ن', 'sukun'), "
+                "Grapheme('و', silent=True), Grapheme('ٱ', is_wasl=True)]))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        blob = subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, env=env).stdout
+        kasra, sukun, silent, wasl = pickle.loads(blob)
+        assert (kasra.vocalized, kasra.unvocalized) == (True, False)
+        assert (sukun.vocalized, sukun.unvocalized) == (False, True)
+        assert (silent.vocalized, silent.unvocalized) == (False, False)
+        assert (wasl.vocalized, wasl.unvocalized) == (False, True)
+        assert wasl in script.WASL_GRAPHEMES
 
 
 class TestParseByPieces:
