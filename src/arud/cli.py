@@ -6,15 +6,26 @@ given.  Diagnostics always go to the error stream so commands compose
 in shell pipelines.  Exit codes: 0 success, 1 usage error, 2 I/O error
 or malformed data table.  A broken pipe (the reader stopped early, as in
 ``arud scan | head -1``) ends the command with exit code 2 and no message.
+
+``--jobs N`` above 1 runs the per-line work in a pool of N worker
+processes.  A process keeps one pool for its lifetime, so a program that
+calls `main` many times forks its workers once and they keep their memos
+warm.  The workers are forked at the first parallel command and see
+module state from that moment.  A pool of another size replaces it, and
+a forked child builds its own.  A one-shot command forks its workers
+once and stops them when it exits.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import math
+import multiprocessing.util
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 
 from . import __version__, corpus, masking, metrics
@@ -48,6 +59,17 @@ def _jobs(text: str) -> int:
     return jobs
 
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _open_in(stack: ExitStack, path: str):
     if path == "-":
         return sys.stdin
@@ -60,13 +82,57 @@ def _open_out(stack: ExitStack, path: str):
     return stack.enter_context(open(path, "w", encoding="utf-8"))
 
 
+# The process's worker pool as (pid that built it, workers, executor),
+# or None before the first parallel command.
+_pool = None
+
+
+def _executor(jobs: int) -> ProcessPoolExecutor:
+    """This process's pool of `jobs` workers, built on first use.
+
+    A pool of another size is shut down first; a pool inherited through
+    a fork belongs to the parent and is left alone.
+    """
+    global _pool
+    if _pool is not None:
+        pid, workers, executor = _pool
+        if pid == os.getpid() and workers == jobs:
+            return executor
+        _drop_pool()
+    _pool = (os.getpid(), jobs, ProcessPoolExecutor(max_workers=jobs))
+    # A multiprocessing child joins its own children on exit before the
+    # pool would stop its workers, so a finalizer stops them first.  It
+    # must run before those of the pool's queues (exit priority 10).
+    multiprocessing.util.Finalize(None, _drop_pool, exitpriority=20)
+    return _pool[2]
+
+
+def _drop_pool():
+    global _pool
+    if _pool is not None and _pool[0] == os.getpid():
+        _pool[2].shutdown()
+    _pool = None
+
+
 def _pmap(fn, items, jobs: int):
     """Order-preserving map, optionally across processes."""
     if jobs <= 1:
         yield from map(fn, items)
         return
-    with ProcessPoolExecutor(max_workers=jobs) as executor:
-        yield from executor.map(fn, items, chunksize=64)
+    # Executor.map submits every chunk before it yields a result, so a
+    # pool found broken at submission can be replaced and the items sent
+    # again.
+    items = list(items)
+    try:
+        results = _executor(jobs).map(fn, items, chunksize=64)
+    except BrokenProcessPool:
+        _drop_pool()
+        results = _executor(jobs).map(fn, items, chunksize=64)
+    try:
+        yield from results
+    except BrokenProcessPool:
+        _drop_pool()
+        raise
 
 
 # Worker functions must be importable for multiprocessing; each command
@@ -131,7 +197,7 @@ def build_parser() -> Parser:
     p.add_argument("--stats", metavar="PATH",
                    help="write a diacritic statistics report")
     p.add_argument("--min-words", type=int, default=4)
-    p.add_argument("--min-ratio", type=float, default=0.5)
+    p.add_argument("--min-ratio", type=_finite, default=0.5)
     p.add_argument("--verse-final", action="store_true")
     for stage in ("known-words", "lam-kasra", "wasl-heuristic",
                   "silent-marking", "sukun-defaults"):
@@ -142,7 +208,7 @@ def build_parser() -> Parser:
     p = sub.add_parser("filter", help="report acceptance decisions")
     _add_io_args(p)
     p.add_argument("--min-words", type=int, default=4)
-    p.add_argument("--min-ratio", type=float, default=0.5)
+    p.add_argument("--min-ratio", type=_finite, default=0.5)
 
     p = sub.add_parser("stats", help="diacritic statistics report")
     _add_io_args(p)

@@ -22,14 +22,21 @@ from .script import ALIF, WASL_ALIF, Word, parse_line
 def _read_table(name: str, table_dir: str | None, nfields: int, parse):
     """`parse(*fields)` for each data row of table `name`, in file order.
 
-    A row without `nfields` tab-separated fields, or one that `parse`
-    rejects with a ValueError, raises TableError.
+    A row without `nfields` tab-separated fields, one that `parse`
+    rejects with a ValueError, or a file that is not UTF-8 raises
+    TableError.
     """
     path = Path(table_dir, name) if table_dir \
         else resources.files("arud.data").joinpath(name)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        valid = exc.object[:exc.start].decode("utf-8")
+        lineno = len((valid + "x").splitlines())
+        raise TableError(f"{path}:{lineno}: not valid UTF-8: "
+                         f"{exc.reason}") from None
     rows = []
-    for lineno, line in enumerate(
-            path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")

@@ -4,11 +4,15 @@ import contextlib
 import io
 import json
 import logging
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -333,6 +337,130 @@ class TestNormalize:
         assert len(calls) == (2 if with_stats else 0)
 
 
+def _workers():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _wait_gone(pids, seconds=30):
+    """Wait until none of `pids` is a live child of this process."""
+    deadline = time.monotonic() + seconds
+    while _workers() & pids and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return not _workers() & pids
+
+
+def _pool_script(body):
+    """A ``python -c`` program that runs `body` after defining
+    ``normalize(out, jobs)``, which calls `main` on FIG_LINE, and
+    ``workers()``."""
+    return textwrap.dedent(f"""\
+        import json, multiprocessing, os, sys, tempfile
+        from arud.cli import main
+        tmp = tempfile.mkdtemp()
+        src = os.path.join(tmp, "in.txt")
+        with open(src, "w", encoding="utf-8") as f:
+            f.write({FIG_LINE!r} + "\\n")
+        def normalize(out, jobs="2"):
+            assert main(["normalize", "--jobs", jobs, "-i", src,
+                         "-o", os.path.join(tmp, out)]) == 0
+            with open(os.path.join(tmp, out), encoding="utf-8") as f:
+                return f.read()
+        def workers():
+            return sorted(p.pid for p in multiprocessing.active_children())
+        """) + textwrap.dedent(body)
+
+
+def _run_script(body):
+    """Run `_pool_script(body)`; kill its process group if it hangs."""
+    env = dict(os.environ, PYTHONPATH=str(Path(arud.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-c", _pool_script(body)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=env, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+    assert proc.returncode == 0, err
+    assert err == ""
+    return json.loads(out)
+
+
+def _assert_dead(pids):
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+class TestWorkerPool:
+    """`--jobs N` above 1 reuses one pool of N workers per process."""
+
+    def normalize(self, tmp_path, capsys, jobs="2"):
+        src = write(tmp_path, "in.txt", (FIG_LINE + "\n") * 130)
+        code, out, err = run(capsys, "normalize", "--jobs", jobs, "-i", src)
+        assert code == 0
+        return out
+
+    def test_calls_share_the_workers(self, tmp_path, capsys):
+        first = self.normalize(tmp_path, capsys)
+        workers = _workers()
+        assert len(workers) == 2
+        assert self.normalize(tmp_path, capsys) == first
+        assert _workers() == workers
+
+    def test_other_worker_count_replaces_the_pool(self, tmp_path, capsys):
+        first = self.normalize(tmp_path, capsys)
+        workers = _workers()
+        assert self.normalize(tmp_path, capsys, jobs="3") == first
+        assert len(_workers()) == 3
+        assert not _workers() & workers
+
+    def test_killed_worker_is_replaced(self, tmp_path, capsys):
+        first = self.normalize(tmp_path, capsys)
+        workers = _workers()
+        os.kill(min(workers), signal.SIGKILL)
+        # The pool notices the death and stops its other worker.
+        assert _wait_gone(workers)
+        assert self.normalize(tmp_path, capsys) == first
+        assert len(_workers()) == 2
+        assert not _workers() & workers
+
+    def test_process_exits_and_leaves_no_worker(self):
+        report = _run_script("""\
+            first = normalize("a.txt")
+            pids = workers()
+            same = normalize("b.txt") == first and workers() == pids
+            print(json.dumps({"pids": pids, "same": same}))
+            """)
+        assert len(report["pids"]) == 2
+        assert report["same"]
+        _assert_dead(report["pids"])
+
+    def test_forked_child_builds_its_own_pool(self):
+        report = _run_script("""\
+            first = normalize("a.txt")
+            pids = workers()
+            def child(queue):
+                queue.put((normalize("c.txt") == first, workers()))
+            ctx = multiprocessing.get_context("fork")
+            queue = ctx.Queue()
+            proc = ctx.Process(target=child, args=(queue,))
+            proc.start()
+            same, child_pids = queue.get(timeout=30)
+            proc.join(30)
+            print(json.dumps({"pids": pids, "child": child_pids,
+                              "same": same, "exit": proc.exitcode,
+                              "after": workers()}))
+            """)
+        assert report["exit"] == 0
+        assert report["same"]
+        assert len(report["child"]) == 2
+        assert not set(report["child"]) & set(report["pids"])
+        assert report["after"] == report["pids"]
+        _assert_dead(report["pids"] + report["child"])
+
+
 class TestFilterAndStats:
     def test_filter_reasons(self, tmp_path, capsys):
         src = write(tmp_path, "in.txt",
@@ -346,6 +474,21 @@ class TestFilterAndStats:
         code, out, _ = run(capsys, "stats", "-i", src)
         assert code == 0
         assert "fatha: 3" in out and "shadda: 1" in out
+
+
+    @pytest.mark.parametrize("command", ["normalize", "filter"])
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf",
+                                       "Infinity"])
+    def test_non_finite_min_ratio_is_usage_error(self, tmp_path, capsys,
+                                                 command, value):
+        # A nan bound would accept this line: no ratio compares below it.
+        src = write(tmp_path, "in.txt", "مَا لَهُ علمَت كتبَت\n")
+        assert run(capsys, "filter", "-i", src)[1] == "below_letter_ratio\n"
+        code, out, err = run(capsys, command, f"--min-ratio={value}",
+                             "-i", src)
+        assert code == 1
+        assert out == ""
+        assert f"--min-ratio: must be finite, got {value!r}" in err
 
 
 class TestMask:

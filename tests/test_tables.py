@@ -1,16 +1,20 @@
 """Data-table loading, malformed rows, and how the CLI picks its tables."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import arud
 from arud.cli import ENV_TABLE_DIR, main
 from arud.errors import TableError
-from arud.script import parse_line
+from arud.script import ARABIC_LETTERS, MARKS, WASL_ALIF, parse_line
 from arud.tables import (
     SilentWordTable,
     TableSet,
@@ -132,6 +136,79 @@ class TestMalformedRows:
         code = main(["--tables", str(table_dir), "scan", "-i", str(src)])
         assert code == 2
         assert "I/O error" in capsys.readouterr().err
+
+
+SNAPSHOT = Path(__file__).parent / "data" / "behaviour_snapshot"
+TABLES = ("special_words.tsv", "juncture.tsv", "known_words.tsv",
+          "silent_words.tsv")
+FIELD = st.one_of(
+    st.text(st.sampled_from(sorted(ARABIC_LETTERS | MARKS)
+                            + [WASL_ALIF, " "]), max_size=8),
+    st.sampled_from(["fatha", "damma", "kasra", "sukun", "exact", "suffix",
+                     "0", "1", "3", "-1", "٣", "10**9", "1e3", ""]),
+    st.text(max_size=6))
+ROWS = st.lists(st.lists(FIELD, max_size=4).map("\t".join),
+                max_size=5).map(lambda rows: "\n".join(rows).encode())
+# Random bytes or rows, written alone or after the shipped rows.
+CONTENT = st.tuples(st.booleans(), st.one_of(st.binary(max_size=48), ROWS))
+
+
+def _head(name, count=12):
+    return (SNAPSHOT / name).read_text(encoding="utf-8").splitlines()[:count]
+
+
+class TestTableFuzz:
+    """A table file with any content gives exit 0, or exit 2 with one
+    ``arud: FILE:LINE: `` line; never a traceback."""
+
+    COMMANDS = (
+        (["scan", "--golden"], _head("mask_input.txt")),
+        (["normalize"], _head("raw.txt")),
+        (["mask", "--seed", "1", "--per-line", "2"],
+         _head("mask_input.txt")),
+        (["fill", "--lexicon", str(SNAPSHOT / "lexicon.txt"),
+          "--target", "1010", "--max-words", "2", "--left", "قِفَا"], None),
+    )
+
+    @given(st.sampled_from(TABLES), CONTENT)
+    @settings(max_examples=200, deadline=None)
+    def test_any_table_content(self, name, content):
+        keep_shipped, data = content
+        with tempfile.TemporaryDirectory() as tmp:
+            table_dir = Path(tmp, "tables")
+            shutil.copytree(SHIPPED, table_dir)
+            path = table_dir / name
+            prefix = path.read_bytes() if keep_shipped else b""
+            path.write_bytes(prefix + data)
+            src = Path(tmp, "in.txt")
+            for command, lines in self.COMMANDS:
+                src.write_text("".join(f"{line}\n" for line in lines or []),
+                               encoding="utf-8")
+                argv = ["--tables", str(table_dir), *command,
+                        "-o", str(Path(tmp, "out.txt"))]
+                if lines is not None:
+                    argv += ["-i", str(src)]
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main(argv)
+                if code == 2:
+                    assert err.getvalue().startswith(f"arud: {path}:")
+                    assert err.getvalue().count("\n") == 1
+                else:
+                    assert code == 0, err.getvalue()
+                    assert "Traceback" not in err.getvalue()
+
+    def test_invalid_utf8_names_file_and_line(self, table_dir, capsys):
+        path = table_dir / "special_words.tsv"
+        lines = path.read_bytes().count(b"\n")
+        path.write_bytes(path.read_bytes() + "هذا\t".encode() + b"\xff\n")
+        code = main(["--tables", str(table_dir), "scan", "-i",
+                     str(SNAPSHOT / "mask_input.txt")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"arud: {path}:{lines + 1}: not valid "
+                                "UTF-8: invalid start byte\n")
 
 
 # هَذَا scans to 1010 with the shipped special word (هَاذَا) and to 110
