@@ -3,9 +3,10 @@
 Streams-first: every subcommand reads newline-delimited UTF-8 from
 standard input and writes data to standard output unless file paths are
 given.  Diagnostics always go to the error stream so commands compose
-in shell pipelines.  Exit codes: 0 success, 1 usage error, 2 I/O error
-or malformed data table.  A broken pipe (the reader stopped early, as in
-``arud scan | head -1``) ends the command with exit code 2 and no message.
+in shell pipelines.  Exit codes: 0 success, 1 usage error, 2 I/O error,
+input that is not UTF-8, or malformed data table.  A broken pipe (the
+reader stopped early, as in ``arud scan | head -1``) ends the command
+with exit code 2 and no message.
 
 ``--jobs N`` above 1 runs the per-line work in a pool of N worker
 processes.  A process keeps one pool for its lifetime, so a program that
@@ -431,6 +432,13 @@ def main(argv=None) -> int:
         return 1
     except TableError as exc:
         print(f"arud: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        # Each command reads one text file: `fill` its lexicon, the others
+        # their input.
+        path = args.lexicon if args.command == "fill" else args.input
+        name = "<stdin>" if path == "-" else path
+        print(f"arud: {name}: not valid UTF-8 ({exc})", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # Subclass of OSError, so it must be caught first.

@@ -1,71 +1,59 @@
 """Rhythm-constrained gap filling from a lexicon.
 
 A non-neural oracle for the substitution task: search the lexicon for
-word sequences whose in-context beat pattern equals a target.  Isolated
-per-word patterns only prune the search; the decision procedure is
-always a full rescan of left context + candidate phrase + right context,
-because juncture effects (long-vowel restoration, connective alifs)
-make naive beat concatenation unsound.
+word sequences whose in-context beat pattern equals a target.  A phrase
+is decided only by a full rescan of left context + phrase + right
+context (``matches_target``) under the plain and the optional plural-m
+reading (``scansion.scan_readings``), because juncture effects make
+naive beat concatenation unsound.
 
-Both costs of the search are incremental where that is exact.  The
-rescan reads the assembly with and without the optional plural-m
-license, and the two readings share one pass over the rules before
-isba (``scansion.scan_readings``).  Every grapheme of a transcription
-gives one beat, so the phrase's beats are sliced from each reading's
-beat string.  The pruning test's edit-distance row is carried down the
-beat trie and from one phrase word to the next (``next_row``), so no
-prefix's row is computed twice, and within one query the trie walk
-below a prefix runs once per (isolated beats of the prefix, slack):
-words that scan alike in isolation share it.
+The search prunes on exact beats.  Only the two boundary rules cross a
+word boundary, each by one word: the connective alif changes the word
+before it, and isba reads the next word's first letter.  So a word's
+beats are final once what follows it is known, and a memoized scan of
+the word and the next word or the line's end gives them, from up to two
+words earlier when the word reads back (``scansion.reads_back``).  A
+phrase grows only while, under one reading, its words' final beats are
+a proper prefix of the target, and is rescanned only when its last
+word's beats complete it; a window that does not scan or keep its words
+prunes.  Lexicon words with one ``scansion.lead`` are alike as the next
+word, so a phrase reads one window per such group, and a query visits
+at most ``MAX_PHRASES`` phrases: homophones match exponentially often.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import ScriptError
-from .scansion import scan, scan_readings
-from .script import ScriptLine, Word, parse_line
-from .tables import TableSet
+from .scansion import _Memo, lead, reads_back, scan, scan_readings
+from .script import ScriptLine, parse_line
+from .tables import TableSet, default_tables
 
 log = logging.getLogger(__name__)
 
-# Juncture effects change at most this many beats at a word boundary,
-# so prefix pruning leaves this much slack per boundary.
-JUNCTURE_SLACK = 2
+# Phrases one query may visit, each at most one rescan (about 45 µs) and
+# one memoized window per word group: 0.1 to 0.7 s when a search ends here.
+MAX_PHRASES = 20_000
+
+# Windows memoized at once.  Each holds four words' references and two
+# short beat strings, so a full memo stays well under a megabyte.
+WINDOW_MEMO_SIZE = 4096
+
+# A word that begins with a connective alif (see `_final_beats`).
+_WASL_WORD = parse_line("ٱسْمُ").words[0]
+# What can follow the last word of a window in place of a word.
+_LINE_END, _VERSE_END = "line end", "verse end"
 
 
 @dataclass(frozen=True)
-class LexiconEntry:
-    surface: str
-    word: Word
-    isolated_beats: str
-
-
-class BeatTrie:
-    """Prefix tree over isolated beat patterns."""
-
-    __slots__ = ("children", "entries")
-
-    def __init__(self):
-        self.children: dict = {}
-        self.entries: list = []
-
-    def insert(self, entry: LexiconEntry) -> None:
-        node = self
-        for ch in entry.isolated_beats:
-            node = node.children.setdefault(ch, BeatTrie())
-        node.entries.append(entry)
-
-
-@dataclass
 class Lexicon:
-    trie: BeatTrie = field(default_factory=BeatTrie)
-    size: int = 0
+    entries: tuple = ()  # (surface, word) pairs in surface order
 
     def __len__(self) -> int:
-        return self.size
+        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -82,10 +70,19 @@ class FillQuery:
             raise ValueError("target must be a non-empty string over {0,1}")
         if self.max_words < 1 or self.max_results < 1:
             raise ValueError("limits must be positive")
+        # Parsed once, here: a context that does not parse is an error.
+        for side in ("left", "right"):
+            text = getattr(self, f"{side}_context")
+            try:
+                words = parse_line(text).words if text.strip() else ()
+            except ScriptError as exc:
+                raise ValueError(f"{side} context does not parse: "
+                                 f"{type(exc).__name__}: {exc}") from None
+            object.__setattr__(self, f"{side}_words", words)
 
 
 def index_lexicon(words, tables: TableSet | None = None) -> Lexicon:
-    """Scan each word in isolation and group by beat-pattern prefix.
+    """The distinct single words of `words` that scan in isolation.
 
     Duplicates collapse; unscannable words are logged and skipped.
     """
@@ -98,91 +95,35 @@ def index_lexicon(words, tables: TableSet | None = None) -> Lexicon:
             line = parse_line(surface)
             if len(line.words) != 1:
                 raise ValueError("lexicon entries must be single words")
-            _, beats = scan(line, tables, sentence_initial=False)
+            scan(line, tables, sentence_initial=False)
         except (ScriptError, ValueError) as exc:
             log.warning("lexicon word %r skipped: %s", surface, exc)
             continue
-        seen[surface] = LexiconEntry(surface=surface, word=line.words[0],
-                                     isolated_beats=beats)
-    lexicon = Lexicon()
-    for entry in sorted(seen.values(), key=lambda e: e.surface):
-        lexicon.trie.insert(entry)
-        lexicon.size += 1
-    return lexicon
+        seen[surface] = line.words[0]
+    return Lexicon(tuple(sorted(seen.items())))
 
 
-def next_row(row: list, ch: str, target: str) -> list:
-    """The edit-distance DP row after one more source character `ch`.
-
-    `row` is the row of some source string against `target`; the result
-    is the row of that string extended by `ch`.
-    """
-    left = row[0] + 1
-    current = [left]
-    for up, diagonal, cb in zip(row[1:], row, target):
-        left = min(up + 1, left + 1, diagonal + (ch != cb))
-        current.append(left)
-    return current
-
-
-def edit_row(a: str, b: str) -> list:
-    """Last row of the unit-cost edit-distance DP of `a` against `b`.
-
-    Entry j is the insert/delete/substitute distance from `a` to `b[:j]`.
-    """
-    row = list(range(len(b) + 1))
-    for ca in a:
-        row = next_row(row, ca, b)
-    return row
+def _readings(words: tuple, verse_final: bool,
+              tables: TableSet | None) -> list:
+    """(where each word's beats start, then end; the beats) per reading
+    of the line `words`; [] when it does not scan or keep its words."""
+    try:
+        readings = scan_readings(ScriptLine(words, verse_final), tables,
+                                 sentence_initial=True)
+    except ScriptError:
+        return []
+    # The readings differ only inside words, so they keep or lose word
+    # alignment together.
+    if len(readings[0][0].words) != len(words):
+        return []
+    # Every grapheme of a transcription gives exactly one beat.
+    return [([0, *accumulate(map(len, transcription.words))], beats)
+            for transcription, beats in readings]
 
 
-def _prefix_compatible(partial: str, target: str, slack: int) -> bool:
-    """Admissible check: partial must be within `slack` edits of some
-    target prefix.
-
-    Juncture effects insert or delete beats (isba adds one, connective
-    alifs remove up to two), so the isolated concatenation can shift
-    against the true in-context pattern; plain positional prefix
-    matching would wrongly prune such phrases.
-    """
-    if len(partial) > len(target) + slack:
-        return False
-    return min(edit_row(partial, target)) <= slack
-
-
-def _trie_candidates(trie: BeatTrie, row: list, target: str,
-                     slack: int) -> list:
-    """(entry, row) pairs whose isolated beats keep the prefix viable.
-
-    `row` is the edit-distance row of the beats chosen so far; each
-    returned row extends it by the entry's beats.  A node passes when
-    `_prefix_compatible` passes its combined prefix, tested on a row
-    carried down from the parent's.  Its length bound needs no test of
-    its own: a prefix of length n is at least n - len(target) edits from
-    every target prefix, so min(row) <= slack already implies it.
-    """
-    found = []
-
-    def walk(node, row):
-        if min(row) > slack:
-            return
-        found.extend((entry, row) for entry in node.entries)
-        for ch in ("0", "1"):
-            child = node.children.get(ch)
-            if child is not None:
-                walk(child, next_row(row, ch, target))
-
-    walk(trie, row)
-    return found
-
-
-def phrase_beats_in_context(
-    phrase_words,
-    left_words,
-    right_words,
-    verse_final: bool,
-    tables: TableSet | None = None,
-) -> list:
+def phrase_beats_in_context(phrase_words, left_words, right_words,
+                            verse_final: bool,
+                            tables: TableSet | None = None) -> list:
     """Beat contribution of the phrase inside the full assembly, under
     each reading of ``scansion.scan_readings``.
 
@@ -190,26 +131,9 @@ def phrase_beats_in_context(
     word alignment.
     """
     words = tuple(left_words) + tuple(phrase_words) + tuple(right_words)
-    line = ScriptLine(words=words, verse_final=verse_final)
-    try:
-        readings = scan_readings(line, tables, sentence_initial=True)
-    except ScriptError:
-        return []
-    # The readings differ only inside words, so they keep or lose word
-    # alignment together.
-    if len(readings[0][0].words) != len(words):
-        return []
-    # Every grapheme of a transcription gives exactly one beat, so the
-    # phrase's beats are the slice of the line's beats that its words'
-    # graphemes span.
-    lo = len(left_words)
-    hi = lo + len(phrase_words)
-    out = []
-    for transcription, beats in readings:
-        start = sum(map(len, transcription.words[:lo]))
-        end = start + sum(map(len, transcription.words[lo:hi]))
-        out.append(beats[start:end])
-    return out
+    lo, hi = len(left_words), len(left_words) + len(phrase_words)
+    return [beats[offsets[lo]:offsets[hi]]
+            for offsets, beats in _readings(words, verse_final, tables)]
 
 
 def matches_target(phrase_words, left_words, right_words, query: FillQuery,
@@ -221,39 +145,114 @@ def matches_target(phrase_words, left_words, right_words, query: FillQuery,
         query.verse_final and not right_words, tables)
 
 
+def _final_beats(window: tuple, tables: TableSet | None) -> tuple:
+    """(plain, licensed): the beats ``window[-2]`` can have, per reading,
+    in a line where ``window[:-2]`` precede it and ``window[-1]``, a word
+    or ``_LINE_END`` or ``_VERSE_END``, follows it.
+    """
+    at = len(window) - 2
+    line_end = window[-1] in (_LINE_END, _VERSE_END)
+    scans = [_readings(window[:-1] if line_end else window,
+                       window[-1] == _VERSE_END, tables)]
+    if scans[0] and not line_end:
+        offsets, beats = scans[0][0]
+        # The next word is one unvocalized letter: a connective alif after
+        # it would vocalize it, which isba on window[-2] reads.
+        if beats[offsets[at + 1]:] == "0":
+            scans.append(_readings(window + (_WASL_WORD,), False, tables))
+    plain, licensed = set(), set()
+    for readings in filter(None, scans):
+        for found, (offsets, beats) in ((plain, readings[0]),
+                                        (licensed, readings[-1])):
+            found.add(beats[offsets[at]:offsets[at + 1]])
+    return tuple(plain), tuple(licensed)
+
+
+# Window -> `_final_beats` of it, built with `_windows.built_with`.  A query
+# reads this global once, so other tables swap in a new memo safely.
+_windows = _Memo(WINDOW_MEMO_SIZE)
+
+
 def fill(query: FillQuery, lexicon: Lexicon,
          tables: TableSet | None = None) -> list:
     """All lexicon phrases whose in-context pattern equals the target.
 
     Results are deduplicated and ordered lexicographically by surface;
-    an unsatisfiable target yields an empty list.
+    an unsatisfiable target yields an empty list.  A search that reaches
+    ``MAX_PHRASES`` logs a warning and returns the phrases found so far.
     """
-    left_words = parse_line(query.left_context).words \
-        if query.left_context.strip() else ()
-    right_words = parse_line(query.right_context).words \
-        if query.right_context.strip() else ()
+    global _windows
+    _windows = windows = _windows.matching(tables or default_tables())
+    left, right, target = query.left_words, query.right_words, query.target
+    groups = {}
+    for surface, word in lexicon.entries:
+        groups.setdefault(lead(word, tables), []).append((surface, word))
+    # What may follow a word: a group's words, which its first word
+    # stands for, or what follows the phrase.
+    nexts = [members[0][1] for members in groups.values()] + [
+        right[0] if right else _VERSE_END if query.verse_final
+        else _LINE_END]
+
+    def final_beats(before, word):
+        # `word`'s final beats per reading, with each of `nexts` after it.
+        return [windows.get(window)
+                or windows.put(window, _final_beats(window, tables))
+                for window in (before + (word, after) for after in nexts)]
+
+    # A word that does not read back has its final beats wherever it
+    # stands.  Such words are bucketed by them, and one test of every beat
+    # string a bucket's words can have, per reading, admits or skips them
+    # all; the words that read back form a bucket that is always admitted.
+    buckets = []
+    for members in groups.values():
+        kinds = {}
+        for surface, word in members:
+            kinds.setdefault(None if reads_back(word, tables) else tuple(
+                final_beats((), word)), []).append((surface, word))
+        buckets.append([(final, final and [
+            {s for found in final for s in found[i]} for i in (0, 1)],
+            members) for final, members in kinds.items()])
+
+    def advance(ends, found):
+        # Per reading, where a target prefix ending at one of `ends` ends
+        # once one of `found` extends it.
+        return tuple({end + len(s) for end in at for s in segments
+                      if target.startswith(s, end)}
+                     for at, segments in zip(ends, found))
+
+    def extend(phrase, surfaces, ends, final):
+        # Visit each phrase one word longer than `phrase`, whose words but
+        # the last end at `ends` and whose last word's beats are `final`.
+        for kinds, found in zip(buckets, final):
+            now = advance(ends, found)
+            if not any(now):
+                continue
+            for word_final, spans, members in kinds:
+                if spans is None or any(target.startswith(s, end)
+                                        for at, beats in zip(now, spans)
+                                        for end in at for s in beats):
+                    for surface, word in members:
+                        visit(phrase + (word,), surfaces + (surface,), now,
+                              word_final)
 
     results = set()
-    # (isolated beats of the chosen words, slack) -> `_trie_candidates`,
-    # which depends on nothing else: words that scan alike in isolation
-    # share one walk of the trie below them.
-    candidates = {}
+    visits = 0
 
-    def descend(chosen, beats, row):
-        if chosen:
-            phrase = [e.word for e in chosen]
-            if matches_target(phrase, left_words, right_words, query, tables):
-                results.add(" ".join(e.surface for e in chosen))
-        if len(chosen) >= query.max_words:
+    def visit(phrase, surfaces, ends, final):
+        nonlocal visits
+        visits += 1
+        if visits > MAX_PHRASES:
             return
-        slack = JUNCTURE_SLACK * (len(chosen) + 1)
-        found = candidates.get((beats, slack))
-        if found is None:
-            found = candidates[beats, slack] = _trie_candidates(
-                lexicon.trie, row, query.target, slack)
-        for entry, entry_row in found:
-            descend(chosen + [entry], beats + entry.isolated_beats,
-                    entry_row)
+        final = final or final_beats((left + phrase[:-1])[-2:], phrase[-1])
+        if any(len(target) in at for at in advance(ends, final[-1])) \
+                and matches_target(phrase, left, right, query, tables):
+            results.add(" ".join(surfaces))
+        if len(phrase) < query.max_words:
+            extend(phrase, surfaces, ends, final)
 
-    descend([], "", edit_row("", query.target))
+    # Before the first word the phrase is empty and ends at 0.
+    extend((), (), ({0}, {0}), [(("",), ("",))] * len(buckets))
+    if visits > MAX_PHRASES:
+        log.warning("search stopped after %d phrases; results may be "
+                    "incomplete", MAX_PHRASES)
     return sorted(results)[:query.max_results]

@@ -13,12 +13,37 @@ import sys
 from dataclasses import dataclass
 
 from .errors import EmptyEvaluation, ScriptError
-from .filler import edit_row, phrase_beats_in_context
+from .filler import phrase_beats_in_context
 from .scansion import scan_text
 from .script import parse_line
 from .tables import TableSet
 
 log = logging.getLogger(__name__)
+
+
+def next_row(row: list, ch: str, target: str) -> list:
+    """The edit-distance DP row after one more source character `ch`.
+
+    `row` is the row of some source string against `target`; the result
+    is the row of that string extended by `ch`.
+    """
+    left = row[0] + 1
+    current = [left]
+    for up, diagonal, cb in zip(row[1:], row, target):
+        left = min(up + 1, left + 1, diagonal + (ch != cb))
+        current.append(left)
+    return current
+
+
+def edit_row(a: str, b: str) -> list:
+    """Last row of the unit-cost edit-distance DP of `a` against `b`.
+
+    Entry j is the insert/delete/substitute distance from `a` to `b[:j]`.
+    """
+    row = list(range(len(b) + 1))
+    for ca in a:
+        row = next_row(row, ca, b)
+    return row
 
 
 def edit_distance(a: str, b: str) -> int:

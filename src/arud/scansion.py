@@ -46,6 +46,7 @@ from itertools import chain
 
 from .errors import (
     DanglingWasl,
+    ScriptError,
     ShaddaWithoutVowel,
     UnderDiacritized,
 )
@@ -448,6 +449,15 @@ class _Memo(dict):
         self[key] = value
         return value
 
+    def matching(self, built_with) -> "_Memo":
+        """This memo if it was built with what equals `built_with`, else
+        a new empty one that is."""
+        if built_with is not self.built_with:
+            if built_with != self.built_with:
+                return _Memo(self.size, built_with)
+            self.built_with = built_with
+        return self
+
 
 # Entries per step memo, chosen by measurement on perfbench: a memo must
 # hold a verse vocabulary, a 25 s `scan` run meets about 3,900 distinct
@@ -455,8 +465,9 @@ class _Memo(dict):
 MEMO_SIZE = 4096
 
 # Word -> the word after step 1, built with the special-word table
-# `_step1.built_with`.  A line reads this global once, so a call with
-# other tables swaps in a new memo without affecting a scan in progress.
+# `_step1.built_with`.  `_first_steps` reads this global once, so a call
+# with other tables swaps in a new memo without affecting a scan in
+# progress.
 _step1 = _Memo(MEMO_SIZE)
 # Word after the connective-alif rule -> the word after step 3.
 _step3 = _Memo(MEMO_SIZE)
@@ -498,20 +509,60 @@ def _each_word(memo: _Memo, step, words, *args) -> list:
     return out
 
 
+def _first_steps(words, tables: TableSet) -> list:
+    """Step 1 of each of `words`, through `_step1`."""
+    global _step1
+    _step1 = memo = _step1.matching(tables.special)
+    return _each_word(memo, _first_step, words, tables.special)
+
+
+def reads_back(word: Word, tables: TableSet | None = None) -> bool:
+    """Whether `word`'s transcription in a line can depend on the words
+    before it, other than by the word being lost.
+
+    Of all the rules only the connective alif reads across a word
+    boundary backwards: it reads the grapheme before it and, to tell a
+    long vowel, the one before that, and deleting a long vowel moves a
+    later alif closer to the word's start.  So only an alif that opens
+    the step-1 form, or follows a first letter that can be a long vowel,
+    reads the word before.  The next word's alif reads this word's last
+    two graphemes, and the word before's last one when this word is one
+    letter, but all it can do there is delete that letter.
+    """
+    first = _first_steps((word,), tables or default_tables())[0]
+    return not WASL_GRAPHEMES.isdisjoint(first) and (
+        first[0].is_wasl or (first[0].unvocalized
+                             and first[0].base in VOWEL_FOR_EXTENSION))
+
+
+def lead(word: Word, tables: TableSet | None = None):
+    """What the words before `word` in a line can read of it, as a key:
+    words with equal keys leave the words before them alike.
+
+    For most words that is whether isba finds the first letter vocalized,
+    True or False.  The key is `word` itself for a word that reads back
+    (``reads_back``), whose first letter can depend on the word before,
+    for one letter without a vowel after step 3, which an alif in the
+    next word can vocalize or delete, and for a word that does not scan.
+    """
+    tables = tables or default_tables()
+    if reads_back(word, tables):
+        return word
+    try:
+        words = _before_isba(ScriptLine((word,)), tables, False).words
+    except ScriptError:
+        return word
+    if not words or (len(words[0]) < 2 and not words[0][0].vocalized):
+        return word
+    return words[0][0].vocalized
+
+
 def _before_isba(line: ScriptLine, tables: TableSet | None,
                  sentence_initial: bool) -> ScriptLine:
     """Steps 1 to 3 of a line; words emptied, or empty, are dropped."""
-    global _step1
     if tables is None:
         tables = default_tables()
-    memo = _step1
-    special = tables.special
-    if special is not memo.built_with:
-        if special != memo.built_with:
-            _step1 = memo = _Memo(MEMO_SIZE, special)
-        else:
-            memo.built_with = special
-    words = _each_word(memo, _first_step, line.words, special)
+    words = _first_steps(line.words, tables)
     out = process_hamzat_wasl(
         ScriptLine(tuple(filter(None, words)), line.verse_final),
         sentence_initial, tables.juncture)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import arud
-from arud import cli
+from arud import cli, filler
 from arud.cli import main
 from arud.masking import MAX_PER_LINE, MaskConfig, generate_dataset
 from arud.script import ARABIC_LETTERS, MARKS, TATWEEL, WASL_ALIF
@@ -286,6 +286,90 @@ class TestEvalFuzz:
         assert int(report.group(1)) == records
         assert diagnostics == ([f"malformed records skipped: {len(bad)}"]
                                if bad else [])
+
+
+GOLDEN_WORDS = sorted({
+    word
+    for row in (Path(__file__).parent / "data" / "golden_scansion.tsv")
+    .read_text(encoding="utf-8").splitlines() if not row.startswith("#")
+    for word in row.split("\t")[0].split()})
+FILL_TEXT = st.one_of(st.sampled_from(GOLDEN_WORDS),
+                      st.text(ARABIC_CHAR, max_size=6),
+                      st.text(ANY_CHAR, max_size=6))
+FILL_CONTEXT = st.lists(FILL_TEXT, max_size=3).map(" ".join)
+LEXICON_BYTES = st.one_of(
+    st.lists(st.lists(FILL_TEXT, min_size=1, max_size=2).map(" ".join),
+             max_size=8).map(
+        lambda rows: "".join(row + "\n" for row in rows).encode("utf-8")),
+    st.binary(max_size=40))
+
+
+def _main_on_file(argv, data, *after):
+    """`main` on `argv`, the path of a file holding the bytes `data`, then
+    `after` and ``-o OUT``: the exit code, output text and stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp, "in")
+        src.write_bytes(data)
+        dst = Path(tmp, "out.txt")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*argv, str(src), *after, "-o", str(dst)])
+        out = dst.read_text(encoding="utf-8") if dst.exists() else ""
+    return code, out, err.getvalue().replace(str(src), "IN")
+
+
+def _utf8(data: bytes) -> bool:
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+class TestFillFuzz:
+    # Up to 50 words is safe only because `filler.MAX_PHRASES` bounds
+    # every query.
+    @given(LEXICON_BYTES, st.text("01", max_size=10), FILL_CONTEXT,
+           FILL_CONTEXT, st.integers(0, 50), st.integers(0, 5),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_any_query(self, lexicon, target, left, right, max_words,
+                       max_results, verse_final):
+        flags = ["--target", target, f"--left={left}", f"--right={right}",
+                 "--max-words", str(max_words), "--max-results",
+                 str(max_results), *(["--verse-final"] if verse_final
+                                     else [])]
+        code, out, err = _main_on_file(["fill", *flags, "--lexicon"],
+                                       lexicon)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert not _utf8(lexicon)
+            assert err.startswith("arud: IN: not valid UTF-8 (")
+        if code != 0:
+            assert out == ""
+            return
+        phrases = out.splitlines()
+        assert phrases == sorted(set(phrases))
+        assert len(phrases) <= max_results
+        assert all(1 <= len(phrase.split()) <= max_words
+                   for phrase in phrases)
+
+    @given(st.binary(max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_scan_bytes(self, data):
+        code, out, err = _main_on_file(["scan", "-i"], data)
+        assert code == (0 if _utf8(data) else 2)
+        if code == 2:
+            assert err.startswith("arud: IN: not valid UTF-8 (")
+
+    @given(st.binary(max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_eval_bytes(self, data):
+        code, out, err = _main_on_file(["eval", "-i"], data)
+        assert code in ((0, 1) if _utf8(data) else (2,))
+        if code == 2:
+            assert err.startswith("arud: IN: not valid UTF-8 (")
 
 
 class TestNormalize:
@@ -585,6 +669,29 @@ class TestFill:
         assert out == ""
         assert "unrecognized arguments" in err
 
+    @pytest.mark.parametrize("flag, side, text", [("--left", "left", "abc"),
+                                                  ("--right", "right", "x")])
+    def test_unparseable_context_is_usage_error(self, tmp_path, capsys,
+                                                flag, side, text):
+        lex = write(tmp_path, "lex.txt", "مَا\n")
+        code, out, err = run(capsys, "fill", "--lexicon", lex, "--target",
+                             "10", flag, text)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(
+            f"arud fill: {side} context does not parse: ForeignCharacter: ")
+
+    def test_budget_ends_the_search(self, tmp_path, capsys, caplog,
+                                    monkeypatch):
+        monkeypatch.setattr(filler, "MAX_PHRASES", 30)
+        lex = write(tmp_path, "lex.txt", "مَا\nلَا\nقَدْ\nمِنْ\n")
+        code, out, err = run(capsys, "fill", "--lexicon", lex, "--target",
+                             "10101010", "--max-words", "4")
+        assert code == 0
+        assert 0 < len(out.splitlines()) < 4 ** 4
+        assert [record.getMessage() for record in caplog.records] == [
+            "search stopped after 30 phrases; results may be incomplete"]
+
 
 class TestEval:
     def test_report(self, tmp_path, capsys):
@@ -633,6 +740,29 @@ class TestTopLevel:
         code, _, err = run(capsys, "scan", "-i", "/nonexistent/in.txt")
         assert code == 2
         assert "I/O error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "-i"], ["eval", "-i"], ["normalize", "-i"],
+        ["fill", "--target", "10", "--lexicon"]])
+    def test_input_not_utf8(self, tmp_path, capsys, argv):
+        src = tmp_path / "in.txt"
+        src.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, *argv, str(src))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"arud: {src}: not valid UTF-8 (")
+
+    def test_stdin_not_utf8(self):
+        # Strict decoding, as in a UTF-8 locale; the C locale would let
+        # the bytes through as surrogates, which parsing then rejects.
+        env = dict(os.environ, PYTHONIOENCODING="utf-8:strict",
+                   PYTHONPATH=str(Path(arud.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "arud.cli", "scan"], input=b"\xff\xfe\n",
+            capture_output=True, timeout=60, env=env)
+        assert proc.returncode == 2
+        assert proc.stderr.decode().startswith(
+            "arud: <stdin>: not valid UTF-8 (")
 
     @pytest.mark.parametrize("argv", [
         ["scan"], ["normalize"], ["mask", "--seed", "1"]])

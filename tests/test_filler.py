@@ -1,29 +1,26 @@
 """Lexicon indexing and rhythm-constrained phrase search."""
 
+import functools
 import itertools
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arud import filler
+from arud import filler, scansion
 from arud.errors import ScriptError
 from arud.filler import (
-    BeatTrie,
     FillQuery,
-    JUNCTURE_SLACK,
-    Lexicon,
-    LexiconEntry,
-    _prefix_compatible,
-    _trie_candidates,
-    edit_row,
     fill,
     index_lexicon,
     matches_target,
-    next_row,
     phrase_beats_in_context,
 )
+from arud.metrics import edit_row, next_row
 from arud.scansion import beat_segments, scan, scan_readings
 from arud.script import ScriptLine, parse_line
+from arud.tables import TableSet
 
 
 class TestIndex:
@@ -50,25 +47,6 @@ class TestIndex:
     def test_multi_word_entry_skipped(self):
         lex = index_lexicon(["مَا لَهُ"])
         assert len(lex) == 0
-
-
-class TestPrefixPruning:
-    def test_exact_prefix_within_slack(self):
-        assert _prefix_compatible("110", "11010", 2)
-
-    def test_gross_mismatch_rejected(self):
-        assert not _prefix_compatible("000000", "111111", 2)
-
-    def test_shifted_by_insertion_still_viable(self):
-        # isolated "11"+"11010" vs in-context "110"+"11010": the isba
-        # insertion shifts later positions; must not be pruned
-        assert _prefix_compatible("1111010", "11011010", 4)
-
-    def test_overlong_rejected(self):
-        assert not _prefix_compatible("1" * 10, "11", 2)
-
-    def test_short_partial_always_viable(self):
-        assert _prefix_compatible("01", "11010", 2)
 
 
 class TestFill:
@@ -112,6 +90,14 @@ class TestFill:
         query = FillQuery(target="1110", right_context="مَا", max_words=1)
         assert fill(query, lex) == ["لَهُمْ"]
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_context_parsed_once(self, side):
+        query = FillQuery(target="10", **{f"{side}_context": "مَا لَهُ"})
+        assert getattr(query, f"{side}_words") == words_of("مَا لَهُ")
+        with pytest.raises(ValueError, match=f"^{side} context does not "
+                                             "parse: ForeignCharacter: "):
+            FillQuery(target="10", **{f"{side}_context": "abc"})
+
     def test_invalid_target(self):
         with pytest.raises(ValueError):
             FillQuery(target="102")
@@ -119,12 +105,14 @@ class TestFill:
             FillQuery(target="")
 
 
+def words_of(text):
+    return parse_line(text).words if text.strip() else ()
+
+
 def brute_force(query, surfaces, tables=None):
     """Oracle: enumerate every phrase up to max_words, rescan in context."""
-    left = parse_line(query.left_context).words \
-        if query.left_context.strip() else ()
-    right = parse_line(query.right_context).words \
-        if query.right_context.strip() else ()
+    left = words_of(query.left_context)
+    right = words_of(query.right_context)
     words = {s: parse_line(s).words[0] for s in surfaces}
     found = set()
     for n in range(1, query.max_words + 1):
@@ -163,25 +151,22 @@ class TestBoundedCompleteness:
                                              ("عَلَّمَ", "مَعًا")])
     def test_shared_patterns_walk_once(self, monkeypatch, target, left,
                                        right):
-        walks = []
+        scanned = []
+        final_beats = filler._final_beats
 
-        def counted(*args):
-            walks.append(args)
-            return _trie_candidates(*args)
+        def counted(window, tables):
+            scanned.append(window)
+            return final_beats(window, tables)
 
         lex = index_lexicon(self.SHARED_PATTERNS)
         query = FillQuery(target=target, left_context=left,
                           right_context=right, max_words=3)
-        monkeypatch.setattr(filler, "_trie_candidates", counted)
-        got = fill(query, lex)
-        assert got == brute_force(query, self.SHARED_PATTERNS)
-        # At most one walk per distinct prefix of isolated beats at each
-        # depth: the root, then one or two words.
-        patterns = {scan(parse_line(s), sentence_initial=False)[1]
-                    for s in self.SHARED_PATTERNS}
-        assert patterns == {"10", "11", "110", "1010"}
-        pairs = {a + b for a in patterns for b in patterns}
-        assert len(walks) <= 1 + len(patterns) + len(pairs)
+        monkeypatch.setattr(filler, "_windows",
+                            filler._Memo(filler.WINDOW_MEMO_SIZE))
+        monkeypatch.setattr(filler, "_final_beats", counted)
+        assert fill(query, lex) == brute_force(query, self.SHARED_PATTERNS)
+        # Each window is scanned once, however many phrases reach it.
+        assert scanned and len(scanned) == len(set(scanned))
 
 
 class TestSoundness:
@@ -194,23 +179,6 @@ class TestSoundness:
 
 
 BEATS = st.text(alphabet="01", max_size=8)
-
-
-def reference_candidates(trie, partial, target, slack):
-    """Entries in trie order, each node tested by `_prefix_compatible`."""
-    found = []
-
-    def walk(node, path):
-        if not _prefix_compatible(partial + path, target, slack):
-            return
-        found.extend(node.entries)
-        for ch in ("0", "1"):
-            child = node.children.get(ch)
-            if child is not None:
-                walk(child, path + ch)
-
-    walk(trie, "")
-    return found
 
 
 def reference_distance(a, b):
@@ -235,24 +203,6 @@ class TestIncrementalRows:
     def test_edit_row_entries_are_distances(self, a, b):
         assert edit_row(a, b) == [reference_distance(a, b[:j])
                                   for j in range(len(b) + 1)]
-
-    @given(st.lists(BEATS, max_size=12), BEATS, st.text(alphabet="01",
-                                                        min_size=1,
-                                                        max_size=8),
-           st.integers(0, 6))
-    @settings(max_examples=300)
-    def test_trie_candidates_match_per_node_check(self, patterns, partial,
-                                                  target, slack):
-        trie = BeatTrie()
-        for i, beats in enumerate(patterns):
-            trie.insert(LexiconEntry(surface=str(i), word=(),
-                                     isolated_beats=beats))
-        found = _trie_candidates(trie, edit_row(partial, target), target,
-                                 slack)
-        assert [entry for entry, _ in found] == \
-            reference_candidates(trie, partial, target, slack)
-        for entry, row in found:
-            assert row == edit_row(partial + entry.isolated_beats, target)
 
 
 def reference_phrase_beats(phrase, left, right, verse_final):
@@ -296,3 +246,231 @@ class TestPhraseBeatsSlice:
         assert got == reference_phrase_beats(
             parse_line("لَهُمْ").words, left_words, parse_line("مَا").words,
             verse_final)
+
+
+def reference_fill(query, surfaces, tables=None):
+    """The search `fill` ran before exact pruning, as an oracle.
+
+    A phrase was extended while the isolated beats of its words stayed
+    within 2 edits per word (plus 2) of some target prefix, and every
+    phrase reached was rescanned.  Testing a candidate's whole beats is
+    the same as the old walk of the beat trie, since the least distance
+    to a target prefix never falls as beats are appended.
+    """
+    left = words_of(query.left_context)
+    right = words_of(query.right_context)
+    lexicon = [(surface, word, scan(ScriptLine((word,)), tables,
+                                    sentence_initial=False)[1])
+               for surface, word in index_lexicon(surfaces, tables).entries]
+    found = set()
+
+    def descend(chosen, beats):
+        if chosen:
+            if matches_target([word for _, word in chosen], left, right,
+                              query, tables):
+                found.add(" ".join(surface for surface, _ in chosen))
+        if len(chosen) >= query.max_words:
+            return
+        slack = 2 * (len(chosen) + 1)
+        for surface, word, isolated in lexicon:
+            if min(edit_row(beats + isolated, query.target)) <= slack:
+                descend(chosen + [(surface, word)], beats + isolated)
+
+    descend([], "")
+    return sorted(found)[:query.max_results]
+
+
+# Lexicon words that change at a boundary: plural-m and pronoun clitics
+# (isba), one-grapheme words, lone unvocalized letters (one a waw, which
+# can be a long vowel), a word whose first letter has no vowel, which isba
+# before it reads, words holding a connective alif (one after a bare
+# waw, which a word before can make a long vowel), a long vowel the next
+# word's alif deletes, a word that silent removal empties, a special word
+# and a madda.
+FILL_POOL = ["مَا", "لَهُ", "لَهُمْ", "عَلَيْكُمْ", "بِهِمُ", "لِ", "بِ", "بْ",
+             "و", "بْنُ", "وَٱبْنُ", "وٱبْنُ", "فَٱسْتَمِعْ", "فِي", "قَلْبِي",
+             "مَعًا", "دَمْعٌ", "قَدْ", "مِنْ", "و۠", "هذا", "آمَنَ", "عَلَّمَ"]
+# Contexts add words that begin with a connective alif, which no lexicon
+# entry can (they do not scan in isolation).
+FILL_CONTEXT = st.lists(
+    st.sampled_from(FILL_POOL + ["ٱبْنُ", "ٱلْبَيْتِ", "ٱسْمُ", "قُلْ"]),
+    max_size=3).map(" ".join)
+
+
+@st.composite
+def fill_cases(draw, tables=None):
+    """A lexicon from `FILL_POOL` and a query on it, whose target is the
+    beats of a phrase of lexicon words in context, or random."""
+    surfaces = draw(st.lists(st.sampled_from(FILL_POOL), min_size=1,
+                             max_size=6, unique=True))
+    left, right = draw(FILL_CONTEXT), draw(FILL_CONTEXT)
+    verse_final = draw(st.booleans())
+    max_words = draw(st.integers(1, 3))
+    planted = draw(st.lists(st.sampled_from(surfaces), min_size=1,
+                            max_size=max_words))
+    readings = phrase_beats_in_context(
+        [parse_line(surface).words[0] for surface in planted],
+        words_of(left), words_of(right),
+        verse_final and not right.strip(), tables)
+    target = draw(st.sampled_from(readings) if readings and draw(
+        st.booleans()) else st.text("01", min_size=1, max_size=8))
+    return surfaces, FillQuery(
+        target=target, left_context=left, right_context=right,
+        max_words=max_words, max_results=draw(st.integers(1, 300)),
+        verse_final=verse_final)
+
+
+@functools.cache
+def custom_tables():
+    """The shipped tables, except that مَا gains a second alif."""
+    shipped = Path(filler.__file__).parent / "data"
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("juncture.tsv", "known_words.tsv", "silent_words.tsv",
+                     "VERSION"):
+            Path(tmp, name).write_bytes((shipped / name).read_bytes())
+        Path(tmp, "special_words.tsv").write_text("ما\tمَاا\n",
+                                                  encoding="utf-8")
+        return TableSet.load(tmp)
+
+
+class TestExactPruning:
+    @given(fill_cases(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_same_results_as_slack_search(self, case, cold):
+        surfaces, query = case
+        if cold:
+            filler._windows.clear()
+        assert fill(query, index_lexicon(surfaces)) == \
+            reference_fill(query, surfaces)
+
+    @given(st.lists(st.tuples(st.booleans(), fill_cases()), min_size=2,
+                    max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_tables_switch_between_calls(self, calls):
+        for custom, (surfaces, query) in calls:
+            tables = custom_tables() if custom else None
+            assert fill(query, index_lexicon(surfaces, tables), tables) == \
+                reference_fill(query, surfaces, tables)
+
+    def test_stale_window_would_lose_a_phrase(self):
+        # With the shipped tables مَا reads 10; with `custom_tables` 100,
+        # so windows kept from the first call would prune the second
+        # call's only phrase after its first word.
+        surfaces = ["مَا", "قَدْ"]
+        query = FillQuery(target="1010", max_words=2)
+        assert fill(query, index_lexicon(surfaces)) == \
+            [f"{x} {y}" for x in ("قَدْ", "مَا") for y in ("قَدْ", "مَا")]
+        tables = custom_tables()
+        query = FillQuery(target="10010010", max_words=3)
+        assert fill(query, index_lexicon(surfaces, tables), tables) == \
+            ["مَا مَا قَدْ"]
+
+    def test_next_letter_vocalized_by_the_right_context(self):
+        # بْ alone reads 0, so before it لَهُمْ has no licensed reading;
+        # the connective alif after it gives بْ a vowel, and only then
+        # does the licensed لَهُمُو (1110) precede it.
+        lex = index_lexicon(["لَهُمْ", "بْ", "مَا"])
+        query = FillQuery(target="11101", right_context="ٱبْنُ")
+        assert fill(query, lex) == ["لَهُمْ بْ", "لَهُمْ مَا"]
+        assert fill(query, lex) == reference_fill(query, ["لَهُمْ", "بْ",
+                                                          "مَا"])
+
+    def test_word_reading_back_gets_a_wider_window(self):
+        # After لَهُ the bare waw of وٱبْنُ is a long vowel, which its
+        # connective alif deletes with itself; read alone, the waw would
+        # take a vowel instead.
+        surfaces = ["لَهُ", "وٱبْنُ", "مَا"]
+        query = FillQuery(target="110110")
+        assert fill(query, index_lexicon(surfaces)) == ["لَهُ وٱبْنُ مَا"]
+        assert scansion.reads_back(parse_line("وٱبْنُ").words[0])
+        for surface in ("مَا", "وَٱبْنُ", "لِ", "بْ"):
+            assert not scansion.reads_back(parse_line(surface).words[0])
+
+    @given(st.lists(st.sampled_from(FILL_POOL), max_size=2),
+           st.sampled_from(FILL_POOL + ["ٱبْنُ", "ٱسْمُ"]))
+    @settings(max_examples=150, deadline=None)
+    def test_words_with_one_lead_are_alike_as_next_word(self, before, word):
+        # What `fill` relies on to read one window per group of words.
+        words = tuple(parse_line(s).words[0] for s in [*before, word])
+        seen = {}
+        for surface in FILL_POOL:
+            x = parse_line(surface).words[0]
+            beats = filler._final_beats(words + (x,), None)
+            assert seen.setdefault(scansion.lead(x), beats) == beats
+
+    @given(st.lists(st.sampled_from(FILL_POOL + ["ٱبْنُ", "ٱسْمُ"]),
+                    min_size=2, max_size=6).map(" ".join), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_window_holds_the_line_beats(self, text, verse_final):
+        words = parse_line(text).words
+        try:
+            readings = scan_readings(ScriptLine(words, verse_final))
+        except ScriptError:
+            return
+        if len(readings[0][0].words) != len(words):
+            return
+        segments = [beat_segments(transcription)
+                    for transcription, _ in readings]
+        end = filler._VERSE_END if verse_final else filler._LINE_END
+        for at in range(len(words)):
+            before = words[max(0, at - 2):at] \
+                if scansion.reads_back(words[at]) else ()
+            plain, licensed = filler._final_beats(
+                before + (words[at:at + 2] + (end,))[:2], None)
+            assert segments[0][at] in plain
+            assert segments[-1][at] in licensed
+
+    REPRO = ["مَا", "لَا", "لِ", "بِ", "كَ", "فَ", "وَ", "مِنْ", "عَنْ",
+             "قَدْ"]
+
+    def test_repro_is_bounded_and_complete(self, caplog, monkeypatch):
+        rescans = []
+        rescan = filler.matches_target
+
+        def counted(*args):
+            rescans.append(args)
+            return rescan(*args)
+
+        lex = index_lexicon(self.REPRO)
+        monkeypatch.setattr(filler, "_windows",
+                            filler._Memo(filler.WINDOW_MEMO_SIZE))
+        monkeypatch.setattr(filler, "matches_target", counted)
+        got = fill(FillQuery(target="101010", max_words=6, max_results=1000),
+                   lex)
+        assert not caplog.records
+        assert len(got) == 125
+        # Only phrases whose last word completes the target are rescanned.
+        assert len(rescans) == 125
+        monkeypatch.undo()
+        assert got == reference_fill(
+            FillQuery(target="101010", max_words=4, max_results=1000),
+            self.REPRO)
+
+    def test_fifty_words_three_deep(self, caplog):
+        from test_golden import load_golden
+        # Every word of the golden verses that can stand in a lexicon.
+        words = sorted({word for text, _, _ in load_golden()
+                        for word in text.split() if word[0] != "ٱ"})
+        assert len(words) == 50
+        query = FillQuery(target="1011010", max_words=3, max_results=10 ** 6)
+        got = fill(query, index_lexicon(words))
+        assert not caplog.records
+        assert any(len(phrase.split()) == 3 for phrase in got)
+        assert got == reference_fill(query, words)
+
+    def test_homophones_reach_the_budget(self, caplog):
+        # Twelve words that read 10 in any line: 12 ** 4 phrases of four
+        # match, and the search stops after MAX_PHRASES phrases.
+        surfaces = [first + "َ" + last + "ْ"
+                    for first, last in zip("بتثجدذرزسشصض", "طظعغفقكلنتبد")]
+        lex = index_lexicon(surfaces)
+        assert len(lex) == 12
+        query = FillQuery(target="10101010", max_words=4,
+                          max_results=10 ** 6)
+        got = fill(query, lex)
+        assert [record.getMessage() for record in caplog.records] == [
+            f"search stopped after {filler.MAX_PHRASES} phrases; results "
+            "may be incomplete"]
+        assert got == sorted(got)
+        assert 0 < len(got) < 12 ** 4
+        assert all(len(phrase.split()) == 4 for phrase in got)
