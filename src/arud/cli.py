@@ -9,7 +9,7 @@ reader stopped early, as in ``arud scan | head -1``) ends the command
 with exit code 2 and no message.
 
 ``--jobs N`` above 1 runs the per-line work in a pool of N worker
-processes.  A process keeps one pool for its lifetime, so a program that
+processes; N is at most `MAX_JOBS`.  A process keeps one pool for its lifetime, so a program that
 calls `main` many times forks its workers once and they keep their memos
 warm.  The workers are forked at the first parallel command and see
 module state from that moment.  A pool of another size replaces it, and
@@ -38,6 +38,9 @@ from .script import parse_line, render_line
 from .tables import TableSet, data_version, default_tables
 
 ENV_TABLE_DIR = "ARUD_TABLE_DIR"
+# Largest --jobs: a fork pool starts all its workers at once, each with
+# its own copy of the tables and memos.
+MAX_JOBS = 64
 
 
 class UsageError(Exception):
@@ -57,6 +60,9 @@ def _jobs(text: str) -> int:
             f"invalid int value: {text!r}") from None
     if jobs < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    if jobs > MAX_JOBS:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {MAX_JOBS}, got {jobs}")
     return jobs
 
 
@@ -271,7 +277,6 @@ def _cmd_normalize(args) -> int:
         silent_marking=not args.no_silent_marking,
         sukun_defaults=not args.no_sukun_defaults,
         verse_final=args.verse_final,
-        tables=args.tables,
     )
     stats = corpus.DiacriticStats() if args.stats else None
     with ExitStack() as stack:
@@ -291,15 +296,13 @@ def _cmd_normalize(args) -> int:
                         raw = ""
                 yield raw
 
-        process_line = functools.partial(corpus.process_line, cfg=cfg)
-        for lineno, (text, reason) in enumerate(
-                _pmap(process_line, rows(), args.jobs), start=1):
+        for lineno, text, reason in corpus.normalize_lines(
+                rows(), cfg, args.tables, stats,
+                map=functools.partial(_pmap, jobs=args.jobs)):
             if text is None:
                 print(f"{lineno}\t{reason}", file=reject)
-                continue
-            print(text, file=dst)
-            if stats is not None:
-                stats.add_line(corpus.parse_line(text))
+            else:
+                print(text, file=dst)
         if stats is not None:
             with open(args.stats, "w", encoding="utf-8") as f:
                 print(stats.render_report(), file=f)
@@ -307,17 +310,14 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_filter(args) -> int:
+    cfg = corpus.PipelineConfig(min_words=args.min_words,
+                                min_ratio=args.min_ratio)
     with ExitStack() as stack:
         src = _open_in(stack, args.input)
         dst = _open_out(stack, args.output)
         for raw in src:
-            line = corpus.clean_and_parse(raw.rstrip("\n"))
-            if line is None:
-                print(corpus.REASON_FOREIGN_RESIDUE, file=dst)
-                continue
-            decision = corpus.filter_line(line, args.min_words,
-                                          args.min_ratio)
-            print(decision.reason, file=dst)
+            _, reason = corpus.accept_line(raw.rstrip("\n"), cfg, args.tables)
+            print(reason, file=dst)
     return 0
 
 

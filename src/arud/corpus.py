@@ -1,19 +1,24 @@
 """Corpus preparation: cleaning, filtering and full-diacritization.
 
 Turns raw, inconsistently diacritized lines into scan-ready lines.
-Stage order matters: acceptance filtering runs on the text as found,
-then the normalization heuristics (connective-alif guessing, silent
-letter marking, default sukun) complete the diacritization, and a
-verification scan rejects anything the transformation cannot handle.
+Stage order matters: `accept_line` cleans and parses a line, completes
+the words it finds in the known-words table and then applies the
+acceptance filter; the normalization heuristics (connective-alif
+guessing, silent letter marking, default sukun) then complete the
+diacritization, and a verification scan rejects anything the
+transformation cannot handle.  `normalize_lines` streams a corpus
+through these stages for `run_pipeline` and ``arud normalize``;
+``arud filter`` reports `accept_line`'s reason.
 """
 
 from __future__ import annotations
 
-import logging
+import functools
 import unicodedata
 from dataclasses import dataclass, field
 
-from .errors import EmptyHemistich, ScanError, ScriptError
+from .errors import DanglingWasl, EmptyHemistich, ScanError, ScriptError, \
+    UnderDiacritized
 from . import scansion
 from .scansion import assign_default_sukun
 from .script import (
@@ -32,8 +37,6 @@ from .script import (
     word_diacritization_ratio,
 )
 from .tables import SilentWordTable, TableSet, WordTable, default_tables
-
-log = logging.getLogger(__name__)
 
 REASON_OK = "ok"
 REASON_TOO_FEW_WORDS = "too_few_words"
@@ -93,15 +96,6 @@ class DiacriticStats:
                 self.counts["silence"] += 1
             if g.is_wasl:
                 self.wasl_letters += 1
-
-    def merge(self, other: "DiacriticStats") -> "DiacriticStats":
-        merged = DiacriticStats(
-            counts={k: self.counts[k] + other.counts[k] for k in MARK_KINDS},
-            total_letters=self.total_letters + other.total_letters,
-            wasl_letters=self.wasl_letters + other.wasl_letters,
-            lines=self.lines + other.lines,
-        )
-        return merged
 
     def render_report(self) -> str:
         out = [f"lines: {self.lines}"]
@@ -172,17 +166,6 @@ def clean_line(raw: str) -> str:
         if cleaned:
             out.append(cleaned)
     return " ".join(out)
-
-
-def clean_and_parse(raw: str, verse_final: bool = False) -> ScriptLine | None:
-    """`raw` cleaned and parsed, or None when no parseable text is left."""
-    cleaned = clean_line(raw)
-    if not cleaned:
-        return None
-    try:
-        return parse_line(cleaned, verse_final=verse_final)
-    except ScriptError:
-        return None
 
 
 def filter_line(line: ScriptLine, min_words: int = 4,
@@ -282,13 +265,30 @@ class PipelineConfig:
     silent_marking: bool = True
     sukun_defaults: bool = True
     verse_final: bool = False
-    tables: TableSet | None = None
-
-    def table_set(self) -> TableSet:
-        return self.tables if self.tables is not None else default_tables()
 
 
-def process_line(raw: str, cfg: PipelineConfig | None = None):
+def accept_line(raw: str, cfg: PipelineConfig, tables: TableSet):
+    """The acceptance decision on one raw line.
+
+    Cleans and parses `raw`, completes its known words and applies
+    `filter_line`.  Returns (line, "ok") on acceptance or (None, reason)
+    on rejection; text that does not parse is foreign residue.
+    """
+    cleaned = clean_line(raw)
+    if not cleaned:
+        return None, REASON_FOREIGN_RESIDUE
+    try:
+        line = parse_line(cleaned, verse_final=cfg.verse_final)
+    except ScriptError:
+        return None, REASON_FOREIGN_RESIDUE
+    if cfg.known_words:
+        line = diacritize_known_words(line, tables.known)
+    decision = filter_line(line, cfg.min_words, cfg.min_ratio)
+    return (line if decision.accepted else None), decision.reason
+
+
+def process_line(raw: str, cfg: PipelineConfig | None = None,
+                 tables: TableSet | None = None):
     """Run one raw line through the full pipeline.
 
     Returns (normalized_text, "ok") on acceptance or (None, reason) on
@@ -296,15 +296,11 @@ def process_line(raw: str, cfg: PipelineConfig | None = None):
     """
     if cfg is None:
         cfg = PipelineConfig()
-    tables = cfg.table_set()
-    line = clean_and_parse(raw, cfg.verse_final)
+    if tables is None:
+        tables = default_tables()
+    line, reason = accept_line(raw, cfg, tables)
     if line is None:
-        return None, REASON_FOREIGN_RESIDUE
-    if cfg.known_words:
-        line = diacritize_known_words(line, tables.known)
-    decision = filter_line(line, cfg.min_words, cfg.min_ratio)
-    if not decision.accepted:
-        return None, decision.reason
+        return None, reason
     if cfg.lam_kasra:
         line = apply_lam_kasra(line)
     if cfg.wasl_heuristic:
@@ -315,18 +311,30 @@ def process_line(raw: str, cfg: PipelineConfig | None = None):
         line = assign_default_sukun(line)
     try:
         scansion.scan(line, tables, sentence_initial=True)
-    except ScanError as exc:
-        return None, _scan_reason(exc)
+    except UnderDiacritized:
+        return None, "under_diacritized"
+    except DanglingWasl:
+        return None, "dangling_wasl"
+    except ScanError:
+        return None, "scan_error"
     return render_line(line), REASON_OK
 
 
-def _scan_reason(exc: ScanError) -> str:
-    name = type(exc).__name__
-    return {
-        "UnderDiacritized": "under_diacritized",
-        "ShaddaWithoutVowel": "under_diacritized",
-        "DanglingWasl": "dangling_wasl",
-    }.get(name, "scan_error")
+def normalize_lines(lines, cfg: PipelineConfig | None,
+                    tables: TableSet | None, stats: DiacriticStats | None,
+                    map=map):
+    """Stream raw lines through `process_line`.
+
+    Yields (1-based line number, normalized text or None, reason) per
+    line, in order, and adds each accepted line to `stats` unless it is
+    None.  `map` applies the per-line work; an order-preserving parallel
+    map spreads it across processes.
+    """
+    work = functools.partial(process_line, cfg=cfg, tables=tables)
+    for lineno, (text, reason) in enumerate(map(work, lines), start=1):
+        if text is not None and stats is not None:
+            stats.add_line(parse_line(text))
+        yield lineno, text, reason
 
 
 @dataclass
@@ -336,19 +344,15 @@ class PipelineResult:
     rejections: list  # (1-based line number, reason)
 
 
-def run_pipeline(lines, cfg: PipelineConfig | None = None) -> PipelineResult:
-    """Batch wrapper over process_line with stats on the accepted output."""
-    if cfg is None:
-        cfg = PipelineConfig()
-    accepted = []
-    rejections = []
-    stats = DiacriticStats()
-    for lineno, raw in enumerate(lines, start=1):
-        text, reason = process_line(raw, cfg)
+def run_pipeline(lines, cfg: PipelineConfig | None = None,
+                 tables: TableSet | None = None) -> PipelineResult:
+    """`normalize_lines` collected, with stats on the accepted output."""
+    result = PipelineResult(accepted=[], stats=DiacriticStats(),
+                            rejections=[])
+    for lineno, text, reason in normalize_lines(lines, cfg, tables,
+                                                result.stats):
         if text is None:
-            rejections.append((lineno, reason))
-            continue
-        accepted.append(text)
-        stats.add_line(parse_line(text))
-    return PipelineResult(accepted=accepted, stats=stats,
-                          rejections=rejections)
+            result.rejections.append((lineno, reason))
+        else:
+            result.accepted.append(text)
+    return result

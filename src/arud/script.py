@@ -153,10 +153,6 @@ _SHARED: dict[tuple, Grapheme] = {}
 # word with `WASL_GRAPHEMES.isdisjoint(word)`.
 WASL_GRAPHEMES: set[Grapheme] = set()
 
-# The constructor under its earlier name: construction already shares.
-shared_grapheme = Grapheme
-
-
 Word = tuple[Grapheme, ...]
 
 

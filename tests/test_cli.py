@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import arud
-from arud import cli, filler
+from arud import cli, corpus, filler
 from arud.cli import main
 from arud.masking import MAX_PER_LINE, MaskConfig, generate_dataset
 from arud.script import ARABIC_LETTERS, MARKS, TATWEEL, WASL_ALIF
@@ -203,6 +203,38 @@ class TestNormalizeFuzz:
         assert f"lines: {len(out)}" in sides["stats"]
 
 
+# Flags that change only normalize's stages past filtering; `filter`
+# has neither --hemistichs nor --no-known-words.
+FILTER_COMPARABLE_FLAGS = NORMALIZE_FLAGS.map(
+    lambda flags: flags - {"--hemistichs", "--no-known-words"})
+
+
+class TestFilterAgreesWithNormalize:
+    @given(CORPUS_LINES, FILTER_COMPARABLE_FLAGS, st.integers(-1, 8),
+           st.floats(-0.5, 1.5))
+    @settings(max_examples=200, deadline=None)
+    def test_any_lines(self, lines, flags, min_words, min_ratio):
+        bounds = [f"--min-words={min_words}", f"--min-ratio={min_ratio}"]
+        code, _, _, _, sides = _run_main(
+            ["normalize", *sorted(flags), *bounds,
+             "--reject-log", "{tmp}/rejects"], lines)
+        assert code == 0
+        rejected = dict(row.split("\t")
+                        for row in sides["rejects"].split("\n")[:-1])
+        code, reasons, diagnostics, warnings, _ = _run_main(
+            ["filter", *bounds], lines)
+        assert code == 0
+        assert not diagnostics and not warnings
+        assert len(reasons) == len(lines)
+        assert set(reasons) <= set(corpus.FILTER_REASONS)
+        for lineno, reason in enumerate(reasons, start=1):
+            verdict = rejected.get(str(lineno), corpus.REASON_OK)
+            # A line the verification scan rejects has passed the filter.
+            if verdict not in corpus.FILTER_REASONS:
+                verdict = corpus.REASON_OK
+            assert reason == verdict, (lineno, lines[lineno - 1])
+
+
 class TestMaskFuzz:
     @given(CORPUS_LINES, st.integers(1, 3), st.integers(-10, 10**6),
            st.floats(0.05, 0.95), st.booleans())
@@ -361,7 +393,12 @@ class TestFillFuzz:
         code, out, err = _main_on_file(["scan", "-i"], data)
         assert code == (0 if _utf8(data) else 2)
         if code == 2:
-            assert err.startswith("arud: IN: not valid UTF-8 (")
+            # `scan` streams: the lines decoded before the bad bytes (a
+            # sequence cut short at the end, as in b"\x00\n\xc2") are
+            # scanned and diagnosed first.
+            *diagnostics, last = err.rstrip("\n").split("\n")
+            assert last.startswith("arud: IN: not valid UTF-8 (")
+            assert all(re.match(r"line \d+: ", text) for text in diagnostics)
 
     @given(st.binary(max_size=40))
     @settings(max_examples=100, deadline=None)
@@ -552,6 +589,13 @@ class TestFilterAndStats:
         code, out, _ = run(capsys, "filter", "-i", src)
         assert code == 0
         assert out.splitlines() == ["too_few_words", "ok", "foreign_residue"]
+
+    def test_filter_applies_known_words(self, tmp_path, capsys):
+        # في is bare until the known-words stage completes it.
+        src = write(tmp_path, "in.txt", "قَالَ في بَيْتِهِ كَتَبَ\n")
+        assert run(capsys, "filter", "-i", src) == (0, "ok\n", "")
+        assert run(capsys, "normalize", "-i", src) == \
+            (0, "قَاْلَ فِيْ بَيْتِهِ كَتَبَ\n", "")
 
     def test_stats_report(self, tmp_path, capsys):
         src = write(tmp_path, "in.txt", "عَلَّمَ\n")
@@ -772,6 +816,20 @@ class TestTopLevel:
         assert code == 1
         assert out == ""
         assert "--jobs: must be at least 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["scan"], ["normalize"], ["mask", "--seed", "1"]])
+    def test_jobs_above_max_is_usage_error(self, tmp_path, capsys,
+                                           monkeypatch, argv):
+        # Refused while parsing: no worker pool is built.
+        monkeypatch.setattr(cli, "_executor", None)
+        src = write(tmp_path, "in.txt", f"{FIG_LINE}\n")
+        code, out, err = run(capsys, *argv, "--jobs",
+                             str(cli.MAX_JOBS + 1), "-i", src)
+        assert code == 1
+        assert out == ""
+        assert f"--jobs: must be at most {cli.MAX_JOBS}, got " \
+            f"{cli.MAX_JOBS + 1}" in err
 
     def test_broken_pipe_ends_quietly(self, tmp_path):
         # Far more output than a pipe buffers, so writes continue after

@@ -1,12 +1,19 @@
 """Cleaning, filtering, normalization heuristics and the full pipeline."""
 
 import unicodedata
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arud import corpus
-from arud.errors import EmptyHemistich
+from arud import corpus, tables as tables_module
+from arud.errors import (
+    DanglingWasl,
+    EmptyHemistich,
+    ScanError,
+    ShaddaWithoutVowel,
+    UnderDiacritized,
+)
 from arud.corpus import (
     DiacriticStats,
     FilterDecision,
@@ -19,10 +26,12 @@ from arud.corpus import (
     filter_line,
     join_hemistichs,
     mark_silent_letters,
+    normalize_lines,
     process_line,
     run_pipeline,
 )
 from arud.scansion import MEMO_SIZE, scan_text
+from arud.tables import TableSet
 from arud.script import (
     ARABIC_LETTERS,
     MARKS,
@@ -225,15 +234,6 @@ class TestStats:
         stats = compute_stats([])
         assert stats.total_diacritics == 0 and stats.lines == 0
 
-    @given(st.lists(st.sampled_from(["مَا", "عَلَّمَ", "لَهُ مَا"]),
-                    max_size=6),
-           st.lists(st.sampled_from(["مَا", "عَلَّمَ"]), max_size=6))
-    def test_additive_over_concatenation(self, xs, ys):
-        a = compute_stats(parse_line(t) for t in xs)
-        b = compute_stats(parse_line(t) for t in ys)
-        both = compute_stats(parse_line(t) for t in xs + ys)
-        assert a.merge(b) == both
-
     def test_report_format(self):
         report = compute_stats([parse_line("مَا")]).render_report()
         assert "fatha: 1" in report and "total_letters: 2" in report
@@ -283,3 +283,61 @@ class TestPipeline:
         # without sukun defaults the verse still happens to scan (every
         # bare letter is a long vowel the scanner tolerates)
         assert reason in ("ok", "under_diacritized")
+
+    @pytest.mark.parametrize("error,reason", [
+        (UnderDiacritized, "under_diacritized"),
+        (ShaddaWithoutVowel, "under_diacritized"),
+        (DanglingWasl, "dangling_wasl"),
+        (ScanError, "scan_error"),
+    ])
+    def test_scan_failure_reasons(self, monkeypatch, error, reason):
+        def failing_scan(*args, **kwargs):
+            raise error("planted")
+        monkeypatch.setattr(corpus.scansion, "scan", failing_scan)
+        assert process_line(ACCEPT_LINE) == (None, reason)
+
+    def test_normalize_lines_runs_through_the_given_map(self):
+        batches = []
+
+        def recording_map(fn, items):
+            items = list(items)
+            batches.append(len(items))
+            return map(fn, items)
+
+        stats = DiacriticStats()
+        rows = list(normalize_lines([ACCEPT_LINE, "مَا لَهُ"], None, None,
+                                    stats, map=recording_map))
+        assert batches == [2]
+        assert rows == [(1, process_line(ACCEPT_LINE)[0], "ok"),
+                        (2, None, "too_few_words")]
+        assert stats == compute_stats([parse_line(rows[0][1])])
+
+
+# في is bare until the known-words stage completes it.
+KNOWN_WORD_LINE = "قَالَ في بَيْتِهِ كَتَبَ"
+
+
+class TestPipelineTables:
+    @pytest.fixture(scope="class")
+    def no_known_words(self, tmp_path_factory):
+        """The shipped tables with an empty known-words table."""
+        shipped = Path(tables_module.__file__).parent / "data"
+        custom = tmp_path_factory.mktemp("tables")
+        for path in shipped.iterdir():
+            (custom / path.name).write_bytes(path.read_bytes())
+        (custom / "known_words.tsv").write_text("", encoding="utf-8")
+        return TableSet.load(str(custom))
+
+    def test_tables_passed_as_value(self, no_known_words):
+        assert process_line(KNOWN_WORD_LINE) == \
+            ("قَاْلَ فِيْ بَيْتِهِ كَتَبَ", "ok")
+        cfg = PipelineConfig()
+        assert corpus.accept_line(KNOWN_WORD_LINE, cfg, no_known_words) \
+            == (None, "word_undiacritized")
+        assert process_line(KNOWN_WORD_LINE, tables=no_known_words) == \
+            (None, "word_undiacritized")
+        result = run_pipeline([KNOWN_WORD_LINE, KNOWN_WORD_LINE],
+                              tables=no_known_words)
+        assert result.rejections == [(1, "word_undiacritized"),
+                                     (2, "word_undiacritized")]
+        assert not result.accepted and result.stats.lines == 0

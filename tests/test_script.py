@@ -32,7 +32,6 @@ from arud.script import (
     parse_line,
     render_grapheme,
     render_line,
-    shared_grapheme,
     word_diacritization_ratio,
 )
 
@@ -143,16 +142,8 @@ class TestSharedGraphemes:
     def test_same_value_and_errors_as_direct_construction(
             self, base, vowel, shadda, silent, is_wasl):
         args = (base, vowel, shadda, silent, is_wasl)
-        direct_error = _raised(lambda: Grapheme(*args))
-        assert _raised(lambda: shared_grapheme(*args)) == direct_error
-        if direct_error is None:
-            shared = shared_grapheme(*args)
-            fresh = Grapheme(*args)
-            assert shared == fresh
-            assert hash(shared) == hash(fresh)
-            assert repr(shared) == repr(fresh)
-            assert render_grapheme(shared) == render_grapheme(fresh)
-            assert shared_grapheme(*args) is shared
+        if _raised(lambda: Grapheme(*args)) is None:
+            assert Grapheme(*args) is Grapheme(*args)
 
     @pytest.mark.parametrize("args", [
         ("x",),
@@ -165,7 +156,7 @@ class TestSharedGraphemes:
         direct = _raised(lambda: Grapheme(*args))
         assert direct is not None
         for _ in range(2):  # a failure is not cached
-            assert _raised(lambda: shared_grapheme(*args)) == direct
+            assert _raised(lambda: Grapheme(*args)) == direct
 
     def test_with_vowel_returns_shared_values(self):
         g = Grapheme("م", vowel="fatha")
@@ -265,7 +256,6 @@ class TestInterning:
                                                    shadda):
         g = Grapheme(base, vowel, shadda)
         assert Grapheme(base, vowel=vowel, shadda=shadda) is g
-        assert shared_grapheme(base, vowel, shadda) is g
         assert g.with_vowel(vowel) is g
 
     @pytest.mark.parametrize("protocol",
