@@ -9,18 +9,26 @@ reader stopped early, as in ``arud scan | head -1``) ends the command
 with exit code 2 and no message.
 
 ``--jobs N`` above 1 runs the per-line work in a pool of N worker
-processes; N is at most `MAX_JOBS`.  A process keeps one pool for its lifetime, so a program that
-calls `main` many times forks its workers once and they keep their memos
-warm.  The workers are forked at the first parallel command and see
-module state from that moment.  A pool of another size replaces it, and
-a forked child builds its own.  A one-shot command forks its workers
-once and stops them when it exits.
+processes; N is at most `MAX_JOBS`.  A process keeps one pool for its
+lifetime, so a program that calls `main` many times forks its workers
+once and they keep their memos warm.  The workers are forked at the
+first parallel command and see module state from that moment.  A pool
+of another size replaces it, and a forked child builds its own.  A
+one-shot command forks its workers once and stops them when it exits.
+
+A bare ``os.fork()`` child of a process that has run a parallel command
+inherits `multiprocessing`'s record of the pool's workers.  When that
+child exits normally, `multiprocessing`'s exit hook prints an ignored
+``AssertionError: can only join a child process``; the child's output
+and exit status are still right.  End such a child with `os._exit`, or
+start it through `multiprocessing`.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import io
 import math
 import multiprocessing.util
 import os
@@ -378,7 +386,11 @@ def _cmd_fill(args) -> int:
     except ValueError as exc:
         raise UsageError(f"arud fill: {exc}") from None
     with open(args.lexicon, "r", encoding="utf-8") as f:
-        lexicon = index_lexicon(f, args.tables)
+        # Decoded whole, so a file that is not UTF-8 is refused before
+        # any of its words is indexed or warned about; the lines are
+        # those that iterating `f` gives.
+        lines = io.StringIO(f.read())
+    lexicon = index_lexicon(lines, args.tables)
     with ExitStack() as stack:
         dst = _open_out(stack, args.output)
         for phrase in fill(query, lexicon, args.tables):

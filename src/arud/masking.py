@@ -7,6 +7,14 @@ records.  Output is a pure function of (corpus, config): each of a
 line's `per_line` examples draws from its own random stream, keyed by
 the seed, the 0-based line index and the repeat, and a line gives all
 its examples or none (`line_examples`).
+
+Context reduction draws per word, but what it draws over depends on the
+word alone: its letters once silence marks are dropped and connective
+alifs made plain, their sukuns, and the slots of their other marks.
+That plan is built once per distinct word, in a bounded memo.  The kept
+slots are drawn by `_sample`, which replays `random.Random.sample` for
+small populations without its generic checks, so every draw, and every
+output byte, is what ``rng.sample`` would give.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import LineTooShort, ScanError, ScriptError
-from .scansion import beat_segments, scan
+from .scansion import MEMO_SIZE, _Memo, beat_segments, scan
 from .script import ALIF, ARABIC_LETTERS, MARKS, Grapheme, ScriptLine, \
     parse_line, render_word
 from .tables import TableSet
@@ -65,6 +73,11 @@ class MaskConfig:
                              f"got {self.per_line}")
 
 
+# `json.dumps(..., ensure_ascii=False)` without building an encoder per
+# record.
+_ENCODE = json.JSONEncoder(ensure_ascii=False).encode
+
+
 @dataclass(frozen=True)
 class MaskedExample:
     input: str
@@ -73,11 +86,9 @@ class MaskedExample:
     span: tuple  # (start word index, length)
 
     def to_json(self) -> str:
-        return json.dumps(
+        return _ENCODE(
             {"v": SCHEMA_VERSION, "input": self.input, "target": self.target,
-             "beats": self.beats, "span": list(self.span)},
-            ensure_ascii=False,
-        )
+             "beats": self.beats, "span": list(self.span)})
 
     @classmethod
     def from_json(cls, text: str) -> "MaskedExample":
@@ -110,6 +121,102 @@ def sample_mask_span(line: ScriptLine, cfg: MaskConfig,
     return start, length
 
 
+# Word -> its mask plan (see `_plan`).  Verse vocabulary repeats words:
+# in 250 `prepare` chunks (perfbench seed 78) the masked contexts hold
+# 5,104 distinct words, and a memo of this size serves 98% of their
+# 399,863 lookups (one of 1,024 entries serves 89% and ran about 4%
+# slower on `prepare`).  Plans hold no render text and no per-slot
+# objects, and the plans of words without silence marks or connective
+# alifs, most words, are shared through `_shapes`, where about a hundred
+# distinct ones serve a few thousand words.  So a full memo costs little
+# more than its table and the words it keeps.
+_plans = _Memo(MEMO_SIZE)
+# Plans without letters of their own -> one shared instance of each.
+_shapes = _Memo(MEMO_SIZE)
+
+
+def _plan(word: tuple) -> tuple:
+    """What `reduce_context_diacritics` needs of `word` before it draws.
+
+    (letters, sukuns, slots): the letters with silence marks dropped and
+    connective alifs made plain (None when that leaves `word` as it is),
+    the positions of their sukuns, and the slots of their other marks in
+    letter order: ``i`` for the vowel of letter i and ``~i`` for its
+    shadda.  A sukun letter has no vowel slot, so the sukun draws leave
+    the slots as they are.
+    """
+    letters = []
+    for g in word:
+        if g.silent:
+            g = Grapheme(g.base)
+        if g.is_wasl:
+            g = Grapheme(ALIF)
+        letters.append(g)
+    letters = tuple(letters)
+    sukuns = tuple(i for i, g in enumerate(letters) if g.vowel == "sukun")
+    slots = []
+    for i, g in enumerate(letters):
+        if g.vowel is not None and g.vowel != "sukun":
+            slots.append(i)
+        if g.shadda:
+            slots.append(~i)
+    if letters != word:
+        return letters, sukuns, tuple(slots)
+    plan = (None, sukuns, tuple(slots))
+    shared = _shapes.get(plan)
+    return _shapes.put(plan, plan) if shared is None else shared
+
+
+class _Stripped(dict):
+    """Interned grapheme -> the same letter without one kind of mark,
+    built on first use; graphemes are few, so it stays small."""
+
+    __slots__ = ("strip",)
+
+    def __init__(self, strip):
+        super().__init__()
+        self.strip = strip
+
+    def __missing__(self, g):
+        stripped = self[g] = self.strip(g)
+        return stripped
+
+
+_NO_VOWEL = _Stripped(lambda g: g.with_vowel(None))
+_NO_SHADDA = _Stripped(lambda g: Grapheme(g.base, g.vowel, silent=g.silent,
+                                          is_wasl=g.is_wasl))
+
+
+# Largest population for which `random.Random.sample` always takes its
+# pool branch: it does whenever n <= setsize, and setsize is never
+# below 21.
+_POOL_SAMPLE_MAX = 21
+
+
+def _sample(rng: random.Random, n: int, k: int) -> list:
+    """``rng.sample(range(n), k)``: the same list and the same draws.
+
+    For a plain `random.Random` and a small `n`, this is the pool branch
+    of `Random.sample` with `Random._randbelow_with_getrandbits` inlined
+    (identical in CPython 3.10 to 3.13), without the generic path's
+    checks on its population.  Any other generator or population goes
+    through `rng.sample`.
+    """
+    if type(rng) is not random.Random or n > _POOL_SAMPLE_MAX:
+        return rng.sample(range(n), k)
+    getrandbits = rng.getrandbits
+    pool = list(range(n))
+    result = []
+    for i in range(n, n - k, -1):
+        bits = i.bit_length()
+        j = getrandbits(bits)
+        while j >= i:
+            j = getrandbits(bits)
+        result.append(pool[j])
+        pool[j] = pool[i - 1]
+    return result
+
+
 def reduce_context_diacritics(context: ScriptLine, cfg: MaskConfig,
                               rng: random.Random) -> ScriptLine:
     """Thin out context marks to mimic typical diacritization habits.
@@ -118,36 +225,42 @@ def reduce_context_diacritics(context: ScriptLine, cfg: MaskConfig,
     plain alifs, each sukun independently survives with probability
     1 - sukun_drop, and each word keeps a geometric number of its other
     marks (shadda included), chosen uniformly.
+
+    Per word, in order: one ``rng.random()`` per sukun, one `geometric`
+    draw, then the kept slots when any is kept.  Everything else comes
+    from the word's memoized `_plan`.
     """
+    sukun_drop = cfg.sukun_drop
+    keep_p = cfg.keep_p
+    draw = rng.random
     words = []
     for word in context.words:
-        letters = []
-        for g in word:
-            if g.silent:
-                g = Grapheme(g.base)
-            if g.is_wasl:
-                g = Grapheme(ALIF)
-            if g.vowel == "sukun" and rng.random() < cfg.sukun_drop:
-                g = g.with_vowel(None)
-            letters.append(g)
-        # pool of non-sukun marks in this word: (index, kind) slots
-        slots = []
-        for i, g in enumerate(letters):
-            if g.vowel is not None and g.vowel != "sukun":
-                slots.append((i, "vowel"))
-            if g.shadda:
-                slots.append((i, "shadda"))
-        keep = min(geometric(rng, cfg.keep_p), len(slots))
-        kept = set(rng.sample(range(len(slots)), keep)) if slots else set()
-        for si, (i, kind) in enumerate(slots):
-            if si in kept:
-                continue
-            g = letters[i]
-            if kind == "vowel":
-                letters[i] = g.with_vowel(None)
-            else:
-                letters[i] = Grapheme(g.base, vowel=g.vowel, silent=g.silent,
-                                      is_wasl=g.is_wasl)
+        plan = _plans.get(word)
+        if plan is None:
+            plan = _plans.put(word, _plan(word))
+        letters, sukuns, slots = plan
+        if letters is None:
+            letters = word
+        if sukuns:
+            letters = list(letters)
+            for i in sukuns:
+                if draw() < sukun_drop:
+                    letters[i] = _NO_VOWEL[letters[i]]
+        n = len(slots)
+        keep = min(geometric(rng, keep_p), n)
+        kept = _sample(rng, n, keep) if keep else ()
+        if keep < n:
+            if not sukuns:
+                letters = list(letters)
+            kept = set(kept)
+            for si, slot in enumerate(slots):
+                if si in kept:
+                    continue
+                if slot >= 0:
+                    letters[slot] = _NO_VOWEL[letters[slot]]
+                else:
+                    # The letter as its sukun draw and vowel strip left it.
+                    letters[~slot] = _NO_SHADDA[letters[~slot]]
         words.append(tuple(letters))
     return ScriptLine(tuple(words), context.verse_final)
 
@@ -180,7 +293,7 @@ def build_training_example(
     if segments is None:
         segments = _line_segments(line, tables)
     beats = "".join(segments[start:start + length])
-    target = " ".join(render_word(w) for w in line.words[start:start + length])
+    target = " ".join(map(render_word, line.words[start:start + length]))
 
     left_words = line.words[:start]
     right_words = line.words[start + length:]
@@ -194,14 +307,14 @@ def build_training_example(
     e0, e1, e2 = cfg.markers
     parts = []
     if left_words:
-        parts.append(" ".join(render_word(w) for w in left_words))
+        parts.append(" ".join(map(render_word, left_words)))
         parts.append(" ")
     parts.append(e0)
     parts.append(beats)
     parts.append(e1)
     if right_words:
         parts.append(" ")
-        parts.append(" ".join(render_word(w) for w in right_words))
+        parts.append(" ".join(map(render_word, right_words)))
     parts.append(e2)
     return MaskedExample(input="".join(parts), target=target, beats=beats,
                          span=(start, length))

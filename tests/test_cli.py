@@ -387,6 +387,39 @@ class TestFillFuzz:
         assert all(1 <= len(phrase.split()) <= max_words
                    for phrase in phrases)
 
+    def test_lexicon_not_utf8_refused_before_indexing(self, caplog):
+        # The whole lexicon is decoded before any word is indexed, so
+        # the decodable first line gives no skip warning of its own.
+        with caplog.at_level("WARNING", logger="arud"):
+            code, out, err = _main_on_file(["fill", "--target", "1",
+                                            "--lexicon"], b"x\n\xc2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("arud: IN: not valid UTF-8 (")
+        assert err.count("\n") == 1
+        assert caplog.records == []
+
+    def test_lexicon_lines_as_file_iteration_gives_them(self, tmp_path,
+                                                        caplog):
+        # CRLF and CR end lines; U+2028 does not (a two-word entry).
+        data = "مَا\r\nلَا\rمِنْ\u2028عَنْ\nقَدْ\n".encode("utf-8")
+        path = tmp_path / "lex.txt"
+        path.write_bytes(data)
+        with open(path, encoding="utf-8") as f:
+            lexicon = filler.index_lexicon(f)
+        expected = filler.fill(filler.FillQuery(target="1010", max_words=2),
+                               lexicon)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="arud.filler"):
+            code, out, _ = _main_on_file(
+                ["fill", "--target", "1010", "--max-words", "2",
+                 "--lexicon"], data)
+        assert code == 0
+        assert out.splitlines() == expected != []
+        assert [r.getMessage() for r in caplog.records] == [
+            "lexicon word 'مِنْ\\u2028عَنْ' skipped: "
+            "lexicon entries must be single words"]
+
     @given(st.binary(max_size=40))
     @settings(max_examples=100, deadline=None)
     def test_scan_bytes(self, data):

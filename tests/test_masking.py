@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arud.errors import LineTooShort, ScriptError
+from arud import masking
+from arud.errors import LineTooShort, ScanError, ScriptError
 from arud.masking import (
     MAX_PER_LINE,
     MaskConfig,
@@ -20,8 +21,10 @@ from arud.masking import (
     reduce_context_diacritics,
     sample_mask_span,
 )
-from arud.scansion import beat_segments, scan
-from arud.script import fix_diacritic_order, parse_line, render_line
+from arud.scansion import MEMO_SIZE, beat_segments, scan
+from arud.script import ALIF, ARABIC_LETTERS, VOWEL_KIND_TO_CHAR, \
+    WASL_ALIF, Grapheme, ScriptLine, fix_diacritic_order, parse_line, \
+    render_line, render_word
 from arud import tables as tables_module
 from arud.tables import TableSet
 
@@ -286,6 +289,15 @@ EQUIVALENCE_LINES = _parseable(
        "مَعًا بَمّ"])
 
 
+# Words for whole examples: the lines above, and words with a silence
+# mark, a connective alif, shadda with sukun and 24 slots.
+PLAN_POOL = sorted({word for line in EQUIVALENCE_LINES for word in line.words}
+                   | set(parse_line(
+                       "ذَهَبُوا۠ ٱلْبَيْتِ بّْتَ "
+                       "عَلَّمَعَلَّمَعَلَّمَعَلَّمَعَلَّمَعَلَّمَ").words),
+                   key=render_word)
+
+
 @pytest.fixture(scope="module")
 def table_sets(tmp_path_factory):
     """The shipped tables and a `--tables` directory whose special words
@@ -365,3 +377,200 @@ class TestScanOncePerLine:
         line = parse_line(FIG_LINE)
         line_examples(line, 0, MaskConfig(per_line=4))
         assert calls == [line]
+
+
+# Test-local copies of `reduce_context_diacritics` and
+# `build_training_example` as they were before the per-word plan: the
+# plan must give the same lines from the same draws.
+def reference_reduce(context, cfg, rng):
+    words = []
+    for word in context.words:
+        letters = []
+        for g in word:
+            if g.silent:
+                g = Grapheme(g.base)
+            if g.is_wasl:
+                g = Grapheme(ALIF)
+            if g.vowel == "sukun" and rng.random() < cfg.sukun_drop:
+                g = g.with_vowel(None)
+            letters.append(g)
+        slots = []
+        for i, g in enumerate(letters):
+            if g.vowel is not None and g.vowel != "sukun":
+                slots.append((i, "vowel"))
+            if g.shadda:
+                slots.append((i, "shadda"))
+        keep = min(geometric(rng, cfg.keep_p), len(slots))
+        kept = set(rng.sample(range(len(slots)), keep)) if slots else set()
+        for si, (i, kind) in enumerate(slots):
+            if si in kept:
+                continue
+            g = letters[i]
+            if kind == "vowel":
+                letters[i] = g.with_vowel(None)
+            else:
+                letters[i] = Grapheme(g.base, vowel=g.vowel, silent=g.silent,
+                                      is_wasl=g.is_wasl)
+        words.append(tuple(letters))
+    return ScriptLine(tuple(words), context.verse_final)
+
+
+def reference_build(line, cfg, rng, tables=None):
+    start, length = sample_mask_span(line, cfg, rng)
+    scansion_line, _ = scan(line, tables, sentence_initial=True)
+    if len(scansion_line.words) != len(line.words):
+        raise ScanError("word alignment lost during transformation")
+    segments = beat_segments(scansion_line)
+    beats = "".join(segments[start:start + length])
+    target = " ".join(render_word(w) for w in line.words[start:start + length])
+    left_words = line.words[:start]
+    right_words = line.words[start + length:]
+    if cfg.reduce_context:
+        if left_words:
+            left_words = reference_reduce(
+                ScriptLine(left_words), cfg, rng).words
+        if right_words:
+            right_words = reference_reduce(
+                ScriptLine(right_words), cfg, rng).words
+    e0, e1, e2 = cfg.markers
+    parts = []
+    if left_words:
+        parts.append(" ".join(render_word(w) for w in left_words))
+        parts.append(" ")
+    parts.append(e0)
+    parts.append(beats)
+    parts.append(e1)
+    if right_words:
+        parts.append(" ")
+        parts.append(" ".join(render_word(w) for w in right_words))
+    parts.append(e2)
+    return MaskedExample(input="".join(parts), target=target, beats=beats,
+                         span=(start, length))
+
+
+def _grapheme(base, vowel, shadda, silent):
+    """A valid grapheme near the given values: a silent letter drops its
+    other marks, a connective alif its shadda."""
+    if silent:
+        vowel, shadda = None, False
+    if base == WASL_ALIF:
+        shadda = False
+    return Grapheme(base, vowel, shadda, silent, base == WASL_ALIF)
+
+
+# Any valid mark combination: shadda with sukun, silence marks (a silent
+# connective alif among them) and connective alifs with vowels.
+GRAPHEMES = st.builds(_grapheme,
+                      st.sampled_from(["ب", "ل", "و", ALIF, WASL_ALIF]),
+                      st.sampled_from([None, *sorted(VOWEL_KIND_TO_CHAR)]),
+                      st.booleans(), st.booleans())
+# Words of 22 to 30 slots: more than `Random.sample`'s pool branch takes.
+LONG_WORDS = st.lists(st.builds(_grapheme, st.sampled_from(["ب", "ل"]),
+                                st.sampled_from(["fatha", "kasra"]),
+                                st.just(True), st.just(False)),
+                      min_size=11, max_size=15)
+CONTEXT_LINES = st.builds(
+    lambda words, final: ScriptLine(tuple(map(tuple, words)), final),
+    st.lists(st.one_of(st.lists(GRAPHEMES, min_size=1, max_size=8),
+                       LONG_WORDS), min_size=1, max_size=5),
+    st.booleans())
+PROBS = st.floats(0.01, 0.99)
+
+
+class TestMaskPlan:
+    """The per-word plan and `_sample` draw what the code before them drew
+    and give the same lines."""
+
+    @given(line=CONTEXT_LINES, seed=st.integers(0, 2**64),
+           keep_p=PROBS, sukun_drop=PROBS, cold=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_reduce_equals_reference(self, line, seed, keep_p, sukun_drop,
+                                     cold):
+        if cold:
+            masking._plans.clear()
+        cfg = MaskConfig(keep_p=keep_p, sukun_drop=sukun_drop)
+        new, old = random.Random(seed), random.Random(seed)
+        # The second call reads every plan from the memo.
+        for _ in range(2):
+            assert reduce_context_diacritics(line, cfg, new) \
+                == reference_reduce(line, cfg, old)
+            assert new.getstate() == old.getstate()
+
+    def test_examples_reach_long_words_and_shadda_with_sukun(self):
+        # The pool below has what the line test needs.
+        plans = [masking._plan(word) for word in PLAN_POOL]
+        assert any(len(slots) > 21 for _, _, slots in plans)
+        assert any(~i in slots and i in sukuns
+                   for _, sukuns, slots in plans for i in sukuns)
+
+    @given(words=st.lists(st.sampled_from(PLAN_POOL), min_size=1,
+                          max_size=8),
+           final=st.booleans(), index=st.integers(0, 10**6),
+           seed=st.integers(0, 10**6), per_line=st.integers(1, 4),
+           probs=st.tuples(PROBS, PROBS, PROBS),
+           reduce_context=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_examples_equal_reference(self, words, final, index, seed,
+                                      per_line, probs, reduce_context):
+        line = ScriptLine(tuple(words), final)
+        span_p, keep_p, sukun_drop = probs
+        cfg = MaskConfig(span_p=span_p, keep_p=keep_p, sukun_drop=sukun_drop,
+                         seed=seed, per_line=per_line,
+                         reduce_context=reduce_context)
+        assert _outcome(lambda: line_examples(line, index, cfg)) \
+            == _outcome(lambda: [
+                reference_build(line, cfg, line_rng(seed, index, r))
+                for r in range(per_line)])
+        new, old = line_rng(seed, index), line_rng(seed, index)
+        assert _outcome(lambda: build_training_example(line, cfg, new)) \
+            == _outcome(lambda: reference_build(line, cfg, old))
+        assert new.getstate() == old.getstate()
+
+    def test_sample_replays_random_sample(self):
+        for n in range(31):
+            for k in range(n + 1):
+                for seed in range(3):
+                    ours = random.Random(f"{seed}:{n}:{k}")
+                    theirs = random.Random(f"{seed}:{n}:{k}")
+                    assert masking._sample(ours, n, k) \
+                        == theirs.sample(range(n), k)
+                    assert ours.getstate() == theirs.getstate()
+
+    def test_other_generators_use_their_sample(self):
+        class Recording(random.Random):
+            def sample(self, population, k):
+                calls.append((population, k))
+                return super().sample(population, k)
+
+        calls = []
+        assert masking._sample(Recording(1), 5, 2) \
+            == random.Random(1).sample(range(5), 2)
+        assert calls == [(range(5), 2)]
+        assert masking._sample(StubRng(), 4, 2) == [0, 1]
+
+    def test_plan(self):
+        word = parse_line("ٱلْبَيْتُوا۠").words[0]
+        letters, sukuns, slots = masking._plan(word)
+        assert render_word(letters) == "الْبَيْتُوا"
+        assert sukuns == (1, 3)
+        assert slots == (2, 4)
+        # A word without silence marks or connective alifs shares its
+        # plan with every word of its shape.
+        word = parse_line("عَلَّمَ").words[0]
+        plan = masking._plan(word)
+        assert plan == (None, (), (0, 1, ~1, 2))
+        assert masking._plan(parse_line("كَسَّرَ").words[0]) is plan
+
+    def test_memo_holds_at_most_memo_size(self):
+        masking._plans.clear()
+        words = [(Grapheme(a, "fatha"), Grapheme(b, vowel))
+                 for a in sorted(ARABIC_LETTERS - {WASL_ALIF})
+                 for b in sorted(ARABIC_LETTERS - {WASL_ALIF})
+                 for vowel in ("fatha", "kasra", "damma", "sukun")]
+        assert len(words) > MEMO_SIZE
+        rng = random.Random(0)
+        for i in range(0, len(words), 50):
+            reduce_context_diacritics(ScriptLine(tuple(words[i:i + 50])),
+                                      MaskConfig(), rng)
+            assert len(masking._plans) <= MEMO_SIZE
+        assert len(masking._plans) == MEMO_SIZE
