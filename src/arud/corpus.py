@@ -9,6 +9,15 @@ diacritization, and a verification scan rejects anything the
 transformation cannot handle.  `normalize_lines` streams a corpus
 through these stages for `run_pipeline` and ``arud normalize``;
 ``arud filter`` reports `accept_line`'s reason.
+
+Every stage but the filter and the verification scan acts on one word
+at a time, and verse repeats its words.  So each whitespace-free raw
+chunk goes through cleaning, parsing, the known words and the
+heuristics once, on a one-word line, and its record is kept in one
+bounded memo: the word after the known words, the finished word and its
+text.  `accept_line` filters the line of known-words forms, and
+`process_line` scans the line of finished words and joins their texts.
+The memo is rebuilt when the stage flags or the tables' values change.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from .script import (
     ScriptLine,
     fix_diacritic_order,
     parse_line,
-    render_line,
+    render_word,
     word_diacritization_ratio,
 )
 from .tables import SilentWordTable, TableSet, WordTable, default_tables
@@ -121,12 +130,6 @@ def join_hemistichs(first: str, second: str) -> str:
     return f"{first} {second}"
 
 
-# Raw whitespace-free chunk -> its cleaned text ("" when nothing is
-# kept).  Cleaning state resets at whitespace, so a line cleans chunk by
-# chunk, and verse reuses most of its words.
-_clean_memo = scansion._Memo(scansion.MEMO_SIZE)
-
-
 def _clean_chunk(chunk: str) -> str:
     """`clean_line` of one NFC chunk that holds no whitespace."""
     kept: list[str] = []
@@ -146,26 +149,18 @@ def _clean_chunk(chunk: str) -> str:
             host_kept = False
     if not kept:
         return ""
-    cleaned = fix_diacritic_order("".join(kept))
-    # An unchanged chunk is its own value, so the memo keeps one string.
-    return chunk if cleaned == chunk else cleaned
+    return fix_diacritic_order("".join(kept))
 
 
 def clean_line(raw: str) -> str:
     """Keep Arabic letters, the nine marks and whitespace only.
 
     Marks whose host character was removed go with it; whitespace runs
-    collapse to single spaces and mark order is canonicalized.
+    collapse to single spaces and mark order is canonicalized.  Cleaning
+    state resets at whitespace, so each chunk cleans on its own.
     """
-    memo = _clean_memo
-    out = []
-    for chunk in unicodedata.normalize("NFC", raw).split():
-        cleaned = memo.get(chunk)
-        if cleaned is None:
-            cleaned = memo.put(chunk, _clean_chunk(chunk))
-        if cleaned:
-            out.append(cleaned)
-    return " ".join(out)
+    return " ".join(filter(None, map(
+        _clean_chunk, unicodedata.normalize("NFC", raw).split())))
 
 
 def filter_line(line: ScriptLine, min_words: int = 4,
@@ -196,22 +191,28 @@ def apply_wasl_heuristic(line: ScriptLine) -> ScriptLine:
     qualifies when its lam is sukun-marked or the letter after the lam
     is geminated.
     """
-    words = [list(w) for w in line.words]
-    for wi, word in enumerate(words):
-        for gi, g in enumerate(word):
+    def guess(word):
+        # Each test reads the letters before the alif, which a guess
+        # leaves unvocalized, and the letters after it, not yet guessed,
+        # so the input word serves them all.
+        out = None
+        for gi in range(len(word) - 1):  # a word-final alif is never one
+            g = word[gi]
             if g.base != ALIF or not _bare(g):
                 continue
-            if gi == len(word) - 1:
-                continue  # word-final alif is orthographic, never connective
             if gi > 0 and not word[gi - 1].vocalized:
                 continue
             nxt = word[gi + 1]
-            connective = (nxt.vowel == "sukun" and not nxt.shadda) or nxt.shadda
+            connective = (nxt.vowel == "sukun" and not nxt.shadda) \
+                or nxt.shadda
             if not connective and nxt.base == LAM and gi + 2 < len(word):
                 connective = word[gi + 2].shadda
             if connective:
-                word[gi] = Grapheme(WASL_ALIF, is_wasl=True)
-    return ScriptLine(tuple(tuple(w) for w in words), line.verse_final)
+                if out is None:
+                    out = list(word)
+                out[gi] = Grapheme(WASL_ALIF, is_wasl=True)
+        return out
+    return scansion._rewrite_words(line, guess)
 
 
 def mark_silent_letters(line: ScriptLine,
@@ -223,15 +224,21 @@ def mark_silent_letters(line: ScriptLine,
     """
     if table is None:
         table = default_tables().silent
-    words = [list(w) for w in line.words]
-    for word in words:
-        idx = table.silent_index(tuple(word))
+
+    def mark(word):
+        out = None
+        idx = table.silent_index(word)
         if idx is not None and 0 <= idx < len(word) and _bare(word[idx]):
-            word[idx] = Grapheme(word[idx].base, silent=True)
+            out = list(word)
+            out[idx] = Grapheme(word[idx].base, silent=True)
+        # A final alif the table marked is marked here the same way.
         if (len(word) >= 3 and word[-1].base == ALIF and _bare(word[-1])
                 and word[-2].base == WAW):
-            word[-1] = Grapheme(ALIF, silent=True)
-    return ScriptLine(tuple(tuple(w) for w in words), line.verse_final)
+            if out is None:
+                out = list(word)
+            out[-1] = Grapheme(ALIF, silent=True)
+        return out
+    return scansion._rewrite_words(line, mark)
 
 
 def apply_lam_kasra(line: ScriptLine) -> ScriptLine:
@@ -240,11 +247,11 @@ def apply_lam_kasra(line: ScriptLine) -> ScriptLine:
     Provisional reading of an ambiguous source rule; toggleable in the
     pipeline config.
     """
-    words = [list(w) for w in line.words]
-    for word in words:
+    def kasra(word):
         if len(word) >= 3 and word[0].base == LAM and _bare(word[0]):
-            word[0] = word[0].with_vowel("kasra")
-    return ScriptLine(tuple(tuple(w) for w in words), line.verse_final)
+            return (word[0].with_vowel("kasra"),) + word[1:]
+        return None
+    return scansion._rewrite_words(line, kasra)
 
 
 def diacritize_known_words(line: ScriptLine,
@@ -267,6 +274,78 @@ class PipelineConfig:
     verse_final: bool = False
 
 
+# What `_record` returns for a chunk that cleans to nothing (it is
+# dropped), and for one that does not parse (the line is foreign
+# residue).
+_DROPPED = "dropped"
+_FOREIGN = "foreign"
+
+# NFC whitespace-free raw chunk -> `_record` of it.  Every stage after
+# cleaning acts on one word at a time, and verse repeats its words.
+# `_words.built_with` holds what a record depends on besides its chunk:
+# the five stage flags and the tables.
+_words = scansion._Memo(scansion.MEMO_SIZE)
+
+
+def _record(chunk: str, cfg: PipelineConfig, tables: TableSet):
+    """One raw chunk through every word-local stage, on a one-word line.
+
+    Returns (the word after known words, the finished word, its text),
+    or `_DROPPED` or `_FOREIGN`.
+    """
+    cleaned = clean_line(chunk)
+    if not cleaned:
+        return _DROPPED
+    try:
+        line = parse_line(cleaned)
+    except ScriptError:
+        return _FOREIGN
+    if cfg.known_words:
+        line = diacritize_known_words(line, tables.known)
+    known = line.words[0]
+    if cfg.lam_kasra:
+        line = apply_lam_kasra(line)
+    if cfg.wasl_heuristic:
+        line = apply_wasl_heuristic(line)
+    if cfg.silent_marking:
+        line = mark_silent_letters(line, tables.silent)
+    if cfg.sukun_defaults:
+        line = assign_default_sukun(line)
+    finished = line.words[0]
+    text = render_word(finished)
+    # A chunk already in its finished form is its own text, so the memo
+    # keeps one string.
+    return known, finished, chunk if text == chunk else text
+
+
+def _accept(raw: str, cfg: PipelineConfig, tables: TableSet):
+    """`accept_line`, with the records of the accepted line's words:
+    (line or None, records or None, reason)."""
+    global _words
+    # `matching` compares tables by value, so a pool worker keeps its
+    # memo when each chunk of lines brings an equal, unpickled set.
+    _words = memo = _words.matching(
+        ((cfg.known_words, cfg.lam_kasra, cfg.wasl_heuristic,
+          cfg.silent_marking, cfg.sukun_defaults), tables))
+    records = []
+    for chunk in unicodedata.normalize("NFC", raw).split():
+        record = memo.get(chunk)
+        if record is None:
+            record = memo.put(chunk, _record(chunk, cfg, tables))
+        if record is _FOREIGN:
+            return None, None, REASON_FOREIGN_RESIDUE
+        if record is not _DROPPED:
+            records.append(record)
+    if not records:
+        return None, None, REASON_FOREIGN_RESIDUE
+    line = ScriptLine(tuple([known for known, _, _ in records]),
+                      cfg.verse_final)
+    decision = filter_line(line, cfg.min_words, cfg.min_ratio)
+    if not decision.accepted:
+        return None, None, decision.reason
+    return line, records, REASON_OK
+
+
 def accept_line(raw: str, cfg: PipelineConfig, tables: TableSet):
     """The acceptance decision on one raw line.
 
@@ -274,17 +353,8 @@ def accept_line(raw: str, cfg: PipelineConfig, tables: TableSet):
     `filter_line`.  Returns (line, "ok") on acceptance or (None, reason)
     on rejection; text that does not parse is foreign residue.
     """
-    cleaned = clean_line(raw)
-    if not cleaned:
-        return None, REASON_FOREIGN_RESIDUE
-    try:
-        line = parse_line(cleaned, verse_final=cfg.verse_final)
-    except ScriptError:
-        return None, REASON_FOREIGN_RESIDUE
-    if cfg.known_words:
-        line = diacritize_known_words(line, tables.known)
-    decision = filter_line(line, cfg.min_words, cfg.min_ratio)
-    return (line if decision.accepted else None), decision.reason
+    line, _, reason = _accept(raw, cfg, tables)
+    return line, reason
 
 
 def process_line(raw: str, cfg: PipelineConfig | None = None,
@@ -298,26 +368,20 @@ def process_line(raw: str, cfg: PipelineConfig | None = None,
         cfg = PipelineConfig()
     if tables is None:
         tables = default_tables()
-    line, reason = accept_line(raw, cfg, tables)
+    line, records, reason = _accept(raw, cfg, tables)
     if line is None:
         return None, reason
-    if cfg.lam_kasra:
-        line = apply_lam_kasra(line)
-    if cfg.wasl_heuristic:
-        line = apply_wasl_heuristic(line)
-    if cfg.silent_marking:
-        line = mark_silent_letters(line, tables.silent)
-    if cfg.sukun_defaults:
-        line = assign_default_sukun(line)
+    finished = ScriptLine(tuple([word for _, word, _ in records]),
+                          cfg.verse_final)
     try:
-        scansion.scan(line, tables, sentence_initial=True)
+        scansion.scan(finished, tables, sentence_initial=True)
     except UnderDiacritized:
         return None, "under_diacritized"
     except DanglingWasl:
         return None, "dangling_wasl"
     except ScanError:
         return None, "scan_error"
-    return render_line(line), REASON_OK
+    return " ".join([text for _, _, text in records]), REASON_OK
 
 
 def normalize_lines(lines, cfg: PipelineConfig | None,

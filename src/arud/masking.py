@@ -277,44 +277,55 @@ def _line_segments(line: ScriptLine, tables: TableSet | None) -> list[str]:
     return beat_segments(scansion_line)
 
 
+def _render_context(words, reduced, texts) -> str:
+    """The reduced context words as text; a word the reduction left as
+    it was keeps its text from `texts`."""
+    return " ".join([text if new == old else render_word(new)
+                     for old, new, text in zip(words, reduced, texts)])
+
+
 def build_training_example(
     line: ScriptLine,
     cfg: MaskConfig,
     rng: random.Random,
     tables: TableSet | None = None,
     segments: list[str] | None = None,
+    texts: list[str] | None = None,
 ) -> MaskedExample:
     """One (input, target) record for a scan-ready line.
 
-    `segments` are the line's `_line_segments`; when absent, the line is
-    scanned here.
+    `segments` are the line's `_line_segments` and `texts` its rendered
+    words; when absent, they are computed here.
     """
     start, length = sample_mask_span(line, cfg, rng)
     if segments is None:
         segments = _line_segments(line, tables)
-    beats = "".join(segments[start:start + length])
-    target = " ".join(map(render_word, line.words[start:start + length]))
+    if texts is None:
+        texts = list(map(render_word, line.words))
+    end = start + length
+    beats = "".join(segments[start:end])
+    target = " ".join(texts[start:end])
 
-    left_words = line.words[:start]
-    right_words = line.words[start + length:]
+    left_words = left = line.words[:start]
+    right_words = right = line.words[end:]
     if cfg.reduce_context:
         if left_words:
-            left_words = reduce_context_diacritics(
+            left = reduce_context_diacritics(
                 ScriptLine(left_words), cfg, rng).words
         if right_words:
-            right_words = reduce_context_diacritics(
+            right = reduce_context_diacritics(
                 ScriptLine(right_words), cfg, rng).words
     e0, e1, e2 = cfg.markers
     parts = []
     if left_words:
-        parts.append(" ".join(map(render_word, left_words)))
+        parts.append(_render_context(left_words, left, texts))
         parts.append(" ")
     parts.append(e0)
     parts.append(beats)
     parts.append(e1)
     if right_words:
         parts.append(" ")
-        parts.append(" ".join(map(render_word, right_words)))
+        parts.append(_render_context(right_words, right, texts[end:]))
     parts.append(e2)
     return MaskedExample(input="".join(parts), target=target, beats=beats,
                          span=(start, length))
@@ -333,12 +344,13 @@ def line_examples(line: ScriptLine, index: int, cfg: MaskConfig,
     all its examples or raises ScriptError: every failure (too few words,
     a scan error, lost word alignment) is decided by the line alone,
     before any random draw matters, so the line is checked and scanned
-    once and every repeat shares its segments.
+    once and every repeat shares its segments and its rendered words.
     """
     _require_two_words(line)
     segments = _line_segments(line, tables)
+    texts = list(map(render_word, line.words))
     return [build_training_example(line, cfg, line_rng(cfg.seed, index, r),
-                                   tables, segments)
+                                   tables, segments, texts)
             for r in range(cfg.per_line)]
 
 

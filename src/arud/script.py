@@ -307,6 +307,20 @@ def _canonical_marks(marks: list[str]) -> list[str]:
     return out
 
 
+# Text that `fix_diacritic_order` returns as it is: letters, each with
+# a shadda and one vowel-class mark at most, in that order, or with a
+# silence mark alone, and plain spaces.  An alif with a tanwin-fath is
+# left out, since the mark may belong on the letter before.  None of
+# these letters composes with these marks, so NFC only reorders them,
+# and the reorder puts them back.
+_CANONICAL = re.compile(
+    f"(?:[{''.join(sorted(ARABIC_LETTERS - {ALIF, ALIF_MAKSURA}))}]"
+    f"{SHADDA}?[{''.join(VOWEL_CHAR_TO_KIND)}]?"
+    f"|[{ALIF}{ALIF_MAKSURA}]{SHADDA}?"
+    f"[{''.join(VOWEL_CHAR_TO_KIND).replace(TANWIN_FATH, '')}]?"
+    f"|[{''.join(sorted(ARABIC_LETTERS))}]{SILENCE}| )*")
+
+
 def fix_diacritic_order(raw: str) -> str:
     """Rewrite text so marks sit in the canonical order.
 
@@ -315,6 +329,13 @@ def fix_diacritic_order(raw: str) -> str:
     keep the first occurrence, and tatweel plus combining marks outside
     the nine-mark inventory are stripped.
     """
+    if _CANONICAL.fullmatch(raw):
+        return raw
+    return _reorder_marks(raw)
+
+
+def _reorder_marks(raw: str) -> str:
+    """`fix_diacritic_order` of any text."""
     text = unicodedata.normalize("NFC", raw)
     kept = []
     for ch in text:

@@ -1,5 +1,7 @@
 """Cleaning, filtering, normalization heuristics and the full pipeline."""
 
+import pickle
+import random
 import unicodedata
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from arud.errors import (
     DanglingWasl,
     EmptyHemistich,
     ScanError,
+    ScriptError,
     ShaddaWithoutVowel,
     UnderDiacritized,
 )
@@ -30,12 +33,18 @@ from arud.corpus import (
     process_line,
     run_pipeline,
 )
-from arud.scansion import MEMO_SIZE, scan_text
-from arud.tables import TableSet
+from arud.scansion import MEMO_SIZE, scan, scan_text
+from arud.tables import TableSet, default_tables
 from arud.script import (
+    ALIF,
     ARABIC_LETTERS,
+    LAM,
     MARKS,
     TATWEEL,
+    WASL_ALIF,
+    WAW,
+    Grapheme,
+    ScriptLine,
     fix_diacritic_order,
     parse_line,
     render_line,
@@ -108,8 +117,8 @@ RAW_TEXT = st.lists(st.one_of(
 
 
 class TestCleanLineByChunks:
-    """`clean_line` cleans chunk by chunk through a memo; the result is
-    the whole-line loop's."""
+    """`clean_line` cleans chunk by chunk; the result is the whole-line
+    loop's."""
 
     @given(RAW_TEXT)
     @settings(max_examples=500, deadline=None)
@@ -120,8 +129,8 @@ class TestCleanLineByChunks:
 
     def test_memo_stays_at_its_size(self):
         for n in range(MEMO_SIZE + 50):
-            clean_line(f"{n} مَا{n}")
-        assert len(corpus._clean_memo) == MEMO_SIZE
+            process_line(f"{n} مَا{n}")
+        assert len(corpus._words) == MEMO_SIZE
 
 
 class TestFilterLine:
@@ -341,3 +350,227 @@ class TestPipelineTables:
         assert result.rejections == [(1, "word_undiacritized"),
                                      (2, "word_undiacritized")]
         assert not result.accepted and result.stats.lines == 0
+
+
+def reference_accept(raw, cfg, tables):
+    """`corpus.accept_line` as it was before the word records: every
+    stage on the whole line."""
+    cleaned = clean_line(raw)
+    if not cleaned:
+        return None, "foreign_residue"
+    try:
+        line = parse_line(cleaned, verse_final=cfg.verse_final)
+    except ScriptError:
+        return None, "foreign_residue"
+    if cfg.known_words:
+        line = diacritize_known_words(line, tables.known)
+    decision = filter_line(line, cfg.min_words, cfg.min_ratio)
+    return (line if decision.accepted else None), decision.reason
+
+
+def _bare(g):
+    return (g.vowel is None and not g.shadda and not g.silent
+            and not g.is_wasl)
+
+
+def reference_heuristics(line, cfg, tables):
+    """Lam-kasra, the wasl guess and silent marking as they were before
+    they rewrote words one at a time, each stage over the whole line."""
+    words = [list(w) for w in line.words]
+    if cfg.lam_kasra:
+        for word in words:
+            if len(word) >= 3 and word[0].base == LAM and _bare(word[0]):
+                word[0] = word[0].with_vowel("kasra")
+    if cfg.wasl_heuristic:
+        for word in words:
+            for gi, g in enumerate(word):
+                if g.base != ALIF or not _bare(g) or gi == len(word) - 1:
+                    continue
+                if gi > 0 and not word[gi - 1].vocalized:
+                    continue
+                nxt = word[gi + 1]
+                connective = (nxt.vowel == "sukun" and not nxt.shadda) \
+                    or nxt.shadda
+                if not connective and nxt.base == LAM \
+                        and gi + 2 < len(word):
+                    connective = word[gi + 2].shadda
+                if connective:
+                    word[gi] = Grapheme(WASL_ALIF, is_wasl=True)
+    if cfg.silent_marking:
+        for word in words:
+            idx = tables.silent.silent_index(tuple(word))
+            if idx is not None and 0 <= idx < len(word) \
+                    and _bare(word[idx]):
+                word[idx] = Grapheme(word[idx].base, silent=True)
+            if (len(word) >= 3 and word[-1].base == ALIF
+                    and _bare(word[-1]) and word[-2].base == WAW):
+                word[-1] = Grapheme(ALIF, silent=True)
+    return ScriptLine(tuple(map(tuple, words)), line.verse_final)
+
+
+def reference_process(raw, cfg, tables):
+    """`corpus.process_line` as it was before the word records."""
+    line, reason = reference_accept(raw, cfg, tables)
+    if line is None:
+        return None, reason
+    line = reference_heuristics(line, cfg, tables)
+    if cfg.sukun_defaults:
+        line = assign_default_sukun(line)
+    try:
+        scan(line, tables, sentence_initial=True)
+    except UnderDiacritized:
+        return None, "under_diacritized"
+    except DanglingWasl:
+        return None, "dangling_wasl"
+    except ScanError:
+        return None, "scan_error"
+    return render_line(line), "ok"
+
+
+def _outcome(make):
+    try:
+        return make()
+    except ScriptError as exc:
+        return type(exc), str(exc)
+
+
+# The extra table rows: a known word and a silent word, both in VOCABULARY.
+EXTRA_KNOWN = "كَتَبَ"
+EXTRA_SILENT = ("أولو", 1)
+
+
+def _rows(path):
+    return [row for row in path.read_text(encoding="utf-8").splitlines()
+            if row.strip() and not row.startswith("#")]
+
+
+# Words that the extra table rows (the first two) or the heuristics act
+# on, in some degraded form.
+TARGET_WORDS = [
+    EXTRA_KNOWN, "أُو۠لُو", "لِقَوْمِهِ", "ٱلْكِتَابُ", "ٱلشَّمْسُ", "قَالُوا",
+    "قَالُواْ", "دَلْوًا", "وَٱلْقَمَرِ", "بِٱلْحَقِّ", "عَمْرٌو", "هَاذَا",
+    "آمَنُوا", "بَيْتًا", "عَلِمْتُمْ"]
+# Fully marked words: the golden verses' words, the known words and the
+# target words.
+VOCABULARY = sorted(
+    {word for row in _rows(Path(__file__).parent / "data"
+                           / "golden_scansion.tsv")
+     for word in row.split("\t")[0].split()}
+    | set(_rows(Path(tables_module.__file__).parent / "data"
+                / "known_words.tsv"))
+    | set(TARGET_WORDS))
+
+
+def degrade(word, seed):
+    """`word` with marks dropped, connective alifs written plain and
+    tatweel inserted, as drawn from `seed`."""
+    rng = random.Random(seed)
+    drop = rng.choice((0.0, 0.2, 0.5)) if rng.random() < 0.9 else 1.0
+    out = []
+    for ch in word:
+        if ch in MARKS and rng.random() < drop:
+            continue
+        if ch == WASL_ALIF and rng.random() < 0.5:
+            ch = ALIF
+        out.append(ch)
+        if ch in ARABIC_LETTERS and rng.random() < 0.1:
+            out.append(TATWEEL)
+    return "".join(out)
+
+
+# A third of the words are target words, and one in six is a word of
+# the extra table rows.
+DEGRADED_LINES = st.lists(
+    st.tuples(st.one_of(st.sampled_from(VOCABULARY),
+                        st.sampled_from(TARGET_WORDS),
+                        st.sampled_from(TARGET_WORDS[:2])),
+              st.integers(0, 2**16)),
+    min_size=1, max_size=8).map(
+        lambda words: " ".join(degrade(w, s) for w, s in words))
+
+RAW_LINES = st.one_of(RAW_TEXT, DEGRADED_LINES, DEGRADED_LINES,
+                      st.tuples(DEGRADED_LINES, RAW_TEXT).map(" ".join))
+
+PIPELINE_CONFIGS = st.builds(
+    PipelineConfig, min_words=st.integers(0, 4),
+    min_ratio=st.one_of(st.sampled_from((0.0, 0.5)), st.floats(0.0, 1.0)),
+    known_words=st.booleans(), lam_kasra=st.booleans(),
+    wasl_heuristic=st.booleans(), silent_marking=st.booleans(),
+    sukun_defaults=st.booleans(), verse_final=st.booleans())
+
+
+class TestWordRecords:
+    """`accept_line` and `process_line` read each raw chunk's record from
+    one memo; their results are the line-at-a-time pipeline's, whatever
+    the config and tables were on the calls before."""
+
+    @pytest.fixture(scope="class")
+    def extra_tables(self, tmp_path_factory):
+        """The shipped tables plus one known word and one silent word."""
+        shipped = Path(tables_module.__file__).parent / "data"
+        custom = tmp_path_factory.mktemp("tables")
+        for path in shipped.iterdir():
+            (custom / path.name).write_bytes(path.read_bytes())
+        with open(custom / "known_words.tsv", "a", encoding="utf-8") as f:
+            f.write(EXTRA_KNOWN + "\n")
+        with open(custom / "silent_words.tsv", "a", encoding="utf-8") as f:
+            f.write("%s\t%d\n" % EXTRA_SILENT)
+        return TableSet.load(str(custom))
+
+    def test_extra_rows_change_the_output(self, extra_tables):
+        for word in ("كتب", "أُولُو"):
+            line = f"{word} {ACCEPT_LINE}"
+            assert process_line(line) \
+                != process_line(line, tables=extra_tables)
+
+    # Each word is one that a single stage completes: a bare clitic lam,
+    # a plain article alif, a plural alif, a partly marked known word
+    # and a bare final letter.
+    FLAG_LINE = "لقَوْمِهِ الْكِتَابُ قَالُوا عَلى قَلْب"
+
+    @pytest.mark.parametrize("flag", ["known_words", "lam_kasra",
+                                      "wasl_heuristic", "silent_marking",
+                                      "sukun_defaults"])
+    def test_a_flag_change_rebuilds_the_records(self, flag):
+        tables = default_tables()
+        outputs = set()
+        for value in (True, False, True, False):
+            cfg = PipelineConfig(min_words=1, min_ratio=0.0,
+                                 **{flag: value})
+            expected = reference_process(self.FLAG_LINE, cfg, tables)
+            assert process_line(self.FLAG_LINE, cfg, tables) == expected
+            outputs.add(expected)
+        assert len(outputs) == 2
+
+    # Each step takes a line from a small pool, so lines recur under
+    # other configs and tables; one step in five clears the memo first.
+    @given(pool=st.lists(RAW_LINES, min_size=1, max_size=3),
+           steps=st.lists(st.tuples(st.integers(0, 2), PIPELINE_CONFIGS,
+                                    st.booleans(),
+                                    st.integers(0, 4).map(lambda n: n == 4)),
+                          min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_same_as_line_at_a_time(self, extra_tables, pool, steps):
+        for index, cfg, extra, cold in steps:
+            raw = pool[index % len(pool)]
+            tables = extra_tables if extra else default_tables()
+            if cold:
+                corpus._words.clear()
+            assert _outcome(lambda: corpus.accept_line(raw, cfg, tables)) \
+                == _outcome(lambda: reference_accept(raw, cfg, tables))
+            assert _outcome(lambda: process_line(raw, cfg, tables)) \
+                == _outcome(lambda: reference_process(raw, cfg, tables))
+
+    def test_pickled_tables_keep_the_memo(self):
+        # A pool worker receives an equal, freshly unpickled TableSet with
+        # every chunk of lines.
+        tables = TableSet.load()
+        process_line(ACCEPT_LINE, tables=tables)
+        memo = corpus._words
+        assert memo
+        process_line(ACCEPT_LINE, tables=pickle.loads(pickle.dumps(tables)))
+        assert corpus._words is memo
+        process_line(ACCEPT_LINE, PipelineConfig(min_words=3), tables)
+        assert corpus._words is memo
+        process_line(ACCEPT_LINE, PipelineConfig(lam_kasra=False), tables)
+        assert corpus._words is not memo

@@ -9,7 +9,7 @@ import sys
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from arud.errors import (
     DoubleDiacritic,
@@ -17,15 +17,20 @@ from arud.errors import (
     EmptyWord,
     ForeignCharacter,
     LeadingDiacritic,
+    ScriptError,
 )
 from arud import script
 from arud.script import (
+    ALIF,
+    ALIF_MAKSURA,
     ARABIC_LETTERS,
     FATHA,
     SHADDA,
     SILENCE,
     SUKUN,
     TANWIN_FATH,
+    TATWEEL,
+    VOWEL_CHAR_TO_KIND,
     Grapheme,
     ScriptLine,
     fix_diacritic_order,
@@ -184,6 +189,11 @@ class TestSharedGraphemes:
             == script.WORD_MEMO_SIZE
 
 
+# Every letter, alifs weighted up: the tanwin-fath rule acts on them.
+LETTERS = st.sampled_from(
+    sorted(ARABIC_LETTERS) + [ALIF, ALIF_MAKSURA] * 10)
+
+
 class TestFixDiacriticOrder:
     def test_shadda_moved_before_vowel(self):
         assert fix_diacritic_order("م" + FATHA + SHADDA) == \
@@ -208,6 +218,27 @@ class TestFixDiacriticOrder:
     def test_leading_mark_rejected(self):
         with pytest.raises(LeadingDiacritic):
             fix_diacritic_order(FATHA + "م")
+
+    # Letters with marks in canonical order, letters with up to three
+    # marks in any order, spaces, tatweel and a Latin letter: many texts
+    # are canonical, many are not.
+    @given(st.lists(st.one_of(
+        st.tuples(LETTERS, st.sampled_from(["", SHADDA]),
+                  st.sampled_from(["", SILENCE] + list(VOWEL_CHAR_TO_KIND)))
+        .map("".join),
+        st.tuples(LETTERS, st.lists(st.sampled_from(sorted(script.MARKS)),
+                                    max_size=3).map("".join)).map("".join),
+        st.sampled_from([" ", "  ", "\u00a0", "\u2000", TATWEEL, "x"])),
+        max_size=12).map("".join))
+    @settings(max_examples=500)
+    def test_canonical_text_skips_the_reorder(self, text):
+        def outcome(fix):
+            try:
+                return fix(text)
+            except ScriptError as exc:
+                return type(exc)
+        assert outcome(fix_diacritic_order) \
+            == outcome(script._reorder_marks)
 
     @given(lines())
     def test_idempotent_on_rendered_lines(self, line):
