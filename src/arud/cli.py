@@ -9,7 +9,9 @@ reader stopped early, as in ``arud scan | head -1``) ends the command
 with exit code 2 and no message.
 
 ``--jobs N`` above 1 runs the per-line work in a pool of N worker
-processes; N is at most `MAX_JOBS`.  A process keeps one pool for its
+processes; N is at most `MAX_JOBS`.  The pool is fed `_BATCH` lines at a
+time, so a parallel command holds at most that many lines and their
+results, however long its input.  A process keeps one pool for its
 lifetime, so a program that calls `main` many times forks its workers
 once and they keep their memos warm.  The workers are forked at the
 first parallel command and see module state from that moment.  A pool
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import itertools
 import math
 import multiprocessing.util
 import os
@@ -49,6 +52,8 @@ ENV_TABLE_DIR = "ARUD_TABLE_DIR"
 # Largest --jobs: a fork pool starts all its workers at once, each with
 # its own copy of the tables and memos.
 MAX_JOBS = 64
+# Lines a parallel command sends to its pool at once: 64 chunks of 64.
+_BATCH = 4096
 
 
 class UsageError(Exception):
@@ -134,37 +139,58 @@ def _pmap(fn, items, jobs: int):
     if jobs <= 1:
         yield from map(fn, items)
         return
-    # Executor.map submits every chunk before it yields a result, so a
-    # pool found broken at submission can be replaced and the items sent
-    # again.
-    items = list(items)
-    try:
-        results = _executor(jobs).map(fn, items, chunksize=64)
-    except BrokenProcessPool:
-        _drop_pool()
-        results = _executor(jobs).map(fn, items, chunksize=64)
-    try:
-        yield from results
-    except BrokenProcessPool:
-        _drop_pool()
-        raise
+    items = iter(items)
+    while batch := list(itertools.islice(items, _BATCH)):
+        # Executor.map submits every chunk of the batch before it yields
+        # a result, so a pool found broken at submission can be replaced
+        # and the batch sent again: none of it has run.
+        try:
+            results = _executor(jobs).map(fn, batch, chunksize=64)
+        except BrokenProcessPool:
+            _drop_pool()
+            results = _executor(jobs).map(fn, batch, chunksize=64)
+        try:
+            yield from results
+        except BrokenProcessPool:
+            _drop_pool()
+            raise
+
+
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _write(results, dst):
+    """Write per-line results: (output lines, error text or None) each.
+
+    The lines go to `dst`, and an error to stderr under its 1-based line
+    number.
+    """
+    for lineno, (lines, err) in enumerate(results, start=1):
+        for line in lines:
+            print(line, file=dst)
+        if err is not None:
+            print(f"line {lineno}: {err}", file=sys.stderr)
 
 
 # Worker functions must be importable for multiprocessing; each command
-# binds its run's settings to one with functools.partial.
+# binds its run's settings to one with functools.partial.  Each returns
+# what `_write` takes for its line.
 
 def _scan_one(line, verse_final, sentence_initial, golden, tables):
+    """The line's beats, or an empty line and an error text: output
+    stays line-aligned."""
     try:
         scansion_line, beats = scan_text(
             line.rstrip("\n"), verse_final=verse_final, tables=tables,
             sentence_initial=sentence_initial)
     except ScriptError as exc:
-        return False, f"{type(exc).__name__}: {exc}"
+        return ("",), _describe(exc)
     if golden:
         transcription = render_line(scansion_line) if scansion_line.words \
             else ""
-        return True, f"{transcription}\t{beats}"
-    return True, beats
+        return (f"{transcription}\t{beats}",), None
+    return (beats,), None
 
 
 def _mask_one(numbered_line, cfg, tables):
@@ -174,13 +200,20 @@ def _mask_one(numbered_line, cfg, tables):
         examples = masking.line_examples(parse_line(line.rstrip("\n")),
                                          index, cfg, tables)
     except ScriptError as exc:
-        return None, f"{type(exc).__name__}: {exc}"
+        return (), _describe(exc)
     return [example.to_json() for example in examples], None
 
 
 def _add_io_args(p: argparse.ArgumentParser):
     p.add_argument("-i", "--input", default="-", help="input path or -")
     p.add_argument("-o", "--output", default="-", help="output path or -")
+
+
+def _add_filter_args(p: argparse.ArgumentParser):
+    p.add_argument("--min-words", type=int,
+                   default=corpus.PipelineConfig.min_words)
+    p.add_argument("--min-ratio", type=_finite,
+                   default=corpus.PipelineConfig.min_ratio)
 
 
 @functools.cache
@@ -211,19 +244,16 @@ def build_parser() -> Parser:
                    help="write rejection records here instead of stderr")
     p.add_argument("--stats", metavar="PATH",
                    help="write a diacritic statistics report")
-    p.add_argument("--min-words", type=int, default=4)
-    p.add_argument("--min-ratio", type=_finite, default=0.5)
+    _add_filter_args(p)
     p.add_argument("--verse-final", action="store_true")
-    for stage in ("known-words", "lam-kasra", "wasl-heuristic",
-                  "silent-marking", "sukun-defaults"):
-        p.add_argument(f"--no-{stage}", action="store_true",
-                       help=f"disable the {stage.replace('-', ' ')} stage")
+    for name in corpus.STAGE_FLAGS:
+        p.add_argument(f"--no-{name.replace('_', '-')}", action="store_true",
+                       help=f"disable the {name.replace('_', ' ')} stage")
     p.add_argument("--jobs", type=_jobs, default=1)
 
     p = sub.add_parser("filter", help="report acceptance decisions")
     _add_io_args(p)
-    p.add_argument("--min-words", type=int, default=4)
-    p.add_argument("--min-ratio", type=_finite, default=0.5)
+    _add_filter_args(p)
 
     p = sub.add_parser("stats", help="diacritic statistics report")
     _add_io_args(p)
@@ -231,10 +261,11 @@ def build_parser() -> Parser:
     p = sub.add_parser("mask", help="corpus -> masked training records")
     _add_io_args(p)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--span-p", type=float, default=0.2)
-    p.add_argument("--keep-p", type=float, default=0.2)
-    p.add_argument("--sukun-drop", type=float, default=0.5)
-    p.add_argument("--per-line", type=int, default=1,
+    p.add_argument("--span-p", type=float, default=MaskConfig.span_p)
+    p.add_argument("--keep-p", type=float, default=MaskConfig.keep_p)
+    p.add_argument("--sukun-drop", type=float,
+                   default=MaskConfig.sukun_drop)
+    p.add_argument("--per-line", type=int, default=MaskConfig.per_line,
                    help="examples per line, 1 to "
                         f"{masking.MAX_PER_LINE}")
     p.add_argument("--no-reduce", action="store_true",
@@ -245,10 +276,13 @@ def build_parser() -> Parser:
     p.add_argument("-o", "--output", default="-", help="output path or -")
     p.add_argument("--lexicon", required=True, metavar="PATH")
     p.add_argument("--target", required=True, metavar="BEATS")
-    p.add_argument("--left", default="", help="left context text")
-    p.add_argument("--right", default="", help="right context text")
-    p.add_argument("--max-words", type=int, default=3)
-    p.add_argument("--max-results", type=int, default=100)
+    p.add_argument("--left", default=FillQuery.left_context,
+                   help="left context text")
+    p.add_argument("--right", default=FillQuery.right_context,
+                   help="right context text")
+    p.add_argument("--max-words", type=int, default=FillQuery.max_words)
+    p.add_argument("--max-results", type=int,
+                   default=FillQuery.max_results)
     p.add_argument("--verse-final", action="store_true")
 
     p = sub.add_parser("eval", help="prediction records -> rhythm report")
@@ -265,13 +299,7 @@ def _cmd_scan(args) -> int:
             _scan_one, verse_final=args.verse_final,
             sentence_initial=not args.mid_sentence, golden=args.golden,
             tables=args.tables)
-        for lineno, (ok, payload) in enumerate(
-                _pmap(scan_one, src, args.jobs), start=1):
-            if ok:
-                print(payload, file=dst)
-            else:
-                print("", file=dst)
-                print(f"line {lineno}: {payload}", file=sys.stderr)
+        _write(_pmap(scan_one, src, args.jobs), dst)
     return 0
 
 
@@ -279,12 +307,9 @@ def _cmd_normalize(args) -> int:
     cfg = corpus.PipelineConfig(
         min_words=args.min_words,
         min_ratio=args.min_ratio,
-        known_words=not args.no_known_words,
-        lam_kasra=not args.no_lam_kasra,
-        wasl_heuristic=not args.no_wasl_heuristic,
-        silent_marking=not args.no_silent_marking,
-        sukun_defaults=not args.no_sukun_defaults,
         verse_final=args.verse_final,
+        **{name: not getattr(args, f"no_{name}")
+           for name in corpus.STAGE_FLAGS},
     )
     stats = corpus.DiacriticStats() if args.stats else None
     with ExitStack() as stack:
@@ -331,18 +356,20 @@ def _cmd_filter(args) -> int:
 
 def _cmd_stats(args) -> int:
     stats = corpus.DiacriticStats()
-    with ExitStack() as stack:
-        src = _open_in(stack, args.input)
-        dst = _open_out(stack, args.output)
-        for lineno, raw in enumerate(src, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
+
+    def add(raw):
+        raw = raw.strip()
+        if raw:
             try:
                 stats.add_line(corpus.parse_line(raw))
             except ScriptError as exc:
-                print(f"line {lineno}: {type(exc).__name__}: {exc}",
-                      file=sys.stderr)
+                return (), _describe(exc)
+        return (), None
+
+    with ExitStack() as stack:
+        src = _open_in(stack, args.input)
+        dst = _open_out(stack, args.output)
+        _write(map(add, src), dst)
         print(stats.render_report(), file=dst)
     return 0
 
@@ -363,13 +390,7 @@ def _cmd_mask(args) -> int:
         src = _open_in(stack, args.input)
         dst = _open_out(stack, args.output)
         mask_one = functools.partial(_mask_one, cfg=cfg, tables=args.tables)
-        for lineno, (records, err) in enumerate(
-                _pmap(mask_one, enumerate(src), args.jobs), start=1):
-            if err is not None:
-                print(f"line {lineno}: {err}", file=sys.stderr)
-                continue
-            for record in records:
-                print(record, file=dst)
+        _write(_pmap(mask_one, enumerate(src), args.jobs), dst)
     return 0
 
 

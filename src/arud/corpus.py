@@ -23,6 +23,7 @@ The memo is rebuilt when the stage flags or the tables' values change.
 from __future__ import annotations
 
 import functools
+import operator
 import unicodedata
 from dataclasses import dataclass, field
 
@@ -163,8 +164,27 @@ def clean_line(raw: str) -> str:
         _clean_chunk, unicodedata.normalize("NFC", raw).split())))
 
 
-def filter_line(line: ScriptLine, min_words: int = 4,
-                min_ratio: float = 0.5) -> FilterDecision:
+@dataclass
+class PipelineConfig:
+    min_words: int = 4
+    min_ratio: float = 0.5
+    known_words: bool = True
+    lam_kasra: bool = True
+    wasl_heuristic: bool = True
+    silent_marking: bool = True
+    sukun_defaults: bool = True
+    verse_final: bool = False
+
+
+# The fields of `PipelineConfig` that switch a word-local stage on or off.
+STAGE_FLAGS = ("known_words", "lam_kasra", "wasl_heuristic",
+               "silent_marking", "sukun_defaults")
+_stage_flags = operator.attrgetter(*STAGE_FLAGS)
+
+
+def filter_line(line: ScriptLine, min_words: int = PipelineConfig.min_words,
+                min_ratio: float = PipelineConfig.min_ratio
+                ) -> FilterDecision:
     """Acceptance rules: enough words, every word sufficiently marked."""
     if line.word_count() < min_words:
         return FilterDecision(False, REASON_TOO_FEW_WORDS)
@@ -175,11 +195,6 @@ def filter_line(line: ScriptLine, min_words: int = 4,
         if ratio < min_ratio:
             return FilterDecision(False, REASON_BELOW_LETTER_RATIO)
     return FilterDecision(True, REASON_OK)
-
-
-def _bare(g: Grapheme) -> bool:
-    return (g.vowel is None and not g.shadda and not g.silent
-            and not g.is_wasl)
 
 
 def apply_wasl_heuristic(line: ScriptLine) -> ScriptLine:
@@ -198,7 +213,7 @@ def apply_wasl_heuristic(line: ScriptLine) -> ScriptLine:
         out = None
         for gi in range(len(word) - 1):  # a word-final alif is never one
             g = word[gi]
-            if g.base != ALIF or not _bare(g):
+            if g.base != ALIF or not g.bare:
                 continue
             if gi > 0 and not word[gi - 1].vocalized:
                 continue
@@ -228,11 +243,11 @@ def mark_silent_letters(line: ScriptLine,
     def mark(word):
         out = None
         idx = table.silent_index(word)
-        if idx is not None and 0 <= idx < len(word) and _bare(word[idx]):
+        if idx is not None and 0 <= idx < len(word) and word[idx].bare:
             out = list(word)
             out[idx] = Grapheme(word[idx].base, silent=True)
         # A final alif the table marked is marked here the same way.
-        if (len(word) >= 3 and word[-1].base == ALIF and _bare(word[-1])
+        if (len(word) >= 3 and word[-1].base == ALIF and word[-1].bare
                 and word[-2].base == WAW):
             if out is None:
                 out = list(word)
@@ -248,7 +263,7 @@ def apply_lam_kasra(line: ScriptLine) -> ScriptLine:
     pipeline config.
     """
     def kasra(word):
-        if len(word) >= 3 and word[0].base == LAM and _bare(word[0]):
+        if len(word) >= 3 and word[0].base == LAM and word[0].bare:
             return (word[0].with_vowel("kasra"),) + word[1:]
         return None
     return scansion._rewrite_words(line, kasra)
@@ -262,18 +277,6 @@ def diacritize_known_words(line: ScriptLine,
     return scansion.apply_special_words(line, table)
 
 
-@dataclass
-class PipelineConfig:
-    min_words: int = 4
-    min_ratio: float = 0.5
-    known_words: bool = True
-    lam_kasra: bool = True
-    wasl_heuristic: bool = True
-    silent_marking: bool = True
-    sukun_defaults: bool = True
-    verse_final: bool = False
-
-
 # What `_record` returns for a chunk that cleans to nothing (it is
 # dropped), and for one that does not parse (the line is foreign
 # residue).
@@ -283,7 +286,7 @@ _FOREIGN = "foreign"
 # NFC whitespace-free raw chunk -> `_record` of it.  Every stage after
 # cleaning acts on one word at a time, and verse repeats its words.
 # `_words.built_with` holds what a record depends on besides its chunk:
-# the five stage flags and the tables.
+# the `STAGE_FLAGS` values and the tables.
 _words = scansion._Memo(scansion.MEMO_SIZE)
 
 
@@ -324,9 +327,7 @@ def _accept(raw: str, cfg: PipelineConfig, tables: TableSet):
     global _words
     # `matching` compares tables by value, so a pool worker keeps its
     # memo when each chunk of lines brings an equal, unpickled set.
-    _words = memo = _words.matching(
-        ((cfg.known_words, cfg.lam_kasra, cfg.wasl_heuristic,
-          cfg.silent_marking, cfg.sukun_defaults), tables))
+    _words = memo = _words.matching((_stage_flags(cfg), tables))
     records = []
     for chunk in unicodedata.normalize("NFC", raw).split():
         record = memo.get(chunk)

@@ -56,6 +56,16 @@ class Lexicon:
         return len(self.entries)
 
 
+def context_words(text: str) -> tuple:
+    """The words of a context text: none for empty or blank text.
+
+    `FillQuery` and `eval` both read contexts here, so `eval` scores
+    `fill`'s answers in the context `fill` searched them in.  Raises
+    `ScriptError` on text that does not parse.
+    """
+    return parse_line(text).words if text.strip() else ()
+
+
 @dataclass(frozen=True)
 class FillQuery:
     target: str
@@ -72,9 +82,8 @@ class FillQuery:
             raise ValueError("limits must be positive")
         # Parsed once, here: a context that does not parse is an error.
         for side in ("left", "right"):
-            text = getattr(self, f"{side}_context")
             try:
-                words = parse_line(text).words if text.strip() else ()
+                words = context_words(getattr(self, f"{side}_context"))
             except ScriptError as exc:
                 raise ValueError(f"{side} context does not parse: "
                                  f"{type(exc).__name__}: {exc}") from None

@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import EmptyEvaluation, ScriptError
-from .filler import phrase_beats_in_context
+from .filler import context_words, phrase_beats_in_context
 from .scansion import scan_text
 from .script import parse_line
 from .tables import TableSet
@@ -21,36 +21,21 @@ from .tables import TableSet
 log = logging.getLogger(__name__)
 
 
-def next_row(row: list, ch: str, target: str) -> list:
-    """The edit-distance DP row after one more source character `ch`.
-
-    `row` is the row of some source string against `target`; the result
-    is the row of that string extended by `ch`.
-    """
-    left = row[0] + 1
-    current = [left]
-    for up, diagonal, cb in zip(row[1:], row, target):
-        left = min(up + 1, left + 1, diagonal + (ch != cb))
-        current.append(left)
-    return current
-
-
-def edit_row(a: str, b: str) -> list:
-    """Last row of the unit-cost edit-distance DP of `a` against `b`.
-
-    Entry j is the insert/delete/substitute distance from `a` to `b[:j]`.
-    """
-    row = list(range(len(b) + 1))
-    for ca in a:
-        row = next_row(row, ca, b)
-    return row
-
-
 def edit_distance(a: str, b: str) -> int:
     """Unit-cost insert/delete/substitute distance."""
     if len(a) < len(b):
         a, b = b, a  # the DP row runs over the shorter string
-    return edit_row(a, b)[-1]
+    # Entry j of `row` is the distance from the prefix of `a` read so
+    # far to `b[:j]`.
+    row = list(range(len(b) + 1))
+    for ca in a:
+        left = row[0] + 1
+        current = [left]
+        for up, diagonal, cb in zip(row[1:], row, b):
+            left = min(up + 1, left + 1, diagonal + (ca != cb))
+            current.append(left)
+        row = current
+    return row[-1]
 
 
 def levenshtein_similarity(a: str, b: str) -> float:
@@ -138,10 +123,8 @@ def _generated_beats(record: PredictionRecord,
     try:
         if has_context:
             phrase = parse_line(record.generated_text).words
-            left = parse_line(record.left_context).words \
-                if record.left_context and record.left_context.strip() else ()
-            right = parse_line(record.right_context).words \
-                if record.right_context and record.right_context.strip() else ()
+            left = context_words(record.left_context or "")
+            right = context_words(record.right_context or "")
             verse_final = record.verse_final and not right
             return phrase_beats_in_context(phrase, left, right, verse_final,
                                            tables)

@@ -391,8 +391,7 @@ def apply_isba(
 def _sukun_for_bare(word):
     out = None
     for i, g in enumerate(word):
-        if g.vowel is None and not g.silent and not g.is_wasl \
-                and not g.shadda:
+        if g.bare:
             if out is None:
                 out = list(word)
             out[i] = g.with_vowel("sukun")

@@ -7,7 +7,7 @@ canonical order: base letter, shadda, vowel-class mark, silence mark.
 
 Constructing a Grapheme interns it: each distinct value has one
 validated, immutable instance, shared process-wide, so graphemes compare
-and hash by identity and words make cheap dictionary keys.  The two
+and hash by identity and words make cheap dictionary keys.  The three
 vocalization flags the rules test most are computed once, at interning,
 and the interned connective alifs are collected in ``WASL_GRAPHEMES``.
 """
@@ -89,14 +89,15 @@ class Grapheme:
     identity.  Instances are immutable, and pickling and copying go back
     through the constructor, so every process holds one instance per value.
 
-    Two read-only flags are derived from the five values at interning:
+    Three read-only flags are derived from the five values at interning:
     ``vocalized`` is true when the letter bears one of the three short
-    vowels, and ``unvocalized`` for a non-silent letter with sukun or no
-    vowel-class mark.
+    vowels, ``unvocalized`` for a non-silent letter with sukun or no
+    vowel-class mark, and ``bare`` for a letter with no mark at all: no
+    vowel-class mark, no shadda, not silent and not a connective alif.
     """
 
     __slots__ = ("base", "vowel", "shadda", "silent", "is_wasl", "_text",
-                 "vocalized", "unvocalized")
+                 "vocalized", "unvocalized", "bare")
 
     def __new__(cls, base: str, vowel: str | None = None,
                 shadda: bool = False, silent: bool = False,
@@ -121,6 +122,8 @@ class Grapheme:
             object.__setattr__(g, "vocalized", vowel in SHORT_VOWELS)
             object.__setattr__(g, "unvocalized", not silent and (
                 vowel is None or vowel == "sukun"))
+            object.__setattr__(g, "bare", vowel is None and not (
+                shadda or silent or is_wasl))
             _SHARED[key] = g
             if is_wasl:
                 WASL_GRAPHEMES.add(g)
@@ -405,8 +408,4 @@ def word_diacritization_ratio(word: Word) -> float:
     """
     if not word:
         raise EmptyWord("ratio of an empty word")
-    marked = sum(
-        1 for g in word
-        if g.vowel is not None or g.shadda or g.silent or g.is_wasl
-    )
-    return marked / len(word)
+    return sum([not g.bare for g in word]) / len(word)

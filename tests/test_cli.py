@@ -1,6 +1,8 @@
 """Subcommand behavior, exit codes and stream separation."""
 
 import contextlib
+import dataclasses
+import inspect
 import io
 import json
 import logging
@@ -21,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 import arud
 from arud import cli, corpus, filler
 from arud.cli import main
+from arud.filler import FillQuery
 from arud.masking import MAX_PER_LINE, MaskConfig, generate_dataset
 from arud.script import ARABIC_LETTERS, MARKS, TATWEEL, WASL_ALIF
 
@@ -450,7 +453,7 @@ class TestNormalize:
         out_path = str(tmp_path / "out.txt")
         code, out, err = run(capsys, "normalize", "-i", src, "-o", out_path)
         assert code == 0
-        accepted = open(out_path, encoding="utf-8").read().splitlines()
+        accepted = Path(out_path).read_text(encoding="utf-8").splitlines()
         assert len(accepted) == 1
         assert "too_few_words" in err
 
@@ -467,7 +470,7 @@ class TestNormalize:
         stats = str(tmp_path / "stats.txt")
         code, _, _ = run(capsys, "normalize", "-i", src, "--stats", stats)
         assert code == 0
-        assert "lines: 1" in open(stats, encoding="utf-8").read()
+        assert "lines: 1" in Path(stats).read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("with_stats", [False, True])
@@ -489,6 +492,67 @@ class TestNormalize:
         accepted = (tmp_path / "out.txt").read_text(encoding="utf-8")
         assert len(accepted.splitlines()) == 2
         assert len(calls) == (2 if with_stats else 0)
+
+
+class TestLibraryDefaults:
+    """The CLI's defaults and stage flags are the library's."""
+
+    def parse(self, *argv):
+        return cli.build_parser().parse_args(list(argv))
+
+    @pytest.mark.parametrize("command", ["normalize", "filter"])
+    def test_filter_thresholds(self, command):
+        args = self.parse(command)
+        cfg = corpus.PipelineConfig()
+        assert (args.min_words, args.min_ratio) == (cfg.min_words,
+                                                    cfg.min_ratio)
+
+    def test_filter_line_defaults(self):
+        params = inspect.signature(corpus.filter_line).parameters
+        cfg = corpus.PipelineConfig()
+        assert params["min_words"].default == cfg.min_words
+        assert params["min_ratio"].default == cfg.min_ratio
+
+    def test_mask(self):
+        args = self.parse("mask", "--seed", "0")
+        cfg = MaskConfig(seed=0)
+        assert (args.span_p, args.keep_p, args.sukun_drop, args.seed,
+                args.per_line, not args.no_reduce) == (
+            cfg.span_p, cfg.keep_p, cfg.sukun_drop, cfg.seed,
+            cfg.per_line, cfg.reduce_context)
+
+    def test_fill(self):
+        args = self.parse("fill", "--lexicon", "x", "--target", "1")
+        query = FillQuery(target="1")
+        assert (args.left, args.right, args.max_words, args.max_results,
+                args.verse_final) == (
+            query.left_context, query.right_context, query.max_words,
+            query.max_results, query.verse_final)
+
+    def test_stage_flags_are_config_switches(self):
+        defaults = {f.name: f.default
+                    for f in dataclasses.fields(corpus.PipelineConfig)}
+        assert all(defaults[name] is True for name in corpus.STAGE_FLAGS)
+
+    @pytest.mark.parametrize("name", [None, *corpus.STAGE_FLAGS])
+    def test_no_flag_turns_off_its_stage(self, tmp_path, capsys,
+                                         monkeypatch, name):
+        built = []
+
+        def normalize_lines(lines, cfg, *args, **kwargs):
+            built.append(cfg)
+            return iter(())
+
+        monkeypatch.setattr(corpus, "normalize_lines", normalize_lines)
+        src = write(tmp_path, "in.txt", "")
+        argv = ["normalize", "-i", src]
+        if name is not None:
+            argv.append(f"--no-{name.replace('_', '-')}")
+        assert run(capsys, *argv)[0] == 0
+        expected = corpus.PipelineConfig()
+        if name is not None:
+            expected = dataclasses.replace(expected, **{name: False})
+        assert built == [expected]
 
 
 def _workers():
@@ -579,6 +643,20 @@ class TestWorkerPool:
         assert self.normalize(tmp_path, capsys) == first
         assert len(_workers()) == 2
         assert not _workers() & workers
+
+    def test_pool_is_fed_in_batches(self):
+        pulled = 0
+
+        def items():
+            nonlocal pulled
+            for i in range(3 * cli._BATCH):
+                pulled += 1
+                yield f"a{i}"
+
+        results = cli._pmap(str.upper, items(), 2)
+        assert next(results) == "A0"
+        assert pulled <= cli._BATCH
+        assert list(results) == [f"A{i}" for i in range(1, 3 * cli._BATCH)]
 
     def test_process_exits_and_leaves_no_worker(self):
         report = _run_script("""\

@@ -368,7 +368,7 @@ def reference_accept(raw, cfg, tables):
     return (line if decision.accepted else None), decision.reason
 
 
-def _bare(g):
+def reference_bare(g):
     return (g.vowel is None and not g.shadda and not g.silent
             and not g.is_wasl)
 
@@ -379,12 +379,14 @@ def reference_heuristics(line, cfg, tables):
     words = [list(w) for w in line.words]
     if cfg.lam_kasra:
         for word in words:
-            if len(word) >= 3 and word[0].base == LAM and _bare(word[0]):
+            if len(word) >= 3 and word[0].base == LAM \
+                    and reference_bare(word[0]):
                 word[0] = word[0].with_vowel("kasra")
     if cfg.wasl_heuristic:
         for word in words:
             for gi, g in enumerate(word):
-                if g.base != ALIF or not _bare(g) or gi == len(word) - 1:
+                if g.base != ALIF or not reference_bare(g) \
+                        or gi == len(word) - 1:
                     continue
                 if gi > 0 and not word[gi - 1].vocalized:
                     continue
@@ -400,10 +402,10 @@ def reference_heuristics(line, cfg, tables):
         for word in words:
             idx = tables.silent.silent_index(tuple(word))
             if idx is not None and 0 <= idx < len(word) \
-                    and _bare(word[idx]):
+                    and reference_bare(word[idx]):
                 word[idx] = Grapheme(word[idx].base, silent=True)
             if (len(word) >= 3 and word[-1].base == ALIF
-                    and _bare(word[-1]) and word[-2].base == WAW):
+                    and reference_bare(word[-1]) and word[-2].base == WAW):
                 word[-1] = Grapheme(ALIF, silent=True)
     return ScriptLine(tuple(map(tuple, words)), line.verse_final)
 

@@ -12,12 +12,12 @@ from arud import filler, scansion
 from arud.errors import ScriptError
 from arud.filler import (
     FillQuery,
+    context_words,
     fill,
     index_lexicon,
     matches_target,
     phrase_beats_in_context,
 )
-from arud.metrics import edit_row, next_row
 from arud.scansion import beat_segments, scan, scan_readings
 from arud.script import ScriptLine, parse_line
 from arud.tables import TableSet
@@ -109,6 +109,36 @@ def words_of(text):
     return parse_line(text).words if text.strip() else ()
 
 
+# Context texts: empty, blank, words, and text that does not parse.
+CONTEXT_TEXT = st.one_of(
+    st.sampled_from(["", " ", "\t \n", "\u00a0", "abc", "مَا x", "َمَا",
+                     "مَاَ"]),
+    st.text(alphabet=[" ", "\t", "م", "ا", "ل", "ٱ", "َ", "ْ", "ّ", "x"],
+            max_size=8),
+    st.lists(st.sampled_from(["مَا", "لَهُ", "لَهُمْ", "ٱبْنُ", "و۠"]),
+             max_size=3).map(" ".join),
+)
+
+
+class TestContextWords:
+    @given(CONTEXT_TEXT, st.sampled_from(["left", "right"]))
+    @settings(max_examples=300)
+    def test_what_fill_query_stores(self, text, side):
+        try:
+            words = context_words(text)
+        except ScriptError as exc:
+            with pytest.raises(ScriptError):
+                words_of(text)
+            with pytest.raises(ValueError, match=(
+                    f"^{side} context does not parse: "
+                    f"{type(exc).__name__}: ")):
+                FillQuery(target="10", **{f"{side}_context": text})
+            return
+        assert words == words_of(text)
+        query = FillQuery(target="10", **{f"{side}_context": text})
+        assert getattr(query, f"{side}_words") == words
+
+
 def brute_force(query, surfaces, tables=None):
     """Oracle: enumerate every phrase up to max_words, rescan in context."""
     left = words_of(query.left_context)
@@ -178,33 +208,6 @@ class TestSoundness:
             assert matches_target(list(words), (), (), query)
 
 
-BEATS = st.text(alphabet="01", max_size=8)
-
-
-def reference_distance(a, b):
-    """Levenshtein distance by the textbook recursion."""
-    if not a or not b:
-        return len(a) + len(b)
-    return min(reference_distance(a[1:], b) + 1,
-               reference_distance(a, b[1:]) + 1,
-               reference_distance(a[1:], b[1:]) + (a[0] != b[0]))
-
-
-class TestIncrementalRows:
-    @given(BEATS, BEATS)
-    def test_fold_of_next_row_is_edit_row(self, a, b):
-        row = list(range(len(b) + 1))
-        for ch in a:
-            row = next_row(row, ch, b)
-        assert row == edit_row(a, b)
-
-    @given(st.text(alphabet="01", max_size=5), st.text(alphabet="01",
-                                                       max_size=5))
-    def test_edit_row_entries_are_distances(self, a, b):
-        assert edit_row(a, b) == [reference_distance(a, b[:j])
-                                  for j in range(len(b) + 1)]
-
-
 def reference_phrase_beats(phrase, left, right, verse_final):
     """The phrase's segments of each reading, from `beat_segments`."""
     words = tuple(left) + tuple(phrase) + tuple(right)
@@ -246,6 +249,20 @@ class TestPhraseBeatsSlice:
         assert got == reference_phrase_beats(
             parse_line("لَهُمْ").words, left_words, parse_line("مَا").words,
             verse_final)
+
+
+def edit_row(a, b):
+    """Last row of the edit-distance DP of `a` against `b`: entry j is
+    the distance from `a` to `b[:j]`."""
+    row = list(range(len(b) + 1))
+    for ca in a:
+        left = row[0] + 1
+        current = [left]
+        for up, diagonal, cb in zip(row[1:], row, b):
+            left = min(up + 1, left + 1, diagonal + (ca != cb))
+            current.append(left)
+        row = current
+    return row
 
 
 def reference_fill(query, surfaces, tables=None):

@@ -339,6 +339,36 @@ class TestInterning:
         assert hash(g) == object.__hash__(g)
 
 
+def reference_bare(g):
+    """The bare-letter test as the rules wrote it out before
+    `Grapheme.bare`."""
+    return (g.vowel is None and not g.shadda and not g.silent
+            and not g.is_wasl)
+
+
+def reference_ratio(word):
+    """`word_diacritization_ratio` as it was before `Grapheme.bare`."""
+    marked = sum(
+        1 for g in word
+        if g.vowel is not None or g.shadda or g.silent or g.is_wasl
+    )
+    return marked / len(word)
+
+
+def _grapheme_or_none(base, vowel, shadda, silent):
+    try:
+        return Grapheme(base, vowel, shadda, silent, base == script.WASL_ALIF)
+    except ValueError:
+        return None
+
+
+# Every kind of grapheme: silent letters and connective alifs included.
+ANY_GRAPHEME = st.builds(
+    _grapheme_or_none, st.sampled_from(sorted(ARABIC_LETTERS)),
+    st.sampled_from(VOWELS), st.booleans(), st.booleans(),
+).filter(lambda g: g is not None)
+
+
 def _every_grapheme():
     """Intern every valid value; return every interned grapheme."""
     for base in sorted(ARABIC_LETTERS):
@@ -362,9 +392,10 @@ class TestVocalizationFlags:
             assert g.vocalized == (g.vowel in script.SHORT_VOWELS)
             assert g.unvocalized == (
                 not g.silent and (g.vowel is None or g.vowel == "sukun"))
+            assert g.bare == reference_bare(g)
         assert script.WASL_GRAPHEMES == {g for g in every if g.is_wasl}
 
-    @pytest.mark.parametrize("flag", ["vocalized", "unvocalized"])
+    @pytest.mark.parametrize("flag", ["vocalized", "unvocalized", "bare"])
     def test_read_only(self, flag):
         g = Grapheme("م", vowel="fatha")
         before = getattr(g, flag)
@@ -378,11 +409,23 @@ class TestVocalizationFlags:
                              range(pickle.HIGHEST_PROTOCOL + 1))
     def test_survive_pickle_and_deepcopy(self, protocol):
         for g in _every_grapheme():
-            flags = (g.vocalized, g.unvocalized)
+            flags = (g.vocalized, g.unvocalized, g.bare)
             for other in (pickle.loads(pickle.dumps(g, protocol)),
                           copy.deepcopy(g)):
                 assert other is g
-                assert (other.vocalized, other.unvocalized) == flags
+                assert (other.vocalized, other.unvocalized,
+                        other.bare) == flags
+
+    @given(st.lists(st.lists(ANY_GRAPHEME, min_size=1, max_size=6),
+                    min_size=1, max_size=4))
+    @settings(max_examples=300)
+    def test_bare_on_parsed_words(self, words):
+        line = parse_line(" ".join("".join(map(render_grapheme, word))
+                                   for word in words))
+        for word in line.words:
+            assert word_diacritization_ratio(word) == reference_ratio(word)
+            for g in word:
+                assert g.bare == reference_bare(g)
 
     def test_pickled_in_another_process(self):
         code = ("import pickle, sys; from arud.script import Grapheme; "
