@@ -245,7 +245,6 @@ def build_parser() -> Parser:
     p.add_argument("--stats", metavar="PATH",
                    help="write a diacritic statistics report")
     _add_filter_args(p)
-    p.add_argument("--verse-final", action="store_true")
     for name in corpus.STAGE_FLAGS:
         p.add_argument(f"--no-{name.replace('_', '-')}", action="store_true",
                        help=f"disable the {name.replace('_', ' ')} stage")
@@ -307,7 +306,6 @@ def _cmd_normalize(args) -> int:
     cfg = corpus.PipelineConfig(
         min_words=args.min_words,
         min_ratio=args.min_ratio,
-        verse_final=args.verse_final,
         **{name: not getattr(args, f"no_{name}")
            for name in corpus.STAGE_FLAGS},
     )

@@ -173,7 +173,6 @@ class PipelineConfig:
     wasl_heuristic: bool = True
     silent_marking: bool = True
     sukun_defaults: bool = True
-    verse_final: bool = False
 
 
 # The fields of `PipelineConfig` that switch a word-local stage on or off.
@@ -339,8 +338,7 @@ def _accept(raw: str, cfg: PipelineConfig, tables: TableSet):
             records.append(record)
     if not records:
         return None, None, REASON_FOREIGN_RESIDUE
-    line = ScriptLine(tuple([known for known, _, _ in records]),
-                      cfg.verse_final)
+    line = ScriptLine(tuple([known for known, _, _ in records]))
     decision = filter_line(line, cfg.min_words, cfg.min_ratio)
     if not decision.accepted:
         return None, None, decision.reason
@@ -372,8 +370,7 @@ def process_line(raw: str, cfg: PipelineConfig | None = None,
     line, records, reason = _accept(raw, cfg, tables)
     if line is None:
         return None, reason
-    finished = ScriptLine(tuple([word for _, word, _ in records]),
-                          cfg.verse_final)
+    finished = ScriptLine(tuple([word for _, word, _ in records]))
     try:
         scansion.scan(finished, tables, sentence_initial=True)
     except UnderDiacritized:

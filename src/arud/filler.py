@@ -19,6 +19,12 @@ word's beats complete it; a window that does not scan or keep its words
 prunes.  Lexicon words with one ``scansion.lead`` are alike as the next
 word, so a phrase reads one window per such group, and a query visits
 at most ``MAX_PHRASES`` phrases: homophones match exponentially often.
+
+The lexicon holds the words that scan as a line of their own
+(``index_lexicon``), words that begin with a connective alif included.
+Every scan here reads its line as a sentence start, and as a verse end
+when the query says so; only the last word of the line feels the verse
+end, so a right context shields the phrase from it.
 """
 
 from __future__ import annotations
@@ -35,7 +41,9 @@ from .tables import TableSet, default_tables
 log = logging.getLogger(__name__)
 
 # Phrases one query may visit, each at most one rescan (about 45 µs) and
-# one memoized window per word group: 0.1 to 0.7 s when a search ends here.
+# one memoized window per word group: 0.1 to 0.7 s when a search ends here,
+# and up to 1.7 s when a sixth of the lexicon reads back, as article nouns
+# do, since each such word reads windows of its own.
 MAX_PHRASES = 20_000
 
 # Windows memoized at once.  Each holds four words' references and two
@@ -91,9 +99,13 @@ class FillQuery:
 
 
 def index_lexicon(words, tables: TableSet | None = None) -> Lexicon:
-    """The distinct single words of `words` that scan in isolation.
+    """The distinct single words of `words` that scan as a line alone.
 
-    Duplicates collapse; unscannable words are logged and skipped.
+    Each word is scanned where a line starts, so a word that begins with
+    a connective alif, such as an article noun, is kept: the alif reads
+    as a glottal stop there, and in a phrase the full rescan reads it in
+    its place.  Duplicates collapse; unscannable words are logged and
+    skipped.
     """
     seen = {}
     for surface in words:
@@ -104,7 +116,7 @@ def index_lexicon(words, tables: TableSet | None = None) -> Lexicon:
             line = parse_line(surface)
             if len(line.words) != 1:
                 raise ValueError("lexicon entries must be single words")
-            scan(line, tables, sentence_initial=False)
+            scan(line, tables)
         except (ScriptError, ValueError) as exc:
             log.warning("lexicon word %r skipped: %s", surface, exc)
             continue
@@ -117,8 +129,8 @@ def _readings(words: tuple, verse_final: bool,
     """(where each word's beats start, then end; the beats) per reading
     of the line `words`; [] when it does not scan or keep its words."""
     try:
-        readings = scan_readings(ScriptLine(words, verse_final), tables,
-                                 sentence_initial=True)
+        readings = scan_readings(ScriptLine(words), tables,
+                                 verse_final=verse_final)
     except ScriptError:
         return []
     # The readings differ only inside words, so they keep or lose word
@@ -150,8 +162,7 @@ def matches_target(phrase_words, left_words, right_words, query: FillQuery,
     """Full-rescan decision: the phrase's in-context beats equal the
     target under the plain or the optional plural-m reading."""
     return query.target in phrase_beats_in_context(
-        phrase_words, left_words, right_words,
-        query.verse_final and not right_words, tables)
+        phrase_words, left_words, right_words, query.verse_final, tables)
 
 
 def _final_beats(window: tuple, tables: TableSet | None) -> tuple:

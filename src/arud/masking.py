@@ -262,7 +262,7 @@ def reduce_context_diacritics(context: ScriptLine, cfg: MaskConfig,
                     # The letter as its sukun draw and vowel strip left it.
                     letters[~slot] = _NO_SHADDA[letters[~slot]]
         words.append(tuple(letters))
-    return ScriptLine(tuple(words), context.verse_final)
+    return ScriptLine(tuple(words))
 
 
 def _line_segments(line: ScriptLine, tables: TableSet | None) -> list[str]:

@@ -125,9 +125,8 @@ def _generated_beats(record: PredictionRecord,
             phrase = parse_line(record.generated_text).words
             left = context_words(record.left_context or "")
             right = context_words(record.right_context or "")
-            verse_final = record.verse_final and not right
-            return phrase_beats_in_context(phrase, left, right, verse_final,
-                                           tables)
+            return phrase_beats_in_context(phrase, left, right,
+                                           record.verse_final, tables)
         _, beats = scan_text(record.generated_text,
                              verse_final=record.verse_final, tables=tables)
         return [beats] if beats else []

@@ -18,6 +18,11 @@ The connective alif must see the sun letter's shadda before gemination
 is expanded, and isba needs the final vocalization state, which pins
 this order.
 
+Where a line stands is not part of it: `scan` and `scan_readings` take
+it as two arguments.  `sentence_initial` says whether a connective alif
+that opens the line is pronounced (step 2), and `verse_final` whether
+isba lengthens the line's last short vowel (step 4).
+
 Each rule maps a ScriptLine to a ScriptLine and returns its input object
 itself when it does not fire, so a line no rule touches is never copied.
 Graphemes are interned (see ``script.Grapheme``): one instance per
@@ -63,6 +68,7 @@ from .script import (
     SUN_LETTERS,
     TANWINS,
     WASL_GRAPHEMES,
+    WASL_ALIF,
     WAW,
     YA,
     Grapheme,
@@ -113,8 +119,7 @@ def _with_words(line: ScriptLine, words) -> ScriptLine:
     """`line` if `words` is None, else a line of the non-empty words."""
     if words is None:
         return line
-    return ScriptLine(words=tuple(filter(None, words)),
-                      verse_final=line.verse_final)
+    return ScriptLine(tuple(filter(None, words)))
 
 
 def compatible_replacement(word: Word, repl: Word) -> bool:
@@ -515,6 +520,10 @@ def _first_steps(words, tables: TableSet) -> list:
     return _each_word(memo, _first_step, words, tables.special)
 
 
+# A word ending in a short vowel, before which a connective alif drops.
+_AFTER_VOWEL = (Grapheme("ب", vowel="kasra"),)
+
+
 def reads_back(word: Word, tables: TableSet | None = None) -> bool:
     """Whether `word`'s transcription in a line can depend on the words
     before it, other than by the word being lost.
@@ -528,7 +537,11 @@ def reads_back(word: Word, tables: TableSet | None = None) -> bool:
     two graphemes, and the word before's last one when this word is one
     letter, but all it can do there is delete that letter.
     """
-    first = _first_steps((word,), tables or default_tables())[0]
+    return _reads_back(_first_steps((word,), tables or default_tables())[0])
+
+
+def _reads_back(first: Word) -> bool:
+    """`reads_back` of a word whose step-1 form is `first`."""
     return not WASL_GRAPHEMES.isdisjoint(first) and (
         first[0].is_wasl or (first[0].unvocalized
                              and first[0].base in VOWEL_FOR_EXTENSION))
@@ -539,21 +552,30 @@ def lead(word: Word, tables: TableSet | None = None):
     words with equal keys leave the words before them alike.
 
     For most words that is whether isba finds the first letter vocalized,
-    True or False.  The key is `word` itself for a word that reads back
-    (``reads_back``), whose first letter can depend on the word before,
-    for one letter without a vowel after step 3, which an alif in the
-    next word can vocalize or delete, and for a word that does not scan.
+    True or False.  A connective alif that opens the step-1 form drops
+    after any word, and how it changes the words before reads only them,
+    so such a word is keyed by the alif and whether the letter after it
+    is vocalized.  The key is `word` itself for a word whose first letter
+    can depend on the word before (``reads_back``, once an opening alif
+    is dropped), for one letter without a vowel after step 3, which an
+    alif in the next word can vocalize or delete, and for a word that
+    does not scan.
     """
     tables = tables or default_tables()
-    if reads_back(word, tables):
+    first = _first_steps((word,), tables)[0]
+    wasl = bool(first) and first[0].is_wasl
+    if _reads_back(first[1:] if wasl else first):
         return word
+    line = (_AFTER_VOWEL, word) if wasl else (word,)
     try:
-        words = _before_isba(ScriptLine((word,)), tables, False).words
+        words = _before_isba(ScriptLine(line), tables, False).words
     except ScriptError:
         return word
-    if not words or (len(words[0]) < 2 and not words[0][0].vocalized):
+    if len(words) < len(line) or (len(words[-1]) < 2
+                                  and not words[-1][0].vocalized):
         return word
-    return words[0][0].vocalized
+    return (WASL_ALIF, words[-1][0].vocalized) if wasl \
+        else words[-1][0].vocalized
 
 
 def _before_isba(line: ScriptLine, tables: TableSet | None,
@@ -562,11 +584,9 @@ def _before_isba(line: ScriptLine, tables: TableSet | None,
     if tables is None:
         tables = default_tables()
     words = _first_steps(line.words, tables)
-    out = process_hamzat_wasl(
-        ScriptLine(tuple(filter(None, words)), line.verse_final),
-        sentence_initial, tables.juncture)
-    return ScriptLine(tuple(_each_word(_step3, _third_step, out.words)),
-                      line.verse_final)
+    out = process_hamzat_wasl(ScriptLine(tuple(filter(None, words))),
+                              sentence_initial, tables.juncture)
+    return ScriptLine(tuple(_each_word(_step3, _third_step, out.words)))
 
 
 def _after_isba(line: ScriptLine) -> tuple[ScansionLine, BeatPattern]:
@@ -577,27 +597,32 @@ def _after_isba(line: ScriptLine) -> tuple[ScansionLine, BeatPattern]:
         # classical transcription forbids two mid-line sakins; surfaced
         # as a diagnostic only
         log.debug("double sakin inside line: %s", beats)
-    return ScriptLine(tuple(word for word, _ in done), line.verse_final), beats
+    return ScriptLine(tuple(word for word, _ in done)), beats
 
 
 def scan(
     line: ScriptLine,
     tables: TableSet | None = None,
     sentence_initial: bool = True,
+    verse_final: bool = False,
 ) -> tuple[ScansionLine, BeatPattern]:
     """Full grapheme-to-beat transformation of one line.
 
-    Word boundaries contribute no beat; the returned pattern is the
-    concatenation of the per-word contributions.
+    `sentence_initial` says whether the line opens a sentence, where a
+    connective alif is pronounced, and `verse_final` whether it ends a
+    verse, where isba lengthens its last short vowel.  Word boundaries
+    contribute no beat; the returned pattern is the concatenation of the
+    per-word contributions.
     """
     seen = _before_isba(line, tables, sentence_initial)
-    return _after_isba(apply_isba(seen, line.verse_final))
+    return _after_isba(apply_isba(seen, verse_final))
 
 
 def scan_readings(
     line: ScriptLine,
     tables: TableSet | None = None,
     sentence_initial: bool = True,
+    verse_final: bool = False,
 ) -> list:
     """`scan` of `line` without, then with, the optional plural-m license.
 
@@ -606,8 +631,8 @@ def scan_readings(
     the license changes the line's words.
     """
     seen = _before_isba(line, tables, sentence_initial)
-    plain = apply_isba(seen, line.verse_final)
-    licensed = apply_isba(seen, line.verse_final, optional_plural_m=True)
+    plain = apply_isba(seen, verse_final)
+    licensed = apply_isba(seen, verse_final, optional_plural_m=True)
     readings = [plain]
     if licensed.words != plain.words:
         readings.append(licensed)
@@ -622,6 +647,5 @@ def scan_text(
 ) -> tuple[ScansionLine, BeatPattern]:
     """Parse then scan; blank input yields an empty pattern."""
     if not raw.strip():
-        return ScriptLine(words=(), verse_final=verse_final), ""
-    line = parse_line(raw, verse_final=verse_final)
-    return scan(line, tables, sentence_initial)
+        return ScriptLine(words=()), ""
+    return scan(parse_line(raw), tables, sentence_initial, verse_final)

@@ -161,10 +161,13 @@ Word = tuple[Grapheme, ...]
 
 @dataclass(frozen=True)
 class ScriptLine:
-    """A parsed line of words, with its verse-position flag."""
+    """A parsed line of words.
+
+    Where the line stands, at a sentence start or a verse end, is not
+    part of it: `scansion.scan` takes both as arguments.
+    """
 
     words: tuple[Word, ...]
-    verse_final: bool = False
 
     def graphemes(self):
         for word in self.words:
@@ -174,7 +177,7 @@ class ScriptLine:
         return len(self.words)
 
 
-def parse_line(raw: str, verse_final: bool = False) -> ScriptLine:
+def parse_line(raw: str) -> ScriptLine:
     """Parse composed-form text into a ScriptLine.
 
     Whitespace runs delimit words.  Any code point outside the Arabic
@@ -183,8 +186,7 @@ def parse_line(raw: str, verse_final: bool = False) -> ScriptLine:
     text = unicodedata.normalize("NFC", raw)
     if not text.strip():
         raise EmptyLine("no words in line")
-    return ScriptLine(words=tuple(map(_parse_word, text.split())),
-                      verse_final=verse_final)
+    return ScriptLine(words=tuple(map(_parse_word, text.split())))
 
 
 # Verse vocabulary repeats words: on perfbench input this memo serves

@@ -1,5 +1,6 @@
 """Subcommand behavior, exit codes and stream separation."""
 
+import argparse
 import contextlib
 import dataclasses
 import inspect
@@ -181,7 +182,7 @@ def _line_numbers(texts, pattern, count):
 
 
 NORMALIZE_FLAGS = st.sets(st.sampled_from([
-    "--hemistichs", "--verse-final", "--no-known-words", "--no-lam-kasra",
+    "--hemistichs", "--no-known-words", "--no-lam-kasra",
     "--no-wasl-heuristic", "--no-silent-marking", "--no-sukun-defaults"]))
 
 
@@ -553,6 +554,59 @@ class TestLibraryDefaults:
         if name is not None:
             expected = dataclasses.replace(expected, **{name: False})
         assert built == [expected]
+
+
+# Per subcommand, each on/off switch and a line whose output it changes.
+SWITCH_WITNESSES = {
+    "normalize": {
+        # an empty second half rejects the line
+        "--hemistichs": "قَالَ فِي بَيْتِهِ كَتَبَ\t",
+        "--no-known-words": "قَالَ في بَيْتِهِ كَتَبَ",
+        "--no-lam-kasra": "قَالَ لبَيْتِهِ مَا كَتَبَ",
+        "--no-wasl-heuristic": "قَالَ لَهُ اسْمُ مَا كَتَبَ",
+        "--no-silent-marking": "قَالُوْا لَهُ مَا كَتَبَ",
+        "--no-sukun-defaults": "قَالَ مِن بَيْتِهِ كَتَبَ",
+    },
+    "scan": {
+        "--verse-final": "قَتَلَ",
+        "--mid-sentence": "ٱبْنُ مَا",
+        "--golden": "مَا",
+    },
+}
+
+
+def _switches(command):
+    """The on/off flags the parser gives `command`."""
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return sorted(flag for action in sub.choices[command]._actions
+                  if isinstance(action, argparse._StoreTrueAction)
+                  for flag in action.option_strings)
+
+
+class TestEverySwitchMatters:
+    """A switch that changes no output fails here."""
+
+    @pytest.mark.parametrize("command", sorted(SWITCH_WITNESSES))
+    def test_every_switch_has_a_witness(self, command):
+        assert _switches(command) == sorted(SWITCH_WITNESSES[command])
+
+    @pytest.mark.parametrize("command, switch", [
+        (command, switch) for command, witnesses in SWITCH_WITNESSES.items()
+        for switch in witnesses])
+    def test_switch_changes_its_witness(self, command, switch):
+        line = SWITCH_WITNESSES[command][switch]
+        off = _run_main([command], [line])
+        on = _run_main([command, switch], [line])
+        assert off[0] == on[0] == 0
+        # output lines and diagnostics
+        assert off[1:3] != on[1:3]
+
+    def test_normalize_has_no_verse_final(self, tmp_path, capsys):
+        src = write(tmp_path, "in.txt", "مَا\n")
+        code, out, err = run(capsys, "normalize", "--verse-final", "-i", src)
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --verse-final" in err
 
 
 def _workers():

@@ -359,7 +359,7 @@ def reference_accept(raw, cfg, tables):
     if not cleaned:
         return None, "foreign_residue"
     try:
-        line = parse_line(cleaned, verse_final=cfg.verse_final)
+        line = parse_line(cleaned)
     except ScriptError:
         return None, "foreign_residue"
     if cfg.known_words:
@@ -407,7 +407,7 @@ def reference_heuristics(line, cfg, tables):
             if (len(word) >= 3 and word[-1].base == ALIF
                     and reference_bare(word[-1]) and word[-2].base == WAW):
                 word[-1] = Grapheme(ALIF, silent=True)
-    return ScriptLine(tuple(map(tuple, words)), line.verse_final)
+    return ScriptLine(tuple(map(tuple, words)))
 
 
 def reference_process(raw, cfg, tables):
@@ -498,7 +498,7 @@ PIPELINE_CONFIGS = st.builds(
     min_ratio=st.one_of(st.sampled_from((0.0, 0.5)), st.floats(0.0, 1.0)),
     known_words=st.booleans(), lam_kasra=st.booleans(),
     wasl_heuristic=st.booleans(), silent_marking=st.booleans(),
-    sukun_defaults=st.booleans(), verse_final=st.booleans())
+    sukun_defaults=st.booleans())
 
 
 class TestWordRecords:

@@ -212,7 +212,7 @@ def reference_phrase_beats(phrase, left, right, verse_final):
     """The phrase's segments of each reading, from `beat_segments`."""
     words = tuple(left) + tuple(phrase) + tuple(right)
     try:
-        readings = scan_readings(ScriptLine(words, verse_final))
+        readings = scan_readings(ScriptLine(words), verse_final=verse_final)
     except ScriptError:
         return []
     if len(readings[0][0].words) != len(words):
@@ -276,8 +276,7 @@ def reference_fill(query, surfaces, tables=None):
     """
     left = words_of(query.left_context)
     right = words_of(query.right_context)
-    lexicon = [(surface, word, scan(ScriptLine((word,)), tables,
-                                    sentence_initial=False)[1])
+    lexicon = [(surface, word, scan(ScriptLine((word,)), tables)[1])
                for surface, word in index_lexicon(surfaces, tables).entries]
     found = set()
 
@@ -301,24 +300,25 @@ def reference_fill(query, surfaces, tables=None):
 # (isba), one-grapheme words, lone unvocalized letters (one a waw, which
 # can be a long vowel), a word whose first letter has no vowel, which isba
 # before it reads, words holding a connective alif (one after a bare
-# waw, which a word before can make a long vowel), a long vowel the next
-# word's alif deletes, a word that silent removal empties, a special word
-# and a madda.
+# waw, which a word before can make a long vowel), words that begin with
+# one (an article before a moon letter and before a sun letter), a long
+# vowel the next word's alif deletes, a word that silent removal empties,
+# a special word and a madda.
 FILL_POOL = ["مَا", "لَهُ", "لَهُمْ", "عَلَيْكُمْ", "بِهِمُ", "لِ", "بِ", "بْ",
-             "و", "بْنُ", "وَٱبْنُ", "وٱبْنُ", "فَٱسْتَمِعْ", "فِي", "قَلْبِي",
-             "مَعًا", "دَمْعٌ", "قَدْ", "مِنْ", "و۠", "هذا", "آمَنَ", "عَلَّمَ"]
-# Contexts add words that begin with a connective alif, which no lexicon
-# entry can (they do not scan in isolation).
+             "و", "بْنُ", "وَٱبْنُ", "وٱبْنُ", "فَٱسْتَمِعْ", "ٱبْنُ",
+             "ٱلْقَمَرُ", "ٱللَّهُ", "فِي", "قَلْبِي", "مَعًا", "دَمْعٌ", "قَدْ",
+             "مِنْ", "و۠", "هذا", "آمَنَ", "عَلَّمَ"]
+# Contexts add more words that begin with a connective alif.
 FILL_CONTEXT = st.lists(
-    st.sampled_from(FILL_POOL + ["ٱبْنُ", "ٱلْبَيْتِ", "ٱسْمُ", "قُلْ"]),
+    st.sampled_from(FILL_POOL + ["ٱلْبَيْتِ", "ٱسْمُ", "قُلْ"]),
     max_size=3).map(" ".join)
 
 
 @st.composite
-def fill_cases(draw, tables=None):
-    """A lexicon from `FILL_POOL` and a query on it, whose target is the
+def fill_cases(draw, tables=None, pool=FILL_POOL):
+    """A lexicon from `pool` and a query on it, whose target is the
     beats of a phrase of lexicon words in context, or random."""
-    surfaces = draw(st.lists(st.sampled_from(FILL_POOL), min_size=1,
+    surfaces = draw(st.lists(st.sampled_from(pool), min_size=1,
                              max_size=6, unique=True))
     left, right = draw(FILL_CONTEXT), draw(FILL_CONTEXT)
     verse_final = draw(st.booleans())
@@ -327,14 +327,48 @@ def fill_cases(draw, tables=None):
                             max_size=max_words))
     readings = phrase_beats_in_context(
         [parse_line(surface).words[0] for surface in planted],
-        words_of(left), words_of(right),
-        verse_final and not right.strip(), tables)
+        words_of(left), words_of(right), verse_final, tables)
     target = draw(st.sampled_from(readings) if readings and draw(
         st.booleans()) else st.text("01", min_size=1, max_size=8))
     return surfaces, FillQuery(
         target=target, left_context=left, right_context=right,
         max_words=max_words, max_results=draw(st.integers(1, 300)),
         verse_final=verse_final)
+
+
+# Words that begin with a connective alif: article nouns before a moon
+# letter, a sun letter and the lam of ٱللَّهُ, and nouns with a bare
+# alif; and words whose ending such an alif reads: a short vowel, a long
+# vowel, a sukun and a lone consonant, and isba hosts.
+WASL_POOL = ["ٱبْنُ", "ٱسْمُ", "ٱلْقَمَرُ", "ٱلشَّمْسُ", "ٱللَّهُ", "ٱلْبَيْتِ",
+             "فِي", "قَلْبِي", "مَا", "لَهُ", "لَهُمْ", "بْ", "قَدْ"]
+
+
+class TestConnectiveAlifWords:
+    def test_indexed_and_proposed(self):
+        lex = index_lexicon(["فِي", "ٱلْقَمَرُ"])
+        assert len(lex) == 2
+        assert fill(FillQuery(target="10111"), lex) == \
+            ["فِي ٱلْقَمَرُ", "ٱلْقَمَرُ"]
+        assert fill(FillQuery(target="0111", left_context="قَلْبِي"),
+                    lex) == ["ٱلْقَمَرُ"]
+
+    def test_share_one_lead(self):
+        # So many article nouns add one group of next words, not one
+        # each; the lead test of `TestExactPruning` checks that words
+        # with one lead are alike there.
+        leads = {scansion.lead(parse_line(surface).words[0])
+                 for surface in WASL_POOL[:6]}
+        assert len(leads) == 1
+
+    @given(fill_cases(pool=WASL_POOL))
+    @settings(max_examples=200, deadline=None)
+    def test_same_results_as_brute_force(self, case):
+        # Criterion 9's oracle over a pool of such words, in context.
+        surfaces, query = case
+        lex = index_lexicon(surfaces)
+        assert len(lex) == len(surfaces)
+        assert fill(query, lex) == brute_force(query, surfaces)
 
 
 @functools.cache
@@ -404,7 +438,7 @@ class TestExactPruning:
             assert not scansion.reads_back(parse_line(surface).words[0])
 
     @given(st.lists(st.sampled_from(FILL_POOL), max_size=2),
-           st.sampled_from(FILL_POOL + ["ٱبْنُ", "ٱسْمُ"]))
+           st.sampled_from(FILL_POOL + ["ٱسْمُ"]))
     @settings(max_examples=150, deadline=None)
     def test_words_with_one_lead_are_alike_as_next_word(self, before, word):
         # What `fill` relies on to read one window per group of words.
@@ -415,13 +449,14 @@ class TestExactPruning:
             beats = filler._final_beats(words + (x,), None)
             assert seen.setdefault(scansion.lead(x), beats) == beats
 
-    @given(st.lists(st.sampled_from(FILL_POOL + ["ٱبْنُ", "ٱسْمُ"]),
+    @given(st.lists(st.sampled_from(FILL_POOL + ["ٱسْمُ"]),
                     min_size=2, max_size=6).map(" ".join), st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_window_holds_the_line_beats(self, text, verse_final):
         words = parse_line(text).words
         try:
-            readings = scan_readings(ScriptLine(words, verse_final))
+            readings = scan_readings(ScriptLine(words),
+                                     verse_final=verse_final)
         except ScriptError:
             return
         if len(readings[0][0].words) != len(words):
@@ -463,12 +498,12 @@ class TestExactPruning:
             FillQuery(target="101010", max_words=4, max_results=1000),
             self.REPRO)
 
-    def test_fifty_words_three_deep(self, caplog):
+    def test_golden_words_three_deep(self, caplog):
         from test_golden import load_golden
-        # Every word of the golden verses that can stand in a lexicon.
+        # Every word of the golden verses, article nouns included.
         words = sorted({word for text, _, _ in load_golden()
-                        for word in text.split() if word[0] != "ٱ"})
-        assert len(words) == 50
+                        for word in text.split()})
+        assert len(words) == 60
         query = FillQuery(target="1011010", max_words=3, max_results=10 ** 6)
         got = fill(query, index_lexicon(words))
         assert not caplog.records

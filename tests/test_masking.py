@@ -412,7 +412,7 @@ def reference_reduce(context, cfg, rng):
                 letters[i] = Grapheme(g.base, vowel=g.vowel, silent=g.silent,
                                       is_wasl=g.is_wasl)
         words.append(tuple(letters))
-    return ScriptLine(tuple(words), context.verse_final)
+    return ScriptLine(tuple(words))
 
 
 def reference_build(line, cfg, rng, tables=None):
@@ -470,10 +470,9 @@ LONG_WORDS = st.lists(st.builds(_grapheme, st.sampled_from(["ب", "ل"]),
                                 st.just(True), st.just(False)),
                       min_size=11, max_size=15)
 CONTEXT_LINES = st.builds(
-    lambda words, final: ScriptLine(tuple(map(tuple, words)), final),
+    lambda words: ScriptLine(tuple(map(tuple, words))),
     st.lists(st.one_of(st.lists(GRAPHEMES, min_size=1, max_size=8),
-                       LONG_WORDS), min_size=1, max_size=5),
-    st.booleans())
+                       LONG_WORDS), min_size=1, max_size=5))
 PROBS = st.floats(0.01, 0.99)
 
 
@@ -505,14 +504,14 @@ class TestMaskPlan:
 
     @given(words=st.lists(st.sampled_from(PLAN_POOL), min_size=1,
                           max_size=8),
-           final=st.booleans(), index=st.integers(0, 10**6),
+           index=st.integers(0, 10**6),
            seed=st.integers(0, 10**6), per_line=st.integers(1, 4),
            probs=st.tuples(PROBS, PROBS, PROBS),
            reduce_context=st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_examples_equal_reference(self, words, final, index, seed,
+    def test_examples_equal_reference(self, words, index, seed,
                                       per_line, probs, reduce_context):
-        line = ScriptLine(tuple(words), final)
+        line = ScriptLine(tuple(words))
         span_p, keep_p, sukun_drop = probs
         cfg = MaskConfig(span_p=span_p, keep_p=keep_p, sukun_drop=sukun_drop,
                          seed=seed, per_line=per_line,

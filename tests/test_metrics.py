@@ -308,7 +308,7 @@ class TestAgreesWithFill:
             # the target of a lexicon phrase under its last reading
             readings = phrase_beats_in_context(
                 [parse_line(w).words[0] for w in target], _words(left),
-                _words(right), verse_final and not right.strip())
+                _words(right), verse_final)
             assume(readings and readings[-1])
             target = readings[-1]
         self._check(SNAPSHOT_LEXICON + ["لَهُمْ"], target, left, right,

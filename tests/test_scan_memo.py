@@ -36,18 +36,18 @@ def clear_memos():
         getattr(scansion, name).clear()
 
 
-def whole_line(line, sentence_initial, optional_plural_m):
+def whole_line(line, sentence_initial, verse_final, optional_plural_m):
     """The rules composed over the whole line, as `scan` ran them before
     the memo: (line after isba, (transcription, beats) or the error)."""
     tables = default_tables()
-    out = ScriptLine(tuple(filter(None, line.words)), line.verse_final)
+    out = ScriptLine(tuple(filter(None, line.words)))
     out = apply_special_words(out, tables.special)
     out = remove_silent_graphemes(out)
     out = expand_madda(out)
     out = process_hamzat_wasl(out, sentence_initial, tables.juncture)
     out = expand_gemination(out)
     out = expand_tanwin(out)
-    after_isba = apply_isba(out, line.verse_final, optional_plural_m)
+    after_isba = apply_isba(out, verse_final, optional_plural_m)
     try:
         out = validate_scansion(assign_default_sukun(after_isba))
     except ScriptError as exc:
@@ -102,28 +102,33 @@ class TestSameAsWholeLine:
         got_text = outcome(lambda: scan_text(
             text, verse_final, sentence_initial=sentence_initial))
         try:
-            line = parse_line(text, verse_final=verse_final)
+            line = parse_line(text)
         except ScriptError as exc:
             assert got_text == error(exc)
             return
         try:
-            plain_isba, plain = whole_line(line, sentence_initial, False)
+            plain_isba, plain = whole_line(line, sentence_initial,
+                                           verse_final, False)
             licensed_isba, licensed = whole_line(line, sentence_initial,
-                                                 True)
+                                                 verse_final, True)
         except ScriptError as exc:
             assert got_text == error(exc)
             assert outcome(lambda: scan(
-                line, sentence_initial=sentence_initial)) == error(exc)
+                line, sentence_initial=sentence_initial,
+                verse_final=verse_final)) == error(exc)
             assert outcome(lambda: scan_readings(
-                line, sentence_initial=sentence_initial)) == error(exc)
+                line, sentence_initial=sentence_initial,
+                verse_final=verse_final)) == error(exc)
             return
         assert got_text == plain
         assert outcome(lambda: scan(
-            line, sentence_initial=sentence_initial)) == plain
+            line, sentence_initial=sentence_initial,
+            verse_final=verse_final)) == plain
         expected = [plain]
         if licensed_isba.words != plain_isba.words:
             expected.append(licensed)
-        readings = scan_readings(line, sentence_initial=sentence_initial)
+        readings = scan_readings(line, sentence_initial=sentence_initial,
+                                 verse_final=verse_final)
         assert [error(r) if isinstance(r, ScriptError) else r
                 for r in readings] == expected
 

@@ -184,7 +184,7 @@ def _wasl_by_restart(line, sentence_initial, juncture):
                 juncture.vowel_for(tuple(words[pw])))
         else:
             raise DanglingWasl("connective alif with no resolvable context")
-    return ScriptLine(tuple(tuple(w) for w in words if w), line.verse_final)
+    return ScriptLine(tuple(tuple(w) for w in words if w))
 
 
 def _isba_word_by_word(line, verse_final, optional_plural_m=False):
@@ -371,8 +371,8 @@ class TestScan:
         assert beat_segments(line) == ["110", "10"]
 
     def test_only_empty_words(self):
-        line, beats = scan(ScriptLine(((), ()), verse_final=True))
-        assert line == ScriptLine((), verse_final=True) and beats == ""
+        line, beats = scan(ScriptLine(((), ())), verse_final=True)
+        assert line == ScriptLine(()) and beats == ""
 
 
 class TestIdleRuleReturnsItsInput:
@@ -443,7 +443,7 @@ READING_WORDS = sorted(
        "لَكُمُ", "بِهِمُ"})
 
 
-def reference_reading(line, sentence_initial, optional_plural_m):
+def reference_reading(line, sentence_initial, verse_final, optional_plural_m):
     """One full pass of the public rules in `scan`'s order with the
     license set as given: (line after isba, outcome), where the outcome
     is (transcription, beats) or the exception type; errors of the rules
@@ -455,7 +455,7 @@ def reference_reading(line, sentence_initial, optional_plural_m):
     out = process_hamzat_wasl(out, sentence_initial, tables.juncture)
     out = expand_gemination(out)
     out = expand_tanwin(out)
-    out = apply_isba(out, line.verse_final, optional_plural_m)
+    out = apply_isba(out, verse_final, optional_plural_m)
     after_isba = out
     try:
         out = scansion.assign_default_sukun(out)
@@ -475,17 +475,19 @@ class TestScanReadings:
     @settings(max_examples=400)
     def test_equals_two_separate_scans(self, words, verse_final,
                                        sentence_initial):
-        line = parse_line(" ".join(words), verse_final=verse_final)
+        line = parse_line(" ".join(words))
+        position = dict(sentence_initial=sentence_initial,
+                        verse_final=verse_final)
         try:
             plain_isba, plain = reference_reading(line, sentence_initial,
-                                                  False)
+                                                  verse_final, False)
             licensed_isba, licensed = reference_reading(
-                line, sentence_initial, True)
+                line, sentence_initial, verse_final, True)
         except ScriptError as exc:
             with pytest.raises(type(exc)):
-                scan_readings(line, sentence_initial=sentence_initial)
+                scan_readings(line, **position)
             return
-        readings = scan_readings(line, sentence_initial=sentence_initial)
+        readings = scan_readings(line, **position)
         expected = [plain]
         if licensed_isba.words != plain_isba.words:
             expected.append(licensed)
@@ -494,7 +496,7 @@ class TestScanReadings:
             assert licensed == plain
         assert [outcome(r) for r in readings] == expected
         if not isinstance(readings[0], ScriptError):
-            assert readings[0] == scan(line, sentence_initial=sentence_initial)
+            assert readings[0] == scan(line, **position)
 
     def test_license_adds_a_reading(self):
         line = parse_line("لَهُمْ مَا")
@@ -540,7 +542,7 @@ class TestValidationAcceptsTheRules:
         parsed = parse_line(text)
         for verse_final, sentence_initial, optional_plural_m \
                 in itertools.product((False, True), repeat=3):
-            out = ScriptLine(parsed.words, verse_final)
+            out = parsed
             try:
                 out = apply_special_words(out, tables.special)
                 out = remove_silent_graphemes(out)

@@ -62,7 +62,6 @@ def lines():
     return st.builds(
         ScriptLine,
         words=st.lists(words(), min_size=1, max_size=5).map(tuple),
-        verse_final=st.booleans(),
     )
 
 
@@ -116,7 +115,7 @@ class TestRender:
 
     @given(lines())
     def test_round_trip(self, line):
-        assert parse_line(render_line(line), line.verse_final) == line
+        assert parse_line(render_line(line)) == line
 
 
 class TestGraphemeInvariants:
