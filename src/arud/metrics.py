@@ -22,20 +22,44 @@ log = logging.getLogger(__name__)
 
 
 def edit_distance(a: str, b: str) -> int:
-    """Unit-cost insert/delete/substitute distance."""
+    """Unit-cost insert/delete/substitute distance.
+
+    Myers's bit-vector algorithm (G. Myers, "A fast bit-vector algorithm
+    for approximate string matching based on dynamic programming", JACM
+    1999) in the global-distance form of H. Hyyrö ("Explaining and
+    extending the bit-parallel approximate string matching algorithm of
+    Myers", 2001): bit i of `pv`/`mv` says whether the DP column over the
+    shorter string steps up/down by one at row i, and one step of integer
+    bit operations computes the next column per character of the longer
+    string.
+    """
     if len(a) < len(b):
-        a, b = b, a  # the DP row runs over the shorter string
-    # Entry j of `row` is the distance from the prefix of `a` read so
-    # far to `b[:j]`.
-    row = list(range(len(b) + 1))
-    for ca in a:
-        left = row[0] + 1
-        current = [left]
-        for up, diagonal, cb in zip(row[1:], row, b):
-            left = min(up + 1, left + 1, diagonal + (ca != cb))
-            current.append(left)
-        row = current
-    return row[-1]
+        a, b = b, a  # the bit vectors run over the shorter string
+    m = len(b)
+    if not m:
+        return len(a)
+    peq = {}
+    for i, c in enumerate(b):
+        peq[c] = peq.get(c, 0) | 1 << i
+    full = (1 << m) - 1
+    last = 1 << (m - 1)
+    pv, mv, score = full, 0, m
+    for c in a:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv) & full
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        # The top row is 0, 1, 2, ...: every column starts one higher.
+        ph = ph << 1 | 1
+        mh = mh << 1 & full
+        pv = mh | ~(xv | ph) & full
+        mv = ph & xv
+    return score
 
 
 def levenshtein_similarity(a: str, b: str) -> float:
@@ -134,6 +158,16 @@ def _generated_beats(record: PredictionRecord,
         return []
 
 
+# Every finite float is a whole multiple of 2 ** -1074.
+_FRACTION_BITS = 1074
+
+
+def _fixed_point(x: int | float) -> int:
+    """`x` exactly, as a whole number of 2 ** -_FRACTION_BITS units."""
+    numerator, denominator = x.as_integer_ratio()  # denominator: 2 ** k
+    return numerator << (_FRACTION_BITS + 1 - denominator.bit_length())
+
+
 def evaluate_predictions(records, tables: TableSet | None = None) -> EvalReport:
     """Score a stream of PredictionRecord values.
 
@@ -144,20 +178,25 @@ def evaluate_predictions(records, tables: TableSet | None = None) -> EvalReport:
     exact = 0
     similarity_sum = 0.0
     failures = 0
-    coherence_sum = 0.0
+    # Summed exactly and rounded once, so a mean of finite values is finite
+    # (`fractions` would do it too, at a cost at every CLI start).
+    coherence_sum = 0  # in units of 2 ** -_FRACTION_BITS
     coherence_n = 0
     for record in records:
         n += 1
         readings = _generated_beats(record, tables)
         if not readings:
             failures += 1
+        elif record.target_beats in readings:
+            exact += 1
+            # levenshtein_similarity(t, t), without a distance
+            similarity_sum += 100.0
         else:
-            exact += record.target_beats in readings
             similarity_sum += max(
                 levenshtein_similarity(record.target_beats, beats)
                 for beats in readings)
         if record.coherence is not None:
-            coherence_sum += record.coherence
+            coherence_sum += _fixed_point(record.coherence)
             coherence_n += 1
     if n == 0:
         raise EmptyEvaluation("no records to evaluate")
@@ -166,7 +205,8 @@ def evaluate_predictions(records, tables: TableSet | None = None) -> EvalReport:
         exact_accuracy=100.0 * exact / n,
         mean_levenshtein_similarity=similarity_sum / n,
         scan_failure_count=failures,
-        mean_coherence=coherence_sum / coherence_n if coherence_n else None,
+        mean_coherence=(coherence_sum / (coherence_n << _FRACTION_BITS)
+                        if coherence_n else None),
     )
 
 

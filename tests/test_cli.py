@@ -915,6 +915,17 @@ class TestEval:
         assert code == 0
         assert "exact_accuracy: 100.00" in out
 
+    def test_large_coherences_average_finitely(self, tmp_path, capsys):
+        records = "".join(
+            json.dumps({"target_beats": "10", "generated_text": "مَا",
+                        "coherence": value}) + "\n"
+            for value in (1e308, 1.5e308, -1.7e308, -1.7e308))
+        src = write(tmp_path, "pred.jsonl", records)
+        code, out, _ = run(capsys, "eval", "-i", src)
+        assert code == 0
+        mean = out.splitlines()[-1].removeprefix("mean_coherence: ")
+        assert float(mean) == pytest.approx(-2.25e307)
+
     def test_malformed_records_skipped(self, tmp_path, capsys):
         records = "\n".join([
             "[1]",

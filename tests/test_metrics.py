@@ -1,15 +1,19 @@
 """Edit-distance metrics and prediction-file evaluation."""
 
 import io
+import itertools
 import json
+import statistics
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from arud.errors import EmptyEvaluation
+from arud.errors import EmptyEvaluation, ScriptError
 from arud.filler import (
     FillQuery,
+    context_words,
     fill,
     index_lexicon,
     phrase_beats_in_context,
@@ -22,9 +26,13 @@ from arud.metrics import (
     levenshtein_similarity,
     read_prediction_file,
 )
+from arud.scansion import scan_text
 from arud.script import parse_line
 
 patterns = st.text(alphabet="01", max_size=30)
+# Longer than one 64-bit word of the bit-vector kernel.
+long_patterns = st.text(alphabet="01", max_size=200)
+three_letters = st.text(alphabet="abc", max_size=200)
 
 
 def naive_edit_distance(a, b):
@@ -69,9 +77,35 @@ class TestSimilarity:
     def test_triangle_inequality(self, a, b, c):
         assert edit_distance(a, c) <= edit_distance(a, b) + edit_distance(b, c)
 
-    @given(patterns, patterns)
+    @given(long_patterns, long_patterns)
     def test_matches_naive_oracle(self, a, b):
         assert edit_distance(a, b) == naive_edit_distance(a, b)
+
+
+class TestEditDistance:
+    """The bit-vector kernel against the full-matrix oracle."""
+
+    @given(three_letters, three_letters)
+    def test_three_letters(self, a, b):
+        assert edit_distance(a, b) == naive_edit_distance(a, b)
+
+    @given(three_letters)
+    def test_empty_side(self, a):
+        assert edit_distance(a, "") == edit_distance("", a) == len(a)
+
+    def test_every_short_binary_pair(self):
+        short = ["".join(bits) for n in range(7)
+                 for bits in itertools.product("01", repeat=n)]
+        for a in short:
+            for b in short:
+                assert edit_distance(a, b) == naive_edit_distance(a, b), \
+                    (a, b)
+
+    def test_all_substitutions(self):
+        assert edit_distance("0" * 5000, "1" * 5000) == 5000
+
+    def test_shifted_by_one(self):
+        assert edit_distance("01" * 2500, "10" * 2500) == 2
 
 
 def _records(pairs):
@@ -174,6 +208,27 @@ class TestEvaluate:
         ]
         report = evaluate_predictions(records)
         assert report.mean_coherence == 3.0
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                    | st.integers(-10 ** 300, 10 ** 300),
+                    min_size=1, max_size=20))
+    def test_coherence_mean_is_exact(self, values):
+        records = [PredictionRecord(target_beats="10", generated_text="مَا",
+                                    coherence=value) for value in values]
+        assert evaluate_predictions(records).mean_coherence \
+            == float(statistics.mean(values))
+
+    @pytest.mark.parametrize("values", [
+        [1e308, 1.5e308, -1.7e308, -1.7e308],
+        [sys.float_info.max] * 5,
+        [-sys.float_info.max, 5e-324, -sys.float_info.max],
+    ])
+    def test_coherence_mean_does_not_overflow(self, values):
+        records = [PredictionRecord(target_beats="10", generated_text="مَا",
+                                    coherence=value) for value in values]
+        mean = evaluate_predictions(records).mean_coherence
+        assert mean == float(statistics.mean(values))
+        assert abs(mean) <= sys.float_info.max
 
     def test_report_rendering(self):
         report = EvalReport(n=2, exact_accuracy=50.0,
@@ -313,3 +368,80 @@ class TestAgreesWithFill:
             target = readings[-1]
         self._check(SNAPSHOT_LEXICON + ["لَهُمْ"], target, left, right,
                     verse_final, max_words)
+
+
+def _readings(record):
+    """Every reading of a record's generated text, as `eval` reads it."""
+    try:
+        if record.left_context or record.right_context:
+            return phrase_beats_in_context(
+                parse_line(record.generated_text).words,
+                context_words(record.left_context or ""),
+                context_words(record.right_context or ""),
+                record.verse_final)
+        beats = scan_text(record.generated_text,
+                          verse_final=record.verse_final)[1]
+        return [beats] if beats else []
+    except ScriptError:
+        return []
+
+
+def reference_report(records):
+    """Each record scored by its best full-matrix similarity over every
+    reading, exact hits included; coherences by `statistics.mean`."""
+    exact = failures = 0
+    similarity_sum = 0.0
+    for record in records:
+        readings = _readings(record)
+        if not readings:
+            failures += 1
+            continue
+        target = record.target_beats
+        exact += target in readings
+        similarity_sum += max(
+            100.0 * (1.0 - naive_edit_distance(target, beats)
+                     / max(len(target), len(beats)))
+            for beats in readings)
+    coherences = [record.coherence for record in records
+                  if record.coherence is not None]
+    return EvalReport(
+        n=len(records), exact_accuracy=100.0 * exact / len(records),
+        mean_levenshtein_similarity=similarity_sum / len(records),
+        scan_failure_count=failures,
+        mean_coherence=(float(statistics.mean(coherences)) if coherences
+                        else None))
+
+
+@st.composite
+def snapshot_records(draw):
+    """A record over the snapshot's words and contexts whose target is
+    one of the phrase's own readings, or any short pattern."""
+    phrase = " ".join(draw(st.lists(st.sampled_from(PHRASE_WORDS),
+                                    min_size=1, max_size=2)))
+    record = PredictionRecord(
+        target_beats="1", generated_text=phrase,
+        left_context=draw(st.sampled_from(LEFT_CONTEXTS)),
+        right_context=draw(st.sampled_from(RIGHT_CONTEXTS)),
+        verse_final=draw(st.booleans()))
+    readings = [beats for beats in _readings(record) if beats]
+    target = draw(st.sampled_from(readings) if readings and draw(
+        st.booleans()) else st.text(alphabet="01", min_size=1, max_size=12))
+    return PredictionRecord(
+        target_beats=target, generated_text=phrase,
+        left_context=record.left_context, right_context=record.right_context,
+        verse_final=record.verse_final)
+
+
+class TestExactHitsSkipTheDistance:
+    """Scoring an exact reading 100 without a distance gives the report
+    that the best distance over every reading gives."""
+
+    @given(st.lists(snapshot_records(), min_size=1, max_size=8))
+    @settings(deadline=None)
+    def test_equals_reference(self, records):
+        assert evaluate_predictions(records) == reference_report(records)
+
+    def test_snapshot_predictions(self):
+        with open(SNAPSHOT_DIR / "predictions.jsonl", encoding="utf-8") as f:
+            records, _ = read_prediction_file(f)
+        assert evaluate_predictions(records) == reference_report(records)
