@@ -6,9 +6,11 @@ the words it finds in the known-words table and then applies the
 acceptance filter; the normalization heuristics (connective-alif
 guessing, silent letter marking, default sukun) then complete the
 diacritization, and a verification scan rejects anything the
-transformation cannot handle.  `normalize_lines` streams a corpus
-through these stages for `run_pipeline` and ``arud normalize``;
-``arud filter`` reports `accept_line`'s reason.
+transformation cannot handle, a line whose scan drops a word included
+(``scansion.word_offsets``), since `mask` needs every word's beats.
+`normalize_lines` streams a corpus through these stages for
+`run_pipeline` and ``arud normalize``; ``arud filter`` reports
+`accept_line`'s reason.
 
 Every stage but the filter and the verification scan acts on one word
 at a time, and verse repeats its words.  So each whitespace-free raw
@@ -37,6 +39,7 @@ from .script import (
     LAM,
     MARKS,
     TATWEEL,
+    VOWEL_CHAR_TO_KIND,
     WASL_ALIF,
     WAW,
     Grapheme,
@@ -74,11 +77,7 @@ class FilterDecision:
             raise ValueError("accepted flag must mirror the reason")
 
 
-MARK_KINDS = (
-    "fatha", "damma", "kasra", "sukun",
-    "tanwin_fath", "tanwin_damm", "tanwin_kasr",
-    "shadda", "silence",
-)
+MARK_KINDS = (*VOWEL_CHAR_TO_KIND.values(), "shadda", "silence")
 
 
 @dataclass
@@ -361,7 +360,10 @@ def process_line(raw: str, cfg: PipelineConfig | None = None,
     """Run one raw line through the full pipeline.
 
     Returns (normalized_text, "ok") on acceptance or (None, reason) on
-    rejection; per-line failures never raise.
+    rejection; per-line failures never raise.  The verification scan
+    also requires every word to keep its beats: a line whose scan drops
+    a word, such as a silent-only word or a lone connective alif after a
+    vowel, is rejected as "scan_error".
     """
     if cfg is None:
         cfg = PipelineConfig()
@@ -372,7 +374,8 @@ def process_line(raw: str, cfg: PipelineConfig | None = None,
         return None, reason
     finished = ScriptLine(tuple([word for _, word, _ in records]))
     try:
-        scansion.scan(finished, tables, sentence_initial=True)
+        scansion.word_offsets(finished.words, scansion.scan(
+            finished, tables, sentence_initial=True)[0])
     except UnderDiacritized:
         return None, "under_diacritized"
     except DanglingWasl:

@@ -20,8 +20,9 @@ prunes.  Lexicon words with one ``scansion.lead`` are alike as the next
 word, so a phrase reads one window per such group, and a query visits
 at most ``MAX_PHRASES`` phrases: homophones match exponentially often.
 
-The lexicon holds the words that scan as a line of their own
-(``index_lexicon``), words that begin with a connective alif included.
+The lexicon holds the words that scan as a line of their own and keep
+their beats there (``index_lexicon``), words that begin with a
+connective alif included.
 Every scan here reads its line as a sentence start, and as a verse end
 when the query says so; only the last word of the line feels the verse
 end, so a right context shields the phrase from it.
@@ -31,10 +32,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .errors import ScriptError
-from .scansion import _Memo, lead, reads_back, scan, scan_readings
+from .scansion import _Memo, lead, reads_back, scan, scan_readings, \
+    word_offsets
 from .script import ScriptLine, parse_line
 from .tables import TableSet, default_tables
 
@@ -104,8 +105,9 @@ def index_lexicon(words, tables: TableSet | None = None) -> Lexicon:
     Each word is scanned where a line starts, so a word that begins with
     a connective alif, such as an article noun, is kept: the alif reads
     as a glottal stop there, and in a phrase the full rescan reads it in
-    its place.  Duplicates collapse; unscannable words are logged and
-    skipped.
+    its place.  Duplicates collapse; words that do not scan, or that the
+    scan drops (``scansion.word_offsets``), such as a silent-only word,
+    are logged and skipped: no phrase holding one keeps its words.
     """
     seen = {}
     for surface in words:
@@ -116,7 +118,7 @@ def index_lexicon(words, tables: TableSet | None = None) -> Lexicon:
             line = parse_line(surface)
             if len(line.words) != 1:
                 raise ValueError("lexicon entries must be single words")
-            scan(line, tables)
+            word_offsets(line.words, scan(line, tables)[0])
         except (ScriptError, ValueError) as exc:
             log.warning("lexicon word %r skipped: %s", surface, exc)
             continue
@@ -129,17 +131,11 @@ def _readings(words: tuple, verse_final: bool,
     """(where each word's beats start, then end; the beats) per reading
     of the line `words`; [] when it does not scan or keep its words."""
     try:
-        readings = scan_readings(ScriptLine(words), tables,
-                                 verse_final=verse_final)
+        return [(word_offsets(words, transcription), beats)
+                for transcription, beats in scan_readings(
+                    ScriptLine(words), tables, verse_final=verse_final)]
     except ScriptError:
         return []
-    # The readings differ only inside words, so they keep or lose word
-    # alignment together.
-    if len(readings[0][0].words) != len(words):
-        return []
-    # Every grapheme of a transcription gives exactly one beat.
-    return [([0, *accumulate(map(len, transcription.words))], beats)
-            for transcription, beats in readings]
 
 
 def phrase_beats_in_context(phrase_words, left_words, right_words,

@@ -26,8 +26,8 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .errors import LineTooShort, ScanError, ScriptError
-from .scansion import MEMO_SIZE, _Memo, beat_segments, scan
+from .errors import LineTooShort, ScriptError
+from .scansion import MEMO_SIZE, _Memo, scan, word_offsets
 from .script import ALIF, ARABIC_LETTERS, MARKS, Grapheme, ScriptLine, \
     parse_line, render_word
 from .tables import TableSet
@@ -266,15 +266,15 @@ def reduce_context_diacritics(context: ScriptLine, cfg: MaskConfig,
 
 
 def _line_segments(line: ScriptLine, tables: TableSet | None) -> list[str]:
-    """Per-word beat segments of a scan-ready line, one per input word.
+    """Per-word beat segments of a scan-ready line, one per input word:
+    the line's beats cut at its `scansion.word_offsets`.
 
-    Raises ScanError when the scan drops or merges a word, since a span
-    of input words then has no beats of its own.
+    Raises ScanError when the scan drops a word, since a span of input
+    words then has no beats of its own.
     """
-    scansion_line, _ = scan(line, tables, sentence_initial=True)
-    if len(scansion_line.words) != len(line.words):
-        raise ScanError("word alignment lost during transformation")
-    return beat_segments(scansion_line)
+    transcription, beats = scan(line, tables, sentence_initial=True)
+    offsets = word_offsets(line.words, transcription)
+    return [beats[start:end] for start, end in zip(offsets, offsets[1:])]
 
 
 def _render_context(words, reduced, texts) -> str:

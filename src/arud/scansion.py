@@ -47,10 +47,11 @@ from __future__ import annotations
 
 import logging
 import sys
-from itertools import chain
+from itertools import accumulate, chain
 
 from .errors import (
     DanglingWasl,
+    ScanError,
     ScriptError,
     ShaddaWithoutVowel,
     UnderDiacritized,
@@ -431,6 +432,20 @@ def beat_segments(scansion: ScansionLine) -> list[BeatPattern]:
         "".join(["1" if g.vowel in SHORT_VOWELS else "0" for g in word])
         for word in scansion.words
     ]
+
+
+def word_offsets(words, transcription: ScansionLine) -> list[int]:
+    """Where each of `words` starts in the beats of `transcription`, a
+    scan of the line of those words, then where the last one ends.
+
+    A scan drops a word that vanishes, such as a silent-only word or a
+    lone connective alif after a vowel, and a span of the line's words
+    then has no beats of its own: that raises ScanError.
+    """
+    if len(transcription.words) != len(words):
+        raise ScanError("word alignment lost during transformation")
+    # Every grapheme of a transcription gives exactly one beat.
+    return [0, *accumulate(map(len, transcription.words))]
 
 
 class _Memo(dict):

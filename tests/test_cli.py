@@ -495,6 +495,27 @@ class TestNormalize:
         assert len(calls) == (2 if with_stats else 0)
 
 
+    # Lines that pass the filter but whose scan drops a word: a lone
+    # connective alif after a vowel, and a silent-only word.
+    WORD_LOSING = ["مَا لَهُ ٱ عَلَّمَ مَعًا", "مَا لَهُ عَلَّمَ ا۠ مَعًا"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_mask_accepts_the_output(self, tmp_path, capsys, jobs):
+        src = write(tmp_path, "in.txt",
+                    "\n".join([self.VERSE, *self.WORD_LOSING, FIG_LINE])
+                    + "\n")
+        normalized, rejects = tmp_path / "out.txt", tmp_path / "rejects.tsv"
+        code, _, _ = run(capsys, "normalize", "--jobs", jobs, "-i", src,
+                         "-o", str(normalized), "--reject-log", str(rejects))
+        assert code == 0
+        assert rejects.read_text(encoding="utf-8").splitlines() == [
+            "2\tscan_error", "3\tscan_error"]
+        code, out, err = run(capsys, "mask", "--seed", "3", "--jobs", jobs,
+                             "-i", str(normalized))
+        assert code == 0 and err == ""
+        assert len(out.splitlines()) == 2
+
+
 class TestLibraryDefaults:
     """The CLI's defaults and stage flags are the library's."""
 

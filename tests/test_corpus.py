@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arud import corpus, tables as tables_module
+from arud import corpus, masking, tables as tables_module
 from arud.errors import (
     DanglingWasl,
     EmptyHemistich,
@@ -249,6 +249,11 @@ class TestStats:
 
 
 ACCEPT_LINE = "قِفَا نَبْكِ مِنْ ذِكْرَى حَبِيبٍ وَمَنْزِلِ"
+# Words a scan drops: silent-only words, and a lone connective alif,
+# which drops after a vowel.
+VANISHING = ["و۠", "ا۠و۠", "ٱ"]
+# Lines that pass the filter but whose scan drops a word.
+WORD_LOSING_LINES = ["مَا لَهُ ٱ عَلَّمَ مَعًا", "مَا لَهُ عَلَّمَ ا۠ مَعًا"]
 
 
 class TestPipeline:
@@ -292,6 +297,10 @@ class TestPipeline:
         # without sukun defaults the verse still happens to scan (every
         # bare letter is a long vowel the scanner tolerates)
         assert reason in ("ok", "under_diacritized")
+
+    @pytest.mark.parametrize("raw", WORD_LOSING_LINES)
+    def test_rejects_a_line_that_loses_a_word(self, raw):
+        assert process_line(raw) == (None, "scan_error")
 
     @pytest.mark.parametrize("error,reason", [
         (UnderDiacritized, "under_diacritized"),
@@ -419,13 +428,15 @@ def reference_process(raw, cfg, tables):
     if cfg.sukun_defaults:
         line = assign_default_sukun(line)
     try:
-        scan(line, tables, sentence_initial=True)
+        transcription, _ = scan(line, tables, sentence_initial=True)
     except UnderDiacritized:
         return None, "under_diacritized"
     except DanglingWasl:
         return None, "dangling_wasl"
     except ScanError:
         return None, "scan_error"
+    if len(transcription.words) != len(line.words):
+        return None, "scan_error"  # a word lost its beats
     return render_line(line), "ok"
 
 
@@ -576,3 +587,17 @@ class TestWordRecords:
         assert corpus._words is memo
         process_line(ACCEPT_LINE, PipelineConfig(lam_kasra=False), tables)
         assert corpus._words is not memo
+
+
+class TestAcceptedLinesMask:
+    """`normalize` emits only lines that `mask` accepts."""
+
+    @given(st.lists(st.one_of(
+        st.tuples(st.sampled_from(VOCABULARY), st.integers(0, 2**16)).map(
+            lambda word_seed: degrade(*word_seed)),
+        st.sampled_from(VANISHING)), min_size=4, max_size=8).map(" ".join))
+    @settings(deadline=None)
+    def test_every_accepted_line_masks(self, raw):
+        text, _ = process_line(raw)
+        if text is not None:
+            masking.line_examples(parse_line(text), 0, masking.MaskConfig())

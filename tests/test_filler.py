@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import logging
 import tempfile
 from pathlib import Path
 
@@ -39,6 +40,16 @@ class TestIndex:
         # geminated letter with no vowel cannot scan
         lex = index_lexicon(["مَا", "بَمّ"])
         assert len(lex) == 1
+
+    def test_word_a_scan_drops_skipped(self, caplog):
+        # ا۠ is silent only, so the scan drops it and it has no beats; a
+        # lone connective alif scans where a line starts.
+        with caplog.at_level(logging.WARNING, logger="arud.filler"):
+            lex = index_lexicon(["ا۠", "مَا", "ٱ"])
+        assert {surface for surface, _ in lex.entries} == {"مَا", "ٱ"}
+        assert [record.getMessage() for record in caplog.records] == [
+            "lexicon word 'ا۠' skipped: word alignment lost during "
+            "transformation"]
 
     def test_duplicates_collapse(self):
         lex = index_lexicon(["مَا", "مَا", "مَا"])

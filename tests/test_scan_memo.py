@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from arud import scansion
 from arud.cli import ENV_TABLE_DIR, main
-from arud.errors import DanglingWasl, ScriptError, ShaddaWithoutVowel
+from arud.errors import DanglingWasl, ScanError, ScriptError, \
+    ShaddaWithoutVowel
 from arud.scansion import (
     apply_isba,
     apply_special_words,
@@ -23,6 +24,7 @@ from arud.scansion import (
     scan_readings,
     scan_text,
     validate_scansion,
+    word_offsets,
 )
 from arud.script import ARABIC_LETTERS, FATHA, SUKUN, ScriptLine, parse_line
 from arud.tables import default_tables
@@ -144,6 +146,40 @@ class TestSameAsWholeLine:
         assert scan_text(text)[1] == beats
         with pytest.raises(ShaddaWithoutVowel):
             scan_text("بَمّ")
+
+
+class TestWordOffsets:
+    """`word_offsets` cuts every reading's beats into the transcription's
+    `beat_segments`, and raises when the scan lost a word."""
+
+    @given(TEXTS, st.booleans(), st.booleans())
+    @settings(deadline=None)
+    def test_offsets_cut_the_beat_segments(self, text, verse_final,
+                                           sentence_initial):
+        try:
+            line = parse_line(text)
+            readings = scan_readings(line, sentence_initial=sentence_initial,
+                                     verse_final=verse_final)
+        except ScriptError:
+            return
+        for transcription, beats in readings:
+            if len(transcription.words) < len(line.words):
+                with pytest.raises(ScanError, match="^word alignment lost "
+                                   "during transformation$"):
+                    word_offsets(line.words, transcription)
+                continue
+            offsets = word_offsets(line.words, transcription)
+            assert offsets[0] == 0 and offsets[-1] == len(beats)
+            assert [beats[start:end] for start, end
+                    in zip(offsets, offsets[1:])] \
+                == beat_segments(transcription)
+
+    @pytest.mark.parametrize("text", ["مَا ٱ لَهُ", "مَا لَهُ ٱ عَلَّمَ مَعًا",
+                                      "مَا لَهُ عَلَّمَ ا۠ مَعًا", *EMPTIED])
+    def test_a_dropped_word_raises(self, text):
+        line = parse_line(text)
+        with pytest.raises(ScanError):
+            word_offsets(line.words, scan(line)[0])
 
 
 WORD_RULES = ("apply_special_words", "remove_silent_graphemes",
