@@ -134,8 +134,12 @@ class EvalReport:
             f"{self.mean_levenshtein_similarity:.2f}",
             f"scan_failure_count: {self.scan_failure_count}",
         ]
-        if self.mean_coherence is not None:
-            out.append(f"mean_coherence: {self.mean_coherence:.2f}")
+        mean = self.mean_coherence
+        if mean is not None:
+            # Fixed point below 1e15; beyond, an exponent keeps the line
+            # short.
+            out.append(f"mean_coherence: {mean:.2f}" if abs(mean) < 1e15
+                       else f"mean_coherence: {mean:.3e}")
         return "\n".join(out)
 
 

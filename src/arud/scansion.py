@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import logging
 import sys
+from collections import deque
 from itertools import accumulate, chain
 
 from .errors import (
@@ -63,6 +64,7 @@ from .script import (
     HAMZA_ALIF,
     LAM,
     MADDA_ALIF,
+    MEMO_SIZE,
     MIM,
     NUN,
     SHORT_VOWELS,
@@ -449,24 +451,34 @@ def word_offsets(words, transcription: ScansionLine) -> list[int]:
 
 
 class _Memo(dict):
-    """A dict of at most `size` entries; the oldest entry makes room.
+    """A dict of at most `size` entries, filled by `put`; the oldest
+    entry makes room.
 
-    `built_with` names what the values were computed with, when that
-    is not part of the key.
+    `_order` holds the keys oldest first, so making room takes constant
+    time however many entries have been evicted before.  `built_with`
+    names what the values were computed with, when that is not part of
+    the key.
     """
 
-    __slots__ = ("size", "built_with")
+    __slots__ = ("size", "built_with", "_order")
 
     def __init__(self, size: int, built_with=None):
         super().__init__()
         self.size = size
         self.built_with = built_with
+        self._order = deque()
 
     def put(self, key, value):
-        if len(self) >= self.size:
-            del self[next(iter(self))]
+        if key not in self:
+            if len(self) >= self.size:
+                del self[self._order.popleft()]
+            self._order.append(key)
         self[key] = value
         return value
+
+    def clear(self):
+        super().clear()
+        self._order.clear()
 
     def matching(self, built_with) -> "_Memo":
         """This memo if it was built with what equals `built_with`, else
@@ -477,11 +489,6 @@ class _Memo(dict):
             self.built_with = built_with
         return self
 
-
-# Entries per step memo, chosen by measurement on perfbench: a memo must
-# hold a verse vocabulary, a 25 s `scan` run meets about 3,900 distinct
-# words, and memos of 1024 entries gave no gain.
-MEMO_SIZE = 4096
 
 # Word -> the word after step 1, built with the special-word table
 # `_step1.built_with`.  `_first_steps` reads this global once, so a call

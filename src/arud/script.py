@@ -178,29 +178,38 @@ class ScriptLine:
 
 
 def parse_line(raw: str) -> ScriptLine:
-    """Parse composed-form text into a ScriptLine.
+    """Parse text into a ScriptLine, reading each word in NFC.
 
     Whitespace runs delimit words.  Any code point outside the Arabic
     letters, the nine marks and whitespace is rejected.
     """
-    text = unicodedata.normalize("NFC", raw)
-    if not text.strip():
+    chunks = raw.split()
+    if not chunks:
         raise EmptyLine("no words in line")
-    return ScriptLine(words=tuple(map(_parse_word, text.split())))
+    return ScriptLine(words=tuple(map(_parse_word, chunks)))
 
 
-# Verse vocabulary repeats words: on perfbench input this memo serves
-# 60% of word lookups in `scan` runs, 58% in `prepare` runs and 84% in
-# `infill` runs (seed 71, fixed operations in one process).  A miss
-# looks its letters up in `_BY_TEXT`.  The size is fixed, so the memo's
-# memory is too; a memo holding the whole vocabulary was faster but
-# kept the text of every word resident.
-WORD_MEMO_SIZE = 256
+# Entries per word memo: this one and those of the scansion steps,
+# `masking` and `corpus`.  Chosen by measurement on perfbench: a memo
+# must hold a verse vocabulary, a 25 s `scan` run meets about 3,900
+# distinct words, and memos of 1024 entries gave no gain.
+MEMO_SIZE = 4096
 
 
-@lru_cache(maxsize=WORD_MEMO_SIZE)
+# A word as written -> its graphemes.  Verse repeats its words, so most
+# words are met here and skip normalization and the grapheme lookup.
+# Normalizing each word alone equals normalizing the line: whitespace
+# characters are starters that compose with nothing, and each one's NFC
+# is a single whitespace character.  The memo is bounded, so text whose
+# vocabulary keeps growing keeps only its most recent words resident.
+@lru_cache(maxsize=MEMO_SIZE)
 def _parse_word(chunk: str) -> Word:
-    """Graphemes of one whitespace-free chunk."""
+    """Graphemes of one whitespace-free chunk, read in NFC."""
+    return _parse_pieces(unicodedata.normalize("NFC", chunk))
+
+
+def _parse_pieces(chunk: str) -> Word:
+    """Graphemes of one whitespace-free chunk, as written."""
     # Split at letters and look each piece up; a piece not met before,
     # or a character outside every piece, takes the character loop.
     pieces = _GRAPHEME_TEXT.findall(chunk)
@@ -222,7 +231,7 @@ _BY_TEXT: dict[str, Grapheme] = {}
 
 
 def _parse_chars(chunk: str) -> Word:
-    """`_parse_word` character by character, raising the first error."""
+    """`_parse_pieces` character by character, raising the first error."""
     graphemes: list[Grapheme] = []
     base = None
     for i, ch in enumerate(chunk):

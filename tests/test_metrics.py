@@ -3,6 +3,7 @@
 import io
 import itertools
 import json
+import re
 import statistics
 import sys
 from pathlib import Path
@@ -238,6 +239,28 @@ class TestEvaluate:
         assert "exact_accuracy: 50.00" in text
         assert "mean_levenshtein_similarity: 33.33" in text
         assert "mean_coherence" not in text
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_coherence_line_stays_short(self, mean):
+        line = _coherence_line(mean)
+        assert len(line) <= 40
+        assert re.fullmatch(r"mean_coherence: -?(\d+\.\d\d|\d\.\d{3}e[+-]\d+)",
+                            line)
+
+    @pytest.mark.parametrize("mean, text", [
+        (3.25, "3.25"),
+        (999999999999999.9, "999999999999999.88"),
+        (-1e15, "-1.000e+15"),
+        (sys.float_info.max, "1.798e+308"),
+    ])
+    def test_coherence_exponent_from_1e15(self, mean, text):
+        assert _coherence_line(mean) == f"mean_coherence: {text}"
+
+
+def _coherence_line(mean):
+    return EvalReport(n=1, exact_accuracy=0.0,
+                      mean_levenshtein_similarity=0.0, scan_failure_count=0,
+                      mean_coherence=mean).render_report().splitlines()[-1]
 
 
 class TestPredictionFile:

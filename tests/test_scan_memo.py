@@ -1,6 +1,7 @@
 """The per-word memo under `scan`: same results as the whole-line rules,
 errors in the same order, bounded memos and per-table isolation."""
 
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -267,6 +268,25 @@ class TestMemoSizes:
         for word in _distinct_words(scansion.MEMO_SIZE + 50, SUKUN):
             scan_text(word)
         assert len(getattr(scansion, memo)) == scansion.MEMO_SIZE
+
+    @given(st.integers(1, 4),
+           st.lists(st.none() | st.tuples(st.integers(0, 6), st.integers()),
+                    max_size=40))
+    def test_same_contents_as_an_ordered_dict(self, size, ops):
+        # each op is a put, or None for a clear
+        memo, model = scansion._Memo(size), OrderedDict()
+        for op in ops:
+            if op is None:
+                memo.clear()
+                model.clear()
+                continue
+            key, value = op
+            if key not in model and len(model) >= size:
+                model.popitem(last=False)
+            model[key] = value
+            assert memo.put(key, value) == value
+            assert list(memo.items()) == list(model.items())
+            assert len(memo) <= size
 
 
 class TestTablesIsolation:

@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import unicodedata
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -25,6 +26,8 @@ from arud.script import (
     ALIF_MAKSURA,
     ARABIC_LETTERS,
     FATHA,
+    KASRA,
+    MEMO_SIZE,
     SHADDA,
     SILENCE,
     SUKUN,
@@ -177,15 +180,19 @@ class TestSharedGraphemes:
     def test_word_memo_stays_within_its_size(self):
         script._parse_word.cache_clear()
         letters = sorted(ARABIC_LETTERS - {"ٱ"})
-        n = script.WORD_MEMO_SIZE + 50
-        words = [letters[i % len(letters)] + FATHA
+        n = MEMO_SIZE + 50
+        # Kasra before shadda: NFC reorders these chunks, so the memo
+        # keys them as written.
+        words = [letters[i % len(letters)] + SHADDA + KASRA
                  + letters[i // len(letters) % len(letters)] + SUKUN
                  + letters[i // len(letters) ** 2] for i in range(n)]
         assert len(set(words)) == n
         for word in words:
             parse_line(word)
-        assert script._parse_word.cache_info().currsize \
-            == script.WORD_MEMO_SIZE
+        assert script._parse_word.cache_info().currsize == MEMO_SIZE
+        assert script._parse_word.cache_info().hits == 0
+        parse_line(words[-1])
+        assert script._parse_word.cache_info().hits == 1
 
 
 # Every letter, alifs weighted up: the tanwin-fath rule acts on them.
@@ -443,7 +450,7 @@ class TestVocalizationFlags:
 
 
 class TestParseByPieces:
-    """`_parse_word` looks accepted pieces up; `_parse_chars` is the
+    """`_parse_pieces` looks accepted pieces up; `_parse_chars` is the
     character loop it must agree with, errors included."""
 
     @given(st.lists(st.text(alphabet=SAFE_LETTERS[:6] + ["ٱ", FATHA, SUKUN,
@@ -455,6 +462,41 @@ class TestParseByPieces:
         for chunk in chunks:
             want = _raised(lambda: script._parse_chars(chunk)) \
                 or script._parse_chars(chunk)
-            got = _raised(lambda: script._parse_word.__wrapped__(chunk)) \
-                or script._parse_word.__wrapped__(chunk)
+            got = _raised(lambda: script._parse_pieces(chunk)) \
+                or script._parse_pieces(chunk)
             assert got == want
+
+
+def _parse_line_of_nfc(raw):
+    """`parse_line` as first defined: NFC of the whole line, then split."""
+    text = unicodedata.normalize("NFC", raw)
+    if not text.strip():
+        raise EmptyLine("no words in line")
+    return ScriptLine(tuple(map(script._parse_chars, text.split())))
+
+
+# Letters, marks in either order, the three combining marks NFC composes
+# into letters, a foreign character and whitespace of several kinds,
+# some of which NFC rewrites.
+RAW_TEXT = st.text(alphabet=[
+    "ب", "م", ALIF, "و", "ي", "ٱ", FATHA, KASRA, SHADDA, SUKUN, SILENCE,
+    TANWIN_FATH, "\u0653", "\u0654", "\u0655", "x",
+    " ", "\t", "\u00a0", "\u2000", "\u3000", "\u0085"], max_size=16)
+
+
+class TestParseLineOracle:
+    """`parse_line` looks each word up as written and normalizes only a
+    word it has not met."""
+
+    @given(RAW_TEXT)
+    def test_same_words_or_error_as_nfc_of_the_line(self, raw):
+        want = _raised(lambda: _parse_line_of_nfc(raw)) \
+            or _parse_line_of_nfc(raw)
+        got = _raised(lambda: parse_line(raw)) or parse_line(raw)
+        assert got == want
+
+    def test_a_word_met_again_is_the_same_object(self):
+        chunk = "ب" + SHADDA + KASRA + "ا"  # NFC puts kasra first
+        first = parse_line(chunk).words[0]
+        assert parse_line(f"مَا {chunk}").words[1] is first
+        assert first == parse_line("ب" + KASRA + SHADDA + "ا").words[0]
