@@ -16,10 +16,10 @@ Every stage but the filter and the verification scan acts on one word
 at a time, and verse repeats its words.  So each whitespace-free raw
 chunk goes through cleaning, parsing, the known words and the
 heuristics once, on a one-word line, and its record is kept in one
-bounded memo: the word after the known words, the finished word and its
-text.  `accept_line` filters the line of known-words forms, and
+``script.Memo``: the word after the known words, the finished word and
+its text.  `accept_line` filters the line of known-words forms, and
 `process_line` scans the line of finished words and joins their texts.
-The memo is rebuilt when the stage flags or the tables' values change.
+The memo empties when the stage flags or the tables' values change.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .script import (
     WASL_ALIF,
     WAW,
     Grapheme,
+    Memo,
     ScriptLine,
     fix_diacritic_order,
     parse_line,
@@ -281,19 +282,15 @@ def diacritize_known_words(line: ScriptLine,
 _DROPPED = "dropped"
 _FOREIGN = "foreign"
 
-# NFC whitespace-free raw chunk -> `_record` of it.  Every stage after
-# cleaning acts on one word at a time, and verse repeats its words.
-# `_words.built_with` holds what a record depends on besides its chunk:
-# the `STAGE_FLAGS` values and the tables.
-_words = scansion._Memo(scansion.MEMO_SIZE)
-
-
-def _record(chunk: str, cfg: PipelineConfig, tables: TableSet):
-    """One raw chunk through every word-local stage, on a one-word line.
+def _record(chunk: str, flags: tuple, tables: TableSet):
+    """One raw chunk through every word-local stage, on a one-word line;
+    `flags` are the `STAGE_FLAGS` values.
 
     Returns (the word after known words, the finished word, its text),
     or `_DROPPED` or `_FOREIGN`.
     """
+    known_words, lam_kasra, wasl_heuristic, silent_marking, \
+        sukun_defaults = flags
     cleaned = clean_line(chunk)
     if not cleaned:
         return _DROPPED
@@ -301,16 +298,16 @@ def _record(chunk: str, cfg: PipelineConfig, tables: TableSet):
         line = parse_line(cleaned)
     except ScriptError:
         return _FOREIGN
-    if cfg.known_words:
+    if known_words:
         line = diacritize_known_words(line, tables.known)
     known = line.words[0]
-    if cfg.lam_kasra:
+    if lam_kasra:
         line = apply_lam_kasra(line)
-    if cfg.wasl_heuristic:
+    if wasl_heuristic:
         line = apply_wasl_heuristic(line)
-    if cfg.silent_marking:
+    if silent_marking:
         line = mark_silent_letters(line, tables.silent)
-    if cfg.sukun_defaults:
+    if sukun_defaults:
         line = assign_default_sukun(line)
     finished = line.words[0]
     text = render_word(finished)
@@ -319,18 +316,20 @@ def _record(chunk: str, cfg: PipelineConfig, tables: TableSet):
     return known, finished, chunk if text == chunk else text
 
 
+# NFC whitespace-free raw chunk -> `_record` of it.  Every stage after
+# cleaning acts on one word at a time, and verse repeats its words.
+# `_accept` sets what a record depends on besides its chunk: the
+# `STAGE_FLAGS` values and the tables.
+_words = Memo(_record, None, None)
+
+
 def _accept(raw: str, cfg: PipelineConfig, tables: TableSet):
     """`accept_line`, with the records of the accepted line's words:
     (line or None, records or None, reason)."""
-    global _words
-    # `matching` compares tables by value, so a pool worker keeps its
-    # memo when each chunk of lines brings an equal, unpickled set.
-    _words = memo = _words.matching((_stage_flags(cfg), tables))
+    _words.use(_stage_flags(cfg), tables)
     records = []
-    for chunk in unicodedata.normalize("NFC", raw).split():
-        record = memo.get(chunk)
-        if record is None:
-            record = memo.put(chunk, _record(chunk, cfg, tables))
+    for record in map(_words.__getitem__,
+                      unicodedata.normalize("NFC", raw).split()):
         if record is _FOREIGN:
             return None, None, REASON_FOREIGN_RESIDUE
         if record is not _DROPPED:

@@ -34,9 +34,8 @@ import logging
 from dataclasses import dataclass
 
 from .errors import ScriptError
-from .scansion import _Memo, lead, reads_back, scan, scan_readings, \
-    word_offsets
-from .script import ScriptLine, parse_line
+from .scansion import lead, reads_back, scan, scan_readings, word_offsets
+from .script import Memo, ScriptLine, parse_line
 from .tables import TableSet, default_tables
 
 log = logging.getLogger(__name__)
@@ -46,10 +45,6 @@ log = logging.getLogger(__name__)
 # and up to 1.7 s when a sixth of the lexicon reads back, as article nouns
 # do, since each such word reads windows of its own.
 MAX_PHRASES = 20_000
-
-# Windows memoized at once.  Each holds four words' references and two
-# short beat strings, so a full memo stays well under a megabyte.
-WINDOW_MEMO_SIZE = 4096
 
 # A word that begins with a connective alif (see `_final_beats`).
 _WASL_WORD = parse_line("ٱسْمُ").words[0]
@@ -184,9 +179,10 @@ def _final_beats(window: tuple, tables: TableSet | None) -> tuple:
     return tuple(plain), tuple(licensed)
 
 
-# Window -> `_final_beats` of it, built with `_windows.built_with`.  A query
-# reads this global once, so other tables swap in a new memo safely.
-_windows = _Memo(WINDOW_MEMO_SIZE)
+# Window -> `_final_beats` of it, computed with the tables `fill` sets.
+# Each window holds four words' references and two short beat strings,
+# so a full memo of `script.MEMO_SIZE` windows stays well under a megabyte.
+_windows = Memo(_final_beats, None)
 
 
 def fill(query: FillQuery, lexicon: Lexicon,
@@ -197,8 +193,7 @@ def fill(query: FillQuery, lexicon: Lexicon,
     an unsatisfiable target yields an empty list.  A search that reaches
     ``MAX_PHRASES`` logs a warning and returns the phrases found so far.
     """
-    global _windows
-    _windows = windows = _windows.matching(tables or default_tables())
+    _windows.use(tables or default_tables())
     left, right, target = query.left_words, query.right_words, query.target
     groups = {}
     for surface, word in lexicon.entries:
@@ -211,9 +206,7 @@ def fill(query: FillQuery, lexicon: Lexicon,
 
     def final_beats(before, word):
         # `word`'s final beats per reading, with each of `nexts` after it.
-        return [windows.get(window)
-                or windows.put(window, _final_beats(window, tables))
-                for window in (before + (word, after) for after in nexts)]
+        return [_windows[before + (word, after)] for after in nexts]
 
     # A word that does not read back has its final beats wherever it
     # stands.  Such words are bucketed by them, and one test of every beat

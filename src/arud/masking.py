@@ -11,7 +11,7 @@ its examples or none (`line_examples`).
 Context reduction draws per word, but what it draws over depends on the
 word alone: its letters once silence marks are dropped and connective
 alifs made plain, their sukuns, and the slots of their other marks.
-That plan is built once per distinct word, in a bounded memo.  The kept
+That plan is built once per distinct word, in a ``script.Memo``.  The kept
 slots are drawn by `_sample`, which replays `random.Random.sample` for
 small populations without its generic checks, so every draw, and every
 output byte, is what ``rng.sample`` would give.
@@ -27,9 +27,9 @@ import sys
 from dataclasses import dataclass
 
 from .errors import LineTooShort, ScriptError
-from .scansion import MEMO_SIZE, _Memo, scan, word_offsets
-from .script import ALIF, ARABIC_LETTERS, MARKS, Grapheme, ScriptLine, \
-    parse_line, render_word
+from .scansion import scan, word_offsets
+from .script import ALIF, ARABIC_LETTERS, MARKS, Grapheme, Memo, \
+    ScriptLine, parse_line, render_word
 from .tables import TableSet
 
 log = logging.getLogger(__name__)
@@ -121,20 +121,6 @@ def sample_mask_span(line: ScriptLine, cfg: MaskConfig,
     return start, length
 
 
-# Word -> its mask plan (see `_plan`).  Verse vocabulary repeats words:
-# in 250 `prepare` chunks (perfbench seed 78) the masked contexts hold
-# 5,104 distinct words, and a memo of this size serves 98% of their
-# 399,863 lookups (one of 1,024 entries serves 89% and ran about 4%
-# slower on `prepare`).  Plans hold no render text and no per-slot
-# objects, and the plans of words without silence marks or connective
-# alifs, most words, are shared through `_shapes`, where about a hundred
-# distinct ones serve a few thousand words.  So a full memo costs little
-# more than its table and the words it keeps.
-_plans = _Memo(MEMO_SIZE)
-# Plans without letters of their own -> one shared instance of each.
-_shapes = _Memo(MEMO_SIZE)
-
-
 def _plan(word: tuple) -> tuple:
     """What `reduce_context_diacritics` needs of `word` before it draws.
 
@@ -162,29 +148,26 @@ def _plan(word: tuple) -> tuple:
             slots.append(~i)
     if letters != word:
         return letters, sukuns, tuple(slots)
-    plan = (None, sukuns, tuple(slots))
-    shared = _shapes.get(plan)
-    return _shapes.put(plan, plan) if shared is None else shared
+    return _shapes[None, sukuns, tuple(slots)]
 
 
-class _Stripped(dict):
-    """Interned grapheme -> the same letter without one kind of mark,
-    built on first use; graphemes are few, so it stays small."""
-
-    __slots__ = ("strip",)
-
-    def __init__(self, strip):
-        super().__init__()
-        self.strip = strip
-
-    def __missing__(self, g):
-        stripped = self[g] = self.strip(g)
-        return stripped
-
-
-_NO_VOWEL = _Stripped(lambda g: g.with_vowel(None))
-_NO_SHADDA = _Stripped(lambda g: Grapheme(g.base, g.vowel, silent=g.silent,
-                                          is_wasl=g.is_wasl))
+# Word -> its mask plan.  Verse vocabulary repeats words: in 250
+# `prepare` chunks (perfbench seed 78) the masked contexts hold 5,104
+# distinct words, and a memo of `MEMO_SIZE` entries serves 98% of their
+# 399,863 lookups (one of 1,024 entries serves 89% and ran about 4%
+# slower on `prepare`).  Plans hold no render text and no per-slot
+# objects, and the plans of words without silence marks or connective
+# alifs, most words, are shared through `_shapes`, where about a hundred
+# distinct ones serve a few thousand words.  So a full memo costs little
+# more than its table and the words it keeps.
+_plans = Memo(_plan)
+# Plans without letters of their own -> one shared instance of each.
+_shapes = Memo(lambda plan: plan)
+# Interned grapheme -> the same letter without one kind of mark;
+# graphemes are few, so these stay small.
+_NO_VOWEL = Memo(Grapheme.with_vowel, None)
+_NO_SHADDA = Memo(lambda g: Grapheme(g.base, g.vowel, silent=g.silent,
+                                     is_wasl=g.is_wasl))
 
 
 # Largest population for which `random.Random.sample` always takes its
@@ -235,10 +218,7 @@ def reduce_context_diacritics(context: ScriptLine, cfg: MaskConfig,
     draw = rng.random
     words = []
     for word in context.words:
-        plan = _plans.get(word)
-        if plan is None:
-            plan = _plans.put(word, _plan(word))
-        letters, sukuns, slots = plan
+        letters, sukuns, slots = _plans[word]
         if letters is None:
             letters = word
         if sukuns:

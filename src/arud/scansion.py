@@ -29,25 +29,25 @@ Graphemes are interned (see ``script.Grapheme``): one instance per
 distinct value, shared by every line in the process.
 
 Verse repeats its words, so `scan` and `scan_readings` run each
-word-scope step once per distinct word: each has one bounded memo from
+word-scope step once per distinct word: each is a ``script.Memo`` from
 the word it receives to the word it returns (step 5 adds the beat
-segment).  On a miss the step's rules run as they always do, on a
-one-word line.  The boundary rules run on every line, but pass over the
-words they cannot change: the connective-alif rule returns a line
-holding no connective alif at once (``script.WASL_GRAPHEMES``) and
-copies only the words holding one and the word before an alif that a
-case changes; isba rejects a word first on its last letter, since it
-extends only a word ending in ha or mim before the next word.  A step
-that raises stores nothing, and each raises from one rule only
-(gemination in step 3, validation in step 5), so mapping a step over the
-words left to right raises the error the whole-line rules raise first.
+segment), and a line's words are looked up in it left to right.  On a
+miss the step's rules run as they always do, on a one-word line.  The
+boundary rules run on every line, but pass over the words they cannot
+change: the connective-alif rule returns a line holding no connective
+alif at once (``script.WASL_GRAPHEMES``) and copies only the words
+holding one and the word before an alif that a case changes; isba
+rejects a word first on its last letter, since it extends only a word
+ending in ha or mim before the next word.  A step that raises stores
+nothing, and each raises from one rule only (gemination in step 3,
+validation in step 5), so mapping a step over the words left to right
+raises the error the whole-line rules raise first.
 """
 
 from __future__ import annotations
 
 import logging
 import sys
-from collections import deque
 from itertools import accumulate, chain
 
 from .errors import (
@@ -64,7 +64,6 @@ from .script import (
     HAMZA_ALIF,
     LAM,
     MADDA_ALIF,
-    MEMO_SIZE,
     MIM,
     NUN,
     SHORT_VOWELS,
@@ -75,6 +74,7 @@ from .script import (
     WAW,
     YA,
     Grapheme,
+    Memo,
     ScriptLine,
     Word,
     parse_line,
@@ -450,57 +450,6 @@ def word_offsets(words, transcription: ScansionLine) -> list[int]:
     return [0, *accumulate(map(len, transcription.words))]
 
 
-class _Memo(dict):
-    """A dict of at most `size` entries, filled by `put`; the oldest
-    entry makes room.
-
-    `_order` holds the keys oldest first, so making room takes constant
-    time however many entries have been evicted before.  `built_with`
-    names what the values were computed with, when that is not part of
-    the key.
-    """
-
-    __slots__ = ("size", "built_with", "_order")
-
-    def __init__(self, size: int, built_with=None):
-        super().__init__()
-        self.size = size
-        self.built_with = built_with
-        self._order = deque()
-
-    def put(self, key, value):
-        if key not in self:
-            if len(self) >= self.size:
-                del self[self._order.popleft()]
-            self._order.append(key)
-        self[key] = value
-        return value
-
-    def clear(self):
-        super().clear()
-        self._order.clear()
-
-    def matching(self, built_with) -> "_Memo":
-        """This memo if it was built with what equals `built_with`, else
-        a new empty one that is."""
-        if built_with is not self.built_with:
-            if built_with != self.built_with:
-                return _Memo(self.size, built_with)
-            self.built_with = built_with
-        return self
-
-
-# Word -> the word after step 1, built with the special-word table
-# `_step1.built_with`.  `_first_steps` reads this global once, so a call
-# with other tables swaps in a new memo without affecting a scan in
-# progress.
-_step1 = _Memo(MEMO_SIZE)
-# Word after the connective-alif rule -> the word after step 3.
-_step3 = _Memo(MEMO_SIZE)
-# Word after isba -> (the word after step 5, its beat segment).
-_step5 = _Memo(MEMO_SIZE)
-
-
 def _first_step(word: Word, special: WordTable) -> Word:
     """Special words, silent removal and madda; () if the word was
     emptied."""
@@ -521,25 +470,19 @@ def _fifth_step(word: Word) -> tuple[Word, BeatPattern]:
     return out.words[0], sys.intern(beat_segments(out)[0])
 
 
-def _each_word(memo: _Memo, step, words, *args) -> list:
-    """`step(word, *args)` of each word, left to right, through `memo`.
-
-    A word whose step raises stores nothing, so the first error raised is
-    the one the step's rules raise first over the whole line.
-    """
-    out = list(map(memo.get, words))
-    if None in out:
-        out = [value if value is not None
-               else memo.put(word, step(word, *args))
-               for word, value in zip(words, out)]
-    return out
+# Word -> the word after step 1, computed with the special-word table
+# that `_first_steps` sets.
+_step1 = Memo(_first_step, None)
+# Word after the connective-alif rule -> the word after step 3.
+_step3 = Memo(_third_step)
+# Word after isba -> (the word after step 5, its beat segment).
+_step5 = Memo(_fifth_step)
 
 
 def _first_steps(words, tables: TableSet) -> list:
     """Step 1 of each of `words`, through `_step1`."""
-    global _step1
-    _step1 = memo = _step1.matching(tables.special)
-    return _each_word(memo, _first_step, words, tables.special)
+    _step1.use(tables.special)
+    return list(map(_step1.__getitem__, words))
 
 
 # A word ending in a short vowel, before which a connective alif drops.
@@ -608,12 +551,12 @@ def _before_isba(line: ScriptLine, tables: TableSet | None,
     words = _first_steps(line.words, tables)
     out = process_hamzat_wasl(ScriptLine(tuple(filter(None, words))),
                               sentence_initial, tables.juncture)
-    return ScriptLine(tuple(_each_word(_step3, _third_step, out.words)))
+    return ScriptLine(tuple(map(_step3.__getitem__, out.words)))
 
 
 def _after_isba(line: ScriptLine) -> tuple[ScansionLine, BeatPattern]:
     """Step 5 of a line isba has seen."""
-    done = _each_word(_step5, _fifth_step, line.words)
+    done = list(map(_step5.__getitem__, line.words))
     beats = "".join([segment for _, segment in done])
     if "00" in beats[:-2]:
         # classical transcription forbids two mid-line sakins; surfaced

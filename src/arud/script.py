@@ -10,14 +10,18 @@ validated, immutable instance, shared process-wide, so graphemes compare
 and hash by identity and words make cheap dictionary keys.  The three
 vocalization flags the rules test most are computed once, at interning,
 and the interned connective alifs are collected in ``WASL_GRAPHEMES``.
+
+Verse repeats its words, so every layer keeps its per-word results in a
+``Memo``, the bounded memo defined here: the parser, the scansion steps,
+``normalize``'s word records, ``mask``'s plans and ``fill``'s windows.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
+from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
-from functools import lru_cache
 
 from .errors import (
     DoubleDiacritic,
@@ -177,6 +181,57 @@ class ScriptLine:
         return len(self.words)
 
 
+# Entries per memo: every `Memo` holds this many.  Chosen by measurement
+# on perfbench: a word memo must hold a verse vocabulary, a 25 s `scan`
+# run meets about 3,900 distinct words, and memos of 1024 entries gave
+# no gain.
+MEMO_SIZE = 4096
+
+
+class Memo(dict):
+    """``memo[key]`` is ``compute(key, *memo.args)``, computed on the
+    first lookup of `key` and kept until `MEMO_SIZE` newer keys have been
+    stored; the oldest entry makes room.
+
+    A lookup that finds its key is one dict lookup.  A compute that
+    raises stores nothing.  `_order` holds the keys oldest first, so
+    making room takes constant time however many entries have gone
+    before.
+    """
+
+    __slots__ = ("compute", "args", "size", "_order")
+
+    def __init__(self, compute, *args):
+        super().__init__()
+        self.compute = compute
+        self.args = args
+        self.size = MEMO_SIZE
+        self._order = deque()
+
+    def __missing__(self, key):
+        value = self.compute(key, *self.args)
+        if len(self) >= self.size:
+            del self[self._order.popleft()]
+        self._order.append(key)
+        self[key] = value
+        return value
+
+    def clear(self):
+        super().clear()
+        self._order.clear()
+
+    def use(self, *args):
+        """Compute with `args` from now on; the entries go when `args`
+        differ by value from the ones they were computed with.
+
+        So a pool worker keeps its entries when each chunk of work brings
+        an equal, freshly unpickled table set.
+        """
+        if args != self.args:
+            self.clear()
+        self.args = args
+
+
 def parse_line(raw: str) -> ScriptLine:
     """Parse text into a ScriptLine, reading each word in NFC.
 
@@ -186,14 +241,12 @@ def parse_line(raw: str) -> ScriptLine:
     chunks = raw.split()
     if not chunks:
         raise EmptyLine("no words in line")
-    return ScriptLine(words=tuple(map(_parse_word, chunks)))
+    return ScriptLine(words=tuple(map(_parsed.__getitem__, chunks)))
 
 
-# Entries per word memo: this one and those of the scansion steps,
-# `masking` and `corpus`.  Chosen by measurement on perfbench: a memo
-# must hold a verse vocabulary, a 25 s `scan` run meets about 3,900
-# distinct words, and memos of 1024 entries gave no gain.
-MEMO_SIZE = 4096
+def _parse_word(chunk: str) -> Word:
+    """Graphemes of one whitespace-free chunk, read in NFC."""
+    return _parse_pieces(unicodedata.normalize("NFC", chunk))
 
 
 # A word as written -> its graphemes.  Verse repeats its words, so most
@@ -202,10 +255,7 @@ MEMO_SIZE = 4096
 # characters are starters that compose with nothing, and each one's NFC
 # is a single whitespace character.  The memo is bounded, so text whose
 # vocabulary keeps growing keeps only its most recent words resident.
-@lru_cache(maxsize=MEMO_SIZE)
-def _parse_word(chunk: str) -> Word:
-    """Graphemes of one whitespace-free chunk, read in NFC."""
-    return _parse_pieces(unicodedata.normalize("NFC", chunk))
+_parsed = Memo(_parse_word)
 
 
 def _parse_pieces(chunk: str) -> Word:

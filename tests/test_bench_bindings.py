@@ -55,6 +55,21 @@ def test_import_site_binds_the_traced_function(site):
     assert getattr(arud_module(module), attr) in originals
 
 
+def test_no_memo_computes_with_a_traced_function():
+    # The tracer rebinds module attributes; a function a `Memo` captured
+    # at import would still run untraced.
+    from arud.script import Memo
+    traced = {getattr(arud_module(m), f) for m, f in spans.FUNCTIONS} | {
+        getattr(getattr(arud_module(m), c), f) for m, c, f in spans.METHODS}
+    memos = {f"{module}.{name}": value.compute
+             for module in spans.MODULES
+             for name, value in vars(arud_module(module)).items()
+             if isinstance(value, Memo)}
+    assert memos
+    assert [name for name, compute in memos.items() if compute in traced] \
+        == []
+
+
 # Runs in a fresh interpreter: installing the tracer rebinds module
 # attributes for the rest of the process.
 TRACED_COMMANDS = r"""

@@ -3,12 +3,13 @@
 import pickle
 import random
 import unicodedata
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arud import corpus, masking, tables as tables_module
+from arud import corpus, filler, masking, scansion, tables as tables_module
 from arud.errors import (
     DanglingWasl,
     EmptyHemistich,
@@ -33,13 +34,14 @@ from arud.corpus import (
     process_line,
     run_pipeline,
 )
-from arud.scansion import MEMO_SIZE, scan, scan_text
+from arud.scansion import scan, scan_text
 from arud.tables import TableSet, default_tables
 from arud.script import (
     ALIF,
     ARABIC_LETTERS,
     LAM,
     MARKS,
+    MEMO_SIZE,
     TATWEEL,
     WASL_ALIF,
     WAW,
@@ -574,19 +576,47 @@ class TestWordRecords:
             assert _outcome(lambda: process_line(raw, cfg, tables)) \
                 == _outcome(lambda: reference_process(raw, cfg, tables))
 
-    def test_pickled_tables_keep_the_memo(self):
+    # Each memo whose entries depend on the tables, and a call that fills
+    # it; هَذَا is a special word, so step 1 changes it.
+    @pytest.mark.parametrize("module, name, fills", [
+        pytest.param(scansion, "_step1",
+                     lambda tables: scan_text("هَذَا قَالَ", tables=tables),
+                     id="scansion._step1"),
+        pytest.param(corpus, "_words",
+                     lambda tables: process_line(ACCEPT_LINE, tables=tables),
+                     id="corpus._words"),
+        pytest.param(filler, "_windows", lambda tables: filler.fill(
+            filler.FillQuery(target="1010", max_words=2),
+            filler.index_lexicon(["مَا", "قَدْ"], tables), tables),
+                     id="filler._windows"),
+    ])
+    def test_pickled_tables_keep_the_memo(self, module, name, fills):
         # A pool worker receives an equal, freshly unpickled TableSet with
         # every chunk of lines.
+        memo = getattr(module, name)
         tables = TableSet.load()
-        process_line(ACCEPT_LINE, tables=tables)
-        memo = corpus._words
-        assert memo
-        process_line(ACCEPT_LINE, tables=pickle.loads(pickle.dumps(tables)))
-        assert corpus._words is memo
-        process_line(ACCEPT_LINE, PipelineConfig(min_words=3), tables)
-        assert corpus._words is memo
-        process_line(ACCEPT_LINE, PipelineConfig(lam_kasra=False), tables)
-        assert corpus._words is not memo
+        fills(tables)
+        entries = dict(memo)
+        assert entries
+
+        def kept():
+            return all(memo.get(key) is value
+                       for key, value in entries.items())
+
+        fills(pickle.loads(pickle.dumps(tables)))
+        assert kept()
+        fills(replace(tables, special=tables.known))
+        assert not kept()
+
+    def test_only_stage_flags_empty_the_memo(self):
+        chunk = unicodedata.normalize("NFC", ACCEPT_LINE.split()[0])
+        process_line(ACCEPT_LINE)
+        record = corpus._words.get(chunk)
+        assert record is not None
+        process_line(ACCEPT_LINE, PipelineConfig(min_words=3))
+        assert corpus._words.get(chunk) is record
+        process_line(ACCEPT_LINE, PipelineConfig(lam_kasra=False))
+        assert corpus._words.get(chunk) is not record
 
 
 class TestAcceptedLinesMask:

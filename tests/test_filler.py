@@ -20,7 +20,7 @@ from arud.filler import (
     phrase_beats_in_context,
 )
 from arud.scansion import beat_segments, scan, scan_readings
-from arud.script import ScriptLine, parse_line
+from arud.script import Memo, ScriptLine, parse_line
 from arud.tables import TableSet
 
 
@@ -202,9 +202,7 @@ class TestBoundedCompleteness:
         lex = index_lexicon(self.SHARED_PATTERNS)
         query = FillQuery(target=target, left_context=left,
                           right_context=right, max_words=3)
-        monkeypatch.setattr(filler, "_windows",
-                            filler._Memo(filler.WINDOW_MEMO_SIZE))
-        monkeypatch.setattr(filler, "_final_beats", counted)
+        monkeypatch.setattr(filler, "_windows", Memo(counted, None))
         assert fill(query, lex) == brute_force(query, self.SHARED_PATTERNS)
         # Each window is scanned once, however many phrases reach it.
         assert scanned and len(scanned) == len(set(scanned))
@@ -496,7 +494,7 @@ class TestExactPruning:
 
         lex = index_lexicon(self.REPRO)
         monkeypatch.setattr(filler, "_windows",
-                            filler._Memo(filler.WINDOW_MEMO_SIZE))
+                            Memo(filler._final_beats, None))
         monkeypatch.setattr(filler, "matches_target", counted)
         got = fill(FillQuery(target="101010", max_words=6, max_results=1000),
                    lex)

@@ -21,9 +21,9 @@ from arud.masking import (
     reduce_context_diacritics,
     sample_mask_span,
 )
-from arud.scansion import MEMO_SIZE, beat_segments, scan
-from arud.script import ALIF, ARABIC_LETTERS, VOWEL_KIND_TO_CHAR, \
-    WASL_ALIF, Grapheme, ScriptLine, fix_diacritic_order, parse_line, \
+from arud.scansion import beat_segments, scan
+from arud.script import ALIF, ARABIC_LETTERS, MEMO_SIZE, \
+    VOWEL_KIND_TO_CHAR, WASL_ALIF, Grapheme, ScriptLine, fix_diacritic_order, parse_line, \
     render_line, render_word
 from arud import tables as tables_module
 from arud.tables import TableSet

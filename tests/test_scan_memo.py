@@ -27,7 +27,8 @@ from arud.scansion import (
     validate_scansion,
     word_offsets,
 )
-from arud.script import ARABIC_LETTERS, FATHA, SUKUN, ScriptLine, parse_line
+from arud.script import ARABIC_LETTERS, FATHA, MEMO_SIZE, SUKUN, Memo, \
+    ScriptLine, parse_line
 from arud.tables import default_tables
 
 DATA = Path(__file__).parent / "data"
@@ -265,26 +266,59 @@ class TestMemoSizes:
     def test_each_memo_stays_at_its_size(self, memo):
         # no rule changes these words, and each is a key of every memo
         clear_memos()
-        for word in _distinct_words(scansion.MEMO_SIZE + 50, SUKUN):
+        for word in _distinct_words(MEMO_SIZE + 50, SUKUN):
             scan_text(word)
-        assert len(getattr(scansion, memo)) == scansion.MEMO_SIZE
+        assert len(getattr(scansion, memo)) == MEMO_SIZE
 
-    @given(st.integers(1, 4),
-           st.lists(st.none() | st.tuples(st.integers(0, 6), st.integers()),
-                    max_size=40))
-    def test_same_contents_as_an_ordered_dict(self, size, ops):
-        # each op is a put, or None for a clear
-        memo, model = scansion._Memo(size), OrderedDict()
+
+class Refused(Exception):
+    pass
+
+
+class TestMemo:
+    # Each op looks a key from 0 to 6 up, clears (-3) or calls `use` with
+    # a new list object: [0] for -2, [1] for -1.
+    @given(st.integers(1, 4), st.sets(st.integers(0, 6), max_size=3),
+           st.lists(st.integers(-3, 6), max_size=40))
+    def test_same_as_a_fifo_ordered_dict(self, size, refused, ops):
+        calls = []
+
+        def compute(key, arg):
+            calls.append(key)
+            if key in refused:
+                raise Refused(key)
+            return key, tuple(arg)
+
+        arg = [0]
+        memo, model = Memo(compute, arg), OrderedDict()
+        memo.size = size
         for op in ops:
-            if op is None:
+            if op == -3:
                 memo.clear()
                 model.clear()
-                continue
-            key, value = op
-            if key not in model and len(model) >= size:
-                model.popitem(last=False)
-            model[key] = value
-            assert memo.put(key, value) == value
+            elif op < 0:
+                new = [op + 2]
+                memo.use(new)
+                if new != arg:
+                    model.clear()
+                arg = new
+                assert memo.args[0] is new
+            elif op in refused:
+                # stores nothing, and raises again on a repeat
+                for _ in range(2):
+                    calls.clear()
+                    with pytest.raises(Refused):
+                        memo[op]
+                    assert calls == [op]
+            elif op in model:
+                calls.clear()
+                assert memo[op] is model[op]
+                assert not calls
+            else:
+                if len(model) >= size:
+                    model.popitem(last=False)
+                model[op] = memo[op]
+                assert model[op] == (op, tuple(arg))
             assert list(memo.items()) == list(model.items())
             assert len(memo) <= size
 

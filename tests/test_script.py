@@ -178,7 +178,7 @@ class TestSharedGraphemes:
         assert parse_line("مَا").words[0][0] is first[0][0]
 
     def test_word_memo_stays_within_its_size(self):
-        script._parse_word.cache_clear()
+        script._parsed.clear()
         letters = sorted(ARABIC_LETTERS - {"ٱ"})
         n = MEMO_SIZE + 50
         # Kasra before shadda: NFC reorders these chunks, so the memo
@@ -187,12 +187,13 @@ class TestSharedGraphemes:
                  + letters[i // len(letters) % len(letters)] + SUKUN
                  + letters[i // len(letters) ** 2] for i in range(n)]
         assert len(set(words)) == n
-        for word in words:
-            parse_line(word)
-        assert script._parse_word.cache_info().currsize == MEMO_SIZE
-        assert script._parse_word.cache_info().hits == 0
-        parse_line(words[-1])
-        assert script._parse_word.cache_info().hits == 1
+        parsed = [parse_line(word).words[0] for word in words]
+        assert len(script._parsed) == MEMO_SIZE
+        # A word still held is the same Word; the first one, gone, is
+        # parsed anew.
+        assert parse_line(words[-1]).words[0] is parsed[-1]
+        first = parse_line(words[0]).words[0]
+        assert first == parsed[0] and first is not parsed[0]
 
 
 # Every letter, alifs weighted up: the tanwin-fath rule acts on them.
