@@ -68,14 +68,15 @@ FILTER_REASONS = (
 
 @dataclass(frozen=True)
 class FilterDecision:
-    accepted: bool
     reason: str
 
     def __post_init__(self):
         if self.reason not in FILTER_REASONS:
             raise ValueError(f"unknown reason {self.reason!r}")
-        if self.accepted != (self.reason == REASON_OK):
-            raise ValueError("accepted flag must mirror the reason")
+
+    @property
+    def accepted(self) -> bool:
+        return self.reason == REASON_OK
 
 
 MARK_KINDS = (*VOWEL_CHAR_TO_KIND.values(), "shadda", "silence")
@@ -186,14 +187,14 @@ def filter_line(line: ScriptLine, min_words: int = PipelineConfig.min_words,
                 ) -> FilterDecision:
     """Acceptance rules: enough words, every word sufficiently marked."""
     if line.word_count() < min_words:
-        return FilterDecision(False, REASON_TOO_FEW_WORDS)
+        return FilterDecision(REASON_TOO_FEW_WORDS)
     for word in line.words:
         ratio = word_diacritization_ratio(word)
         if ratio == 0.0:
-            return FilterDecision(False, REASON_WORD_UNDIACRITIZED)
+            return FilterDecision(REASON_WORD_UNDIACRITIZED)
         if ratio < min_ratio:
-            return FilterDecision(False, REASON_BELOW_LETTER_RATIO)
-    return FilterDecision(True, REASON_OK)
+            return FilterDecision(REASON_BELOW_LETTER_RATIO)
+    return FilterDecision(REASON_OK)
 
 
 def apply_wasl_heuristic(line: ScriptLine) -> ScriptLine:

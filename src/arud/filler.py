@@ -229,9 +229,9 @@ def fill(query: FillQuery, lexicon: Lexicon,
                       if target.startswith(s, end)}
                      for at, segments in zip(ends, found))
 
-    def extend(phrase, surfaces, ends, final):
-        # Visit each phrase one word longer than `phrase`, whose words but
-        # the last end at `ends` and whose last word's beats are `final`.
+    def longer(phrase, surfaces, ends, final):
+        # The phrases one word longer than `phrase`, whose words but the
+        # last end at `ends` and whose last word's beats are `final`.
         for kinds, found in zip(buckets, final):
             now = advance(ends, found)
             if not any(now):
@@ -241,27 +241,28 @@ def fill(query: FillQuery, lexicon: Lexicon,
                                         for at, beats in zip(now, spans)
                                         for end in at for s in beats):
                     for surface, word in members:
-                        visit(phrase + (word,), surfaces + (surface,), now,
-                              word_final)
+                        yield (phrase + (word,), surfaces + (surface,), now,
+                               word_final)
 
-    results = set()
+    # Depth first, each phrase before the longer ones that begin with it.
+    # Every phrase is visited once, and no surface holds whitespace, so
+    # no two phrases join to one result.  Before the first word the
+    # phrase is empty and ends at 0.
+    results = []
     visits = 0
-
-    def visit(phrase, surfaces, ends, final):
-        nonlocal visits
+    stack = [*longer((), (), ({0}, {0}),
+                     [(("",), ("",))] * len(buckets))][::-1]
+    while stack:
         visits += 1
         if visits > MAX_PHRASES:
-            return
+            log.warning("search stopped after %d phrases; results may be "
+                        "incomplete", MAX_PHRASES)
+            break
+        phrase, surfaces, ends, final = stack.pop()
         final = final or final_beats((left + phrase[:-1])[-2:], phrase[-1])
         if any(len(target) in at for at in advance(ends, final[-1])) \
                 and matches_target(phrase, left, right, query, tables):
-            results.add(" ".join(surfaces))
+            results.append(" ".join(surfaces))
         if len(phrase) < query.max_words:
-            extend(phrase, surfaces, ends, final)
-
-    # Before the first word the phrase is empty and ends at 0.
-    extend((), (), ({0}, {0}), [(("",), ("",))] * len(buckets))
-    if visits > MAX_PHRASES:
-        log.warning("search stopped after %d phrases; results may be "
-                    "incomplete", MAX_PHRASES)
+            stack += [*longer(phrase, surfaces, ends, final)][::-1]
     return sorted(results)[:query.max_results]

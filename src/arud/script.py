@@ -371,6 +371,9 @@ def _canonical_marks(marks: list[str]) -> list[str]:
     return out
 
 
+# The letters that take a tanwin-fath written on an alif after them.
+_NOT_ALIF = ARABIC_LETTERS - {ALIF, ALIF_MAKSURA}
+
 # Text that `fix_diacritic_order` returns as it is: letters, each with
 # a shadda and one vowel-class mark at most, in that order, or with a
 # silence mark alone, and plain spaces.  An alif with a tanwin-fath is
@@ -378,7 +381,7 @@ def _canonical_marks(marks: list[str]) -> list[str]:
 # these letters composes with these marks, so NFC only reorders them,
 # and the reorder puts them back.
 _CANONICAL = re.compile(
-    f"(?:[{''.join(sorted(ARABIC_LETTERS - {ALIF, ALIF_MAKSURA}))}]"
+    f"(?:[{''.join(sorted(_NOT_ALIF))}]"
     f"{SHADDA}?[{''.join(VOWEL_CHAR_TO_KIND)}]?"
     f"|[{ALIF}{ALIF_MAKSURA}]{SHADDA}?"
     f"[{''.join(VOWEL_CHAR_TO_KIND).replace(TANWIN_FATH, '')}]?"
@@ -388,10 +391,13 @@ _CANONICAL = re.compile(
 def fix_diacritic_order(raw: str) -> str:
     """Rewrite text so marks sit in the canonical order.
 
-    Shadda is moved before any vowel-class mark, a tanwin-fath written
-    after its orthographic alif is moved before it, illegal double marks
-    keep the first occurrence, and tatweel plus combining marks outside
-    the nine-mark inventory are stripped.
+    Shadda is moved before any vowel-class mark.  A tanwin-fath written
+    after its orthographic alif is moved onto the letter before it: it
+    replaces a fatha there, a silence mark gives way to it, and beside
+    any other vowel it is dropped.  Illegal double marks keep the first
+    occurrence, a silence mark beside an audible mark is dropped, and
+    tatweel plus combining marks outside the nine-mark inventory are
+    stripped.
     """
     if _CANONICAL.fullmatch(raw):
         return raw
@@ -400,66 +406,34 @@ def fix_diacritic_order(raw: str) -> str:
 
 def _reorder_marks(raw: str) -> str:
     """`fix_diacritic_order` of any text."""
-    text = unicodedata.normalize("NFC", raw)
-    kept = []
-    for ch in text:
-        if ch == TATWEEL:
-            continue
-        if ch not in MARKS and unicodedata.category(ch).startswith("M"):
-            continue
-        kept.append(ch)
-
-    # Group each letter with its following mark run; pass through
-    # everything else (whitespace, foreign characters) untouched.
-    out: list[str] = []
-    i = 0
-    n = len(kept)
-    last_letter_idx: int | None = None  # index in `out` of previous letter
-    while i < n:
-        ch = kept[i]
-        if ch in ARABIC_LETTERS:
-            j = i + 1
-            marks = []
-            while j < n and kept[j] in MARKS:
-                marks.append(kept[j])
-                j += 1
-            # A tanwin-fath attached to a bare orthographic alif belongs
-            # on the preceding letter — unless that letter is itself an
-            # alif variant, which can never host nunation.
-            if (ch in (ALIF, ALIF_MAKSURA) and TANWIN_FATH in marks
-                    and last_letter_idx is not None
-                    and out[last_letter_idx] not in (ALIF, ALIF_MAKSURA)):
-                marks = [m for m in marks if m != TANWIN_FATH]
-                prev_run = _canonical_marks_at(out, last_letter_idx)
-                if not any(m in VOWEL_CHAR_TO_KIND for m in prev_run):
-                    out.insert(last_letter_idx + 1 + len(prev_run), TANWIN_FATH)
-                elif FATHA in prev_run:
-                    idx = out.index(FATHA, last_letter_idx)
-                    out[idx] = TANWIN_FATH
-                # any other vowel on the previous letter: the tanwin is
-                # illegal there, drop it
-            last_letter_idx = len(out)
-            out.append(ch)
-            out.extend(_canonical_marks(marks))
-            i = j
-        elif ch in MARKS:
-            raise LeadingDiacritic(f"mark {ch!r} before any letter")
-        elif ch.isspace():
-            last_letter_idx = None
-            out.append(ch)
-            i += 1
-        else:
+    # Each letter with the marks that follow it, and each whitespace
+    # character with none.
+    runs = []
+    for ch in unicodedata.normalize("NFC", raw):
+        if ch in MARKS:
+            if not runs or runs[-1][0].isspace():
+                raise LeadingDiacritic(f"mark {ch!r} before any letter")
+            runs[-1][1].append(ch)
+        elif ch in ARABIC_LETTERS or ch.isspace():
+            runs.append((ch, []))
+        elif ch != TATWEEL and not unicodedata.category(ch).startswith("M"):
             raise ForeignCharacter(f"disallowed code point {ch!r}")
-    return "".join(out)
-
-
-def _canonical_marks_at(out: list[str], letter_idx: int) -> list[str]:
-    run = []
-    j = letter_idx + 1
-    while j < len(out) and out[j] in MARKS:
-        run.append(out[j])
-        j += 1
-    return run
+    # A tanwin-fath on an orthographic alif belongs on the letter before
+    # it, in place of a fatha or of no vowel, and is dropped beside any
+    # other vowel; after an alif variant, which can never host nunation,
+    # it stays.
+    for (before, marks_before), (ch, marks) in zip(runs, runs[1:]):
+        if ch in (ALIF, ALIF_MAKSURA) and TANWIN_FATH in marks \
+                and before in _NOT_ALIF:
+            marks[:] = [m for m in marks if m != TANWIN_FATH]
+            vowel = next((i for i, m in enumerate(marks_before)
+                          if m in VOWEL_CHAR_TO_KIND), None)
+            if vowel is None:
+                marks_before.append(TANWIN_FATH)
+            elif marks_before[vowel] == FATHA:
+                marks_before[vowel] = TANWIN_FATH
+    return "".join([ch + "".join(_canonical_marks(marks))
+                    for ch, marks in runs])
 
 
 def word_diacritization_ratio(word: Word) -> float:

@@ -783,11 +783,27 @@ class TestFilterAndStats:
         assert run(capsys, "normalize", "-i", src) == \
             (0, "قَاْلَ فِيْ بَيْتِهِ كَتَبَ\n", "")
 
+    def test_silence_mark_gives_way_to_a_moved_tanwin(self, tmp_path,
+                                                      capsys):
+        # The tanwin-fath written on the alif moves onto the silenced ب.
+        src = write(tmp_path, "in.txt", "مَا لَهُ عَلَّمَ ب۠اً\n")
+        assert run(capsys, "filter", "-i", src) == (0, "ok\n", "")
+        assert run(capsys, "normalize", "-i", src) == \
+            (0, "مَاْ لَهُ عَلَّمَ بًاْ\n", "")
+
     def test_stats_report(self, tmp_path, capsys):
         src = write(tmp_path, "in.txt", "عَلَّمَ\n")
         code, out, _ = run(capsys, "stats", "-i", src)
         assert code == 0
         assert "fatha: 3" in out and "shadda: 1" in out
+
+    def test_stats_reports_a_bad_line_and_counts_the_rest(self, tmp_path,
+                                                          capsys):
+        src = write(tmp_path, "in.txt", "عَلَّمَ\nمَاx\nعَلَّمَ\n")
+        code, out, err = run(capsys, "stats", "-i", src)
+        assert code == 0
+        assert err == "line 2: ForeignCharacter: disallowed code point 'x'\n"
+        assert "lines: 2" in out and "fatha: 6" in out
 
 
     @pytest.mark.parametrize("command", ["normalize", "filter"])
@@ -803,6 +819,15 @@ class TestFilterAndStats:
         assert code == 1
         assert out == ""
         assert f"--min-ratio: must be finite, got {value!r}" in err
+
+    @pytest.mark.parametrize("command", ["normalize", "filter"])
+    def test_min_ratio_not_a_number_is_usage_error(self, tmp_path, capsys,
+                                                   command):
+        src = write(tmp_path, "in.txt", "مَا لَهُ عَلَّمَ مَعًا\n")
+        code, out, err = run(capsys, command, "--min-ratio", "x", "-i", src)
+        assert code == 1
+        assert out == ""
+        assert "--min-ratio: invalid float value: 'x'" in err
 
 
 class TestMask:
@@ -1013,6 +1038,16 @@ class TestTopLevel:
         assert code == 1
         assert out == ""
         assert "--jobs: must be at least 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["scan"], ["normalize"], ["mask", "--seed", "1"]])
+    def test_jobs_not_an_integer_is_usage_error(self, tmp_path, capsys,
+                                                argv):
+        src = write(tmp_path, "in.txt", f"{FIG_LINE}\n")
+        code, out, err = run(capsys, *argv, "--jobs", "x", "-i", src)
+        assert code == 1
+        assert out == ""
+        assert "--jobs: invalid int value: 'x'" in err
 
     @pytest.mark.parametrize("argv", [
         ["scan"], ["normalize"], ["mask", "--seed", "1"]])

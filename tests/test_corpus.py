@@ -138,24 +138,28 @@ class TestCleanLineByChunks:
 class TestFilterLine:
     def test_too_few_words(self):
         decision = filter_line(parse_line("مَا لَهُ عَلَّمَ"))
-        assert decision == FilterDecision(False, "too_few_words")
+        assert decision == FilterDecision("too_few_words")
 
     def test_bare_word(self):
         decision = filter_line(parse_line("مَا لَهُ عَلَّمَ علم"))
-        assert decision == FilterDecision(False, "word_undiacritized")
+        assert decision == FilterDecision("word_undiacritized")
 
     def test_below_ratio(self):
         # one mark on a four-letter word: 25% < 50%
         decision = filter_line(parse_line("مَا لَهُ عَلَّمَ مَنزلا"))
-        assert decision == FilterDecision(False, "below_letter_ratio")
+        assert decision == FilterDecision("below_letter_ratio")
 
     def test_accepted(self):
         decision = filter_line(parse_line("مَا لَهُ عَلَّمَ مَعًا"))
-        assert decision == FilterDecision(True, "ok")
+        assert decision == FilterDecision("ok")
 
-    def test_reason_mirror_enforced(self):
-        with pytest.raises(ValueError):
-            FilterDecision(True, "too_few_words")
+    @pytest.mark.parametrize("reason", corpus.FILTER_REASONS)
+    def test_accepted_only_for_ok(self, reason):
+        assert FilterDecision(reason).accepted == (reason == "ok")
+
+    def test_unknown_reason_refused(self):
+        with pytest.raises(ValueError, match="unknown reason"):
+            FilterDecision("too_short")
 
     @given(st.permutations(["مَا", "لَهُ", "عَلَّمَ", "مَعًا", "علم"]))
     def test_reorder_invariance(self, words):

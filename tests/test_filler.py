@@ -3,6 +3,9 @@
 import functools
 import itertools
 import logging
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -535,3 +538,19 @@ class TestExactPruning:
         assert got == sorted(got)
         assert 0 < len(got) < 12 ** 4
         assert all(len(phrase.split()) == 4 for phrase in got)
+
+
+class TestDeepPhrases:
+    def test_more_words_than_the_recursion_limit(self, tmp_path):
+        # One phrase per depth down to 500 words: the search keeps its
+        # own stack, so a fresh interpreter's default limit holds.
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_text("مَا\n", encoding="utf-8")
+        env = dict(os.environ, PYTHONIOENCODING="utf-8",
+                   PYTHONPATH=str(Path(filler.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "arud.cli", "fill", "--lexicon",
+             str(lexicon), "--target", "10" * 500, "--max-words", "500"],
+            capture_output=True, timeout=60, env=env)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.decode() == " ".join(["مَا"] * 500) + "\n"

@@ -34,7 +34,7 @@ from arud.script import (
     parse_line,
     render_line,
 )
-from arud.tables import default_tables
+from arud.tables import WordTable, default_tables
 
 
 def rendered(line):
@@ -61,6 +61,17 @@ class TestSpecialWords:
         out = apply_special_words(parse_line("هُذَا"),
                                   default_tables().special)
         assert rendered(out) == "هُذَا"
+
+    @pytest.mark.parametrize("text", ["هّذا", "ه۠ذا"])
+    def test_a_mark_the_candidate_lacks_blocks(self, text):
+        # No candidate of هذا geminates or silences its first letter.
+        out = apply_special_words(parse_line(text), default_tables().special)
+        assert rendered(out) == text
+
+    def test_a_candidate_without_the_letters_blocks(self):
+        table = WordTable.from_rows([("هذا", parse_line("مَا").words[0])])
+        assert rendered(apply_special_words(parse_line("هَذَا"), table)) \
+            == "هَذَا"
 
 
 class TestMadda:
@@ -574,3 +585,12 @@ class TestHamzatWaslKeepsIdleWords:
                 assert after != before
             else:
                 assert after is before
+
+
+class TestLead:
+    def test_a_word_whose_steps_raise_is_its_own_key(self):
+        # A shadda without a vowel: the steps before isba refuse the word.
+        line = parse_line("بّ")
+        with pytest.raises(ShaddaWithoutVowel):
+            scan(line)
+        assert scansion.lead(line.words[0]) is line.words[0]

@@ -10,7 +10,7 @@ import unicodedata
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arud.errors import (
     DoubleDiacritic,
@@ -34,6 +34,7 @@ from arud.script import (
     TANWIN_FATH,
     TATWEEL,
     VOWEL_CHAR_TO_KIND,
+    WASL_ALIF,
     Grapheme,
     ScriptLine,
     fix_diacritic_order,
@@ -200,6 +201,20 @@ class TestSharedGraphemes:
 LETTERS = st.sampled_from(
     sorted(ARABIC_LETTERS) + [ALIF, ALIF_MAKSURA] * 10)
 
+# Combining marks outside the nine: stripped, or composed into a letter.
+OUTSIDE_MARKS = ["\u0610", "\u0653", "\u0654", "\u0655", "\u0670"]
+# A letter with up to two marks: of the nine, the silence mark and
+# tanwin-fath weighted up, or outside them.
+MARKED_LETTER = st.tuples(LETTERS, st.lists(st.sampled_from(
+    sorted(script.MARKS) + [SILENCE, TANWIN_FATH] * 6 + OUTSIDE_MARKS),
+    max_size=2).map("".join)).map("".join)
+# Words of such letters, each followed by whitespace, tatweel or an
+# outside mark.
+MARKED_TEXT = st.lists(st.tuples(
+    st.lists(MARKED_LETTER, min_size=1, max_size=4).map("".join),
+    st.sampled_from([" ", "\u00a0", TATWEEL] + OUTSIDE_MARKS))
+    .map("".join), max_size=4).map("".join)
+
 
 class TestFixDiacriticOrder:
     def test_shadda_moved_before_vowel(self):
@@ -210,6 +225,24 @@ class TestFixDiacriticOrder:
         # alif carrying the tanwin: mark belongs on the preceding letter
         raw = "با" + TANWIN_FATH
         assert fix_diacritic_order(raw) == "ب" + TANWIN_FATH + "ا"
+
+    @pytest.mark.parametrize("before, after", [
+        # a fatha on the letter before gives way to the tanwin
+        ("ب" + FATHA + "ا" + TANWIN_FATH, "ب" + TANWIN_FATH + "ا"),
+        # no vowel there: the tanwin joins its shadda
+        ("ب" + SHADDA + "ا" + TANWIN_FATH, "ب" + SHADDA + TANWIN_FATH + "ا"),
+        # any other vowel there: the tanwin is dropped
+        ("ب" + KASRA + "ا" + TANWIN_FATH, "ب" + KASRA + "ا"),
+        # an alif before the alif cannot take it: it stays
+        ("ا" + "ا" + TANWIN_FATH, "ا" + "ا" + TANWIN_FATH),
+        # a silence mark there gives way to it
+        ("ب" + SILENCE + "ا" + TANWIN_FATH, "ب" + TANWIN_FATH + "ا"),
+        # alif maksura as the orthographic alif
+        ("ه" + ALIF_MAKSURA + TANWIN_FATH, "ه" + TANWIN_FATH + ALIF_MAKSURA),
+    ])
+    def test_tanwin_on_alif_per_letter_before(self, before, after):
+        assert fix_diacritic_order(before) == after
+        assert fix_diacritic_order(after) == after
 
     def test_double_vowel_keeps_first(self):
         raw = "م" + FATHA + SUKUN
@@ -246,6 +279,19 @@ class TestFixDiacriticOrder:
                 return type(exc)
         assert outcome(fix_diacritic_order) \
             == outcome(script._reorder_marks)
+
+    @given(MARKED_TEXT)
+    @example("ب" + SILENCE + "ا" + TANWIN_FATH)
+    def test_output_is_a_parsing_fixed_point(self, text):
+        out = fix_diacritic_order(text)
+        assert fix_diacritic_order(out) == out
+        if not out.split():
+            return
+        if WASL_ALIF + SHADDA in out:
+            with pytest.raises(DoubleDiacritic):
+                parse_line(out)
+        else:
+            parse_line(out)
 
     @given(lines())
     def test_idempotent_on_rendered_lines(self, line):
