@@ -33,11 +33,8 @@ import functools
 import io
 import itertools
 import math
-import multiprocessing.util
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 
 from . import __version__, corpus, masking, metrics
@@ -111,9 +108,13 @@ def _executor(jobs: int) -> ProcessPoolExecutor:
     """This process's pool of `jobs` workers, built on first use.
 
     A pool of another size is shut down first; a pool inherited through
-    a fork belongs to the parent and is left alone.
+    a fork belongs to the parent and is left alone.  The pool machinery
+    is imported here, so a command at ``--jobs 1`` never loads it.
     """
     global _pool
+    import multiprocessing.util
+    from concurrent.futures import ProcessPoolExecutor
+
     if _pool is not None:
         pid, workers, executor = _pool
         if pid == os.getpid() and workers == jobs:
@@ -139,6 +140,8 @@ def _pmap(fn, items, jobs: int):
     if jobs <= 1:
         yield from map(fn, items)
         return
+    from concurrent.futures.process import BrokenProcessPool
+
     items = iter(items)
     while batch := list(itertools.islice(items, _BATCH)):
         # Executor.map submits every chunk of the batch before it yields

@@ -33,15 +33,51 @@ word-scope step once per distinct word: each is a ``script.Memo`` from
 the word it receives to the word it returns (step 5 adds the beat
 segment), and a line's words are looked up in it left to right.  On a
 miss the step's rules run as they always do, on a one-word line.  The
-boundary rules run on every line, but pass over the words they cannot
-change: the connective-alif rule returns a line holding no connective
-alif at once (``script.WASL_GRAPHEMES``) and copies only the words
-holding one and the word before an alif that a case changes; isba
-rejects a word first on its last letter, since it extends only a word
-ending in ha or mim before the next word.  A step that raises stores
-nothing, and each raises from one rule only (gemination in step 3,
-validation in step 5), so mapping a step over the words left to right
-raises the error the whole-line rules raise first.
+connective-alif rule returns a line holding no connective alif at once
+(``script.WASL_GRAPHEMES``) and copies only the words holding one and
+the word before an alif that a case changes; isba rejects a word first
+on its last letter, since it extends only a word ending in ha or mim
+before the next word.  A step that raises stores nothing, and each
+raises from one rule only (gemination in step 3, validation in step 5),
+so mapping a step over the words left to right raises the error the
+whole-line rules raise first.
+
+`scan` goes further and serves a line from words in context, because
+each word's step-5 form is fixed by a small window around it.  A word's
+class is its `lead`, and None when `lead` keys it by itself.  Its
+context is whether it opens the line (and then `sentence_initial`) and
+the next word's class, or the line end (and `verse_final`).  When no
+word's class is None, the step-5 form of every word is fixed by the word
+and its context:
+
+- Only the connective-alif rule reads backwards.  An alif that opens a
+  word's step-1 form drops after any grapheme, so what it reads decides
+  only what it does to the word before.  The rest of its word reads the
+  word before only when it ``reads_back`` (once the alif is dropped),
+  and `lead` is None for it.  When the word before an alif is one
+  unvocalized letter, the alif reads the word before that one too, to
+  tell a long vowel, and `lead` is None for such a word.
+- Everything a next word does to a word goes through its `lead`: an
+  alif that opens it changes the word's last letters by the word's own
+  graphemes and no more, and isba reads whether the next word's first
+  letter is vocalized once such an alif is dropped.  Nothing after the
+  next word changes that letter: an alif after it reaches it only when
+  the next word is one letter, and changes it only when that letter is
+  unvocalized, and `lead` is None for such a word.
+- A word whose class is not None reads the line start only through an
+  opening alif: pronounced (case 2) at a sentence start, else
+  ``DanglingWasl``.  Such a word is never dropped, so every word of the
+  line but the first has a word before it.
+
+So `scan` keeps one memo, `_in_context`, from a word to its class and
+the step-5 values it has had in each context, and looks a line's words
+up there.  A line is served from it when no class is None and every
+word has a value for its context; otherwise the rules run as above, and
+a line that drops no word stores each word's value under its context.
+A line that raises stores nothing, so errors and their order are those
+of the rules.  Each error is raised by one word in its context
+(gemination, validation, or an opening alif at the line start), so the
+rules would not raise on a line whose words all have values.
 """
 
 from __future__ import annotations
@@ -524,7 +560,11 @@ def lead(word: Word, tables: TableSet | None = None):
     can depend on the word before (``reads_back``, once an opening alif
     is dropped), for one letter without a vowel after step 3, which an
     alif in the next word can vocalize or delete, and for a word that
-    does not scan.
+    the scan drops or that does not scan.
+
+    The key is the class of a word in `scan`'s memo of words in context,
+    where the word before reads it as its context, and `fill` groups its
+    lexicon by it.
     """
     tables = tables or default_tables()
     first = _first_steps((word,), tables)[0]
@@ -556,13 +596,35 @@ def _before_isba(line: ScriptLine, tables: TableSet | None,
 
 def _after_isba(line: ScriptLine) -> tuple[ScansionLine, BeatPattern]:
     """Step 5 of a line isba has seen."""
-    done = list(map(_step5.__getitem__, line.words))
+    return _joined(list(map(_step5.__getitem__, line.words)))
+
+
+def _joined(done: list) -> tuple[ScansionLine, BeatPattern]:
+    """The line of step-5 values `done` and its beats."""
     beats = "".join([segment for _, segment in done])
     if "00" in beats[:-2]:
         # classical transcription forbids two mid-line sakins; surfaced
         # as a diagnostic only
         log.debug("double sakin inside line: %s", beats)
     return ScriptLine(tuple(word for word, _ in done)), beats
+
+
+def _word_in_context(word: Word, tables: TableSet) -> tuple:
+    """(`word`'s class, its step-5 values by context, empty at first).
+
+    The class is `lead`'s key as a small int: whether the first letter
+    is vocalized, plus 2 for a word that opens with a connective alif;
+    None when `lead` keys the word by itself.
+    """
+    key = lead(word, tables)
+    if key is word:
+        return None, {}
+    return (key if type(key) is bool else 2 + key[1]), {}
+
+
+# Word -> (its class, {context: (the word after step 5, its beat
+# segment)}), the `_step5` values a rule-path scan gave it there.
+_in_context = Memo(_word_in_context, None)
 
 
 def scan(
@@ -579,8 +641,31 @@ def scan(
     contribute no beat; the returned pattern is the concatenation of the
     per-word contributions.
     """
+    if tables is None:
+        tables = default_tables()
+    _in_context.use(tables)
+    entries = list(map(_in_context.__getitem__, line.words))
+    classes = [cls for cls, _ in entries]
+    contexts = None
+    if None not in classes:
+        # The next word's class (0 to 3), else the line end (4 or 5),
+        # plus 6 or 12 for the word that opens the line.
+        contexts = [*classes[1:], 4 + verse_final]
+        contexts[0] += 6 + 6 * sentence_initial
+        try:
+            done = [values[context]
+                    for (_, values), context in zip(entries, contexts)]
+        except KeyError:
+            pass
+        else:
+            return _joined(done)
     seen = _before_isba(line, tables, sentence_initial)
-    return _after_isba(apply_isba(seen, verse_final))
+    done = list(map(_step5.__getitem__,
+                    apply_isba(seen, verse_final).words))
+    if contexts and len(done) == len(entries):
+        for (_, values), context, value in zip(entries, contexts, done):
+            values[context] = value
+    return _joined(done)
 
 
 def scan_readings(

@@ -768,6 +768,18 @@ class TestWorkerPool:
         _assert_dead(report["pids"] + report["child"])
 
 
+class TestColdStart:
+    def test_import_loads_no_pool_machinery(self):
+        # A fresh interpreter: this one has long imported both.
+        env = dict(os.environ, PYTHONPATH=str(Path(arud.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, arud.cli; print(sorted("
+             "{'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+
 class TestFilterAndStats:
     def test_filter_reasons(self, tmp_path, capsys):
         src = write(tmp_path, "in.txt",

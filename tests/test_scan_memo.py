@@ -1,7 +1,11 @@
-"""The per-word memo under `scan`: same results as the whole-line rules,
-errors in the same order, bounded memos and per-table isolation."""
+"""The per-word memos under `scan` and its memo of words in context: same
+results as the whole-line rules, errors in the same order, bounded memos
+and per-table isolation."""
 
+import logging
+import random
 from collections import OrderedDict
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -32,7 +36,7 @@ from arud.script import ARABIC_LETTERS, FATHA, MEMO_SIZE, SUKUN, Memo, \
 from arud.tables import default_tables
 
 DATA = Path(__file__).parent / "data"
-MEMOS = ("_step1", "_step3", "_step5")
+MEMOS = ("_step1", "_step3", "_step5", "_in_context")
 
 
 def clear_memos():
@@ -149,6 +153,61 @@ class TestSameAsWholeLine:
         with pytest.raises(ShaddaWithoutVowel):
             scan_text("بَمّ")
 
+    def test_double_sakin_logged_on_every_scan(self, caplog):
+        # the second scan is served from `_in_context`
+        clear_memos()
+        with caplog.at_level(logging.DEBUG, logger="arud.scansion"):
+            for _ in range(2):
+                assert scan_text("بَيْتْ مَا")[1] == "10010"
+        assert [record.getMessage() for record in caplog.records] == \
+            ["double sakin inside line: 10010"] * 2
+
+
+
+# One word of each kind the locality argument in `scansion` turns on.
+LOCALITY_POOL = [
+    "وَ",          # one letter
+    "و",           # one bare long-vowel letter: no class
+    "سْمُ",          # a first letter isba finds without a vowel
+    "لَهُ", "بِهِ",   # ha finals that isba lengthens
+    "لَهُمْ",        # plural-m with its host, bare: the license
+    "عَلَيْكُمُ",     # plural-m with its host, vocalized
+    "قَلَمُ",        # mim final without a host
+    "كِتَابًا",      # tanwin with alif
+    "عَلَّمَ",       # shadda
+    "آمَنَ",        # madda
+    "هَذَا",        # a special word's spelling
+    "و۠",           # silent only: dropped
+    "بَمّ",          # gemination without a vowel, but before an alif
+    "ٱلشَّمْسُ",     # a connective alif before a sun letter
+    "ٱبْنُ",         # a connective alif before a moon letter
+    "قُلْ", "مِنْ",  # a final sakin that takes the juncture vowel
+    "فِي",          # a long vowel that drops before an alif
+    "وٱبْنُ",        # an alif after a bare long-vowel letter: reads back
+]
+
+
+class TestLocality:
+    def test_every_short_line_over_the_pool(self):
+        # Every line of 1 to 3 pool words, at each position: once from
+        # cold memos, then in another order with warm ones.
+        words = [parse_line(text).words[0] for text in LOCALITY_POOL]
+        lines = [ScriptLine(combo) for n in (1, 2, 3)
+                 for combo in product(words, repeat=n)]
+        cases = [(line, si, vf) for line in lines
+                 for si, vf in product((False, True), repeat=2)]
+        expected = [outcome(lambda: whole_line(line, si, vf, False)[1])
+                    for line, si, vf in cases]
+        order = list(range(len(cases)))
+        clear_memos()
+        for _ in range(2):
+            got = {}
+            for i in order:
+                line, si, vf = cases[i]
+                got[i] = outcome(lambda: scan(line, None, si, vf))
+            assert [got[i] for i in range(len(cases))] == expected
+            random.Random(7).shuffle(order)
+
 
 class TestWordOffsets:
     """`word_offsets` cuts every reading's beats into the transcription's
@@ -199,6 +258,12 @@ class TestWordRulesRunOncePerWord:
     ])
     def test_second_scan_calls_only_boundary_rules(self, monkeypatch,
                                                    text):
+        # A line whose words all have a class is served from
+        # `_in_context` and calls no rule; one with a word keyed by
+        # itself, here the silent-only word, runs the boundary rules.
+        falls_back = any(scansion.lead(word) is word
+                         for word in parse_line(text).words)
+        assert falls_back == text.startswith("و۠")
         calls = dict.fromkeys(WORD_RULES + BOUNDARY_RULES, 0)
 
         def counting(name):
@@ -218,7 +283,10 @@ class TestWordRulesRunOncePerWord:
         assert scan_text(text) == first
         assert {name: calls[name] for name in WORD_RULES} == \
             dict.fromkeys(WORD_RULES, 0)
-        assert all(calls[name] for name in BOUNDARY_RULES)
+        if falls_back:
+            assert all(calls[name] for name in BOUNDARY_RULES)
+        else:
+            assert calls == dict.fromkeys(calls, 0)
 
 
 class TestErrors:
