@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import EmptyEvaluation, ScriptError
 from .filler import context_words, phrase_beats_in_context
 from .scansion import scan_text
-from .script import parse_line
+from .script import Memo, parse_line
 from .tables import TableSet
 
 log = logging.getLogger(__name__)
@@ -143,6 +143,12 @@ class EvalReport:
         return "\n".join(out)
 
 
+# Context text -> its words.  Records draw their contexts from few
+# queries; a text that does not parse stores nothing, so it raises again
+# on every record that holds it.
+_contexts = Memo(context_words)
+
+
 def _generated_beats(record: PredictionRecord,
                      tables: TableSet | None) -> list:
     """The generated text's beats under each reading; empty when it does
@@ -151,8 +157,8 @@ def _generated_beats(record: PredictionRecord,
     try:
         if has_context:
             phrase = parse_line(record.generated_text).words
-            left = context_words(record.left_context or "")
-            right = context_words(record.right_context or "")
+            left = _contexts[record.left_context or ""]
+            right = _contexts[record.right_context or ""]
             return phrase_beats_in_context(phrase, left, right,
                                            record.verse_final, tables)
         _, beats = scan_text(record.generated_text,

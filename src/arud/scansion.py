@@ -42,13 +42,13 @@ raises from one rule only (gemination in step 3, validation in step 5),
 so mapping a step over the words left to right raises the error the
 whole-line rules raise first.
 
-`scan` goes further and serves a line from words in context, because
-each word's step-5 form is fixed by a small window around it.  A word's
-class is its `lead`, and None when `lead` keys it by itself.  Its
-context is whether it opens the line (and then `sentence_initial`) and
-the next word's class, or the line end (and `verse_final`).  When no
-word's class is None, the step-5 form of every word is fixed by the word
-and its context:
+`scan` and `scan_readings` go further and serve a line from words in
+context, because each word's step-5 form is fixed by a small window
+around it.  A word's class is its `lead`, and None when `lead` keys it
+by itself.  Its context is whether it opens the line (and then
+`sentence_initial`) and the next word's class, or the line end (and
+`verse_final`).  When no word's class is None, the step-5 form of
+every word is fixed by the word and its context:
 
 - Only the connective-alif rule reads backwards.  An alif that opens a
   word's step-1 form drops after any grapheme, so what it reads decides
@@ -68,16 +68,25 @@ and its context:
   opening alif: pronounced (case 2) at a sentence start, else
   ``DanglingWasl``.  Such a word is never dropped, so every word of the
   line but the first has a word before it.
+- The optional plural-m license is one more isba decision, and reads
+  what the plain one reads: the word's own ending after step 3 and
+  whether the next word's first letter is vocalized.  So each reading
+  fixes a word's step-5 form by the same context.  A licensed word is
+  longer than its plain form, so the license changes the line's words
+  exactly when it changes some word's step-5 form.
 
-So `scan` keeps one memo, `_in_context`, from a word to its class and
-the step-5 values it has had in each context, and looks a line's words
-up there.  A line is served from it when no class is None and every
-word has a value for its context; otherwise the rules run as above, and
-a line that drops no word stores each word's value under its context.
-A line that raises stores nothing, so errors and their order are those
-of the rules.  Each error is raised by one word in its context
-(gemination, validation, or an opening alif at the line start), so the
-rules would not raise on a line whose words all have values.
+So both keep one memo, `_in_context`, from a word to its class and the
+step-5 values it has had in each context, per reading: the plain value
+under the context, the licensed one under its complement (``~``), which
+only `scan_readings` stores.  A line is served from it when no class is
+None and every word has the values the call needs for its context;
+otherwise the rules run as above, and a line that drops no word stores
+each word's values under its context.  A line that raises stores
+nothing, so errors and their order are those of the rules.  Each error
+is raised by one word in its context (gemination, validation, or an
+opening alif at the line start), so the rules would not raise on a line
+whose words all have values, and the licensed reading of a word raises
+only where its plain one does.
 """
 
 from __future__ import annotations
@@ -562,9 +571,9 @@ def lead(word: Word, tables: TableSet | None = None):
     alif in the next word can vocalize or delete, and for a word that
     the scan drops or that does not scan.
 
-    The key is the class of a word in `scan`'s memo of words in context,
-    where the word before reads it as its context, and `fill` groups its
-    lexicon by it.
+    The key is the class of a word in the memo of words in context that
+    `scan` and `scan_readings` read, where the word before reads it as
+    its context, and `fill` groups its lexicon by it.
     """
     tables = tables or default_tables()
     first = _first_steps((word,), tables)[0]
@@ -594,11 +603,6 @@ def _before_isba(line: ScriptLine, tables: TableSet | None,
     return ScriptLine(tuple(map(_step3.__getitem__, out.words)))
 
 
-def _after_isba(line: ScriptLine) -> tuple[ScansionLine, BeatPattern]:
-    """Step 5 of a line isba has seen."""
-    return _joined(list(map(_step5.__getitem__, line.words)))
-
-
 def _joined(done: list) -> tuple[ScansionLine, BeatPattern]:
     """The line of step-5 values `done` and its beats."""
     beats = "".join([segment for _, segment in done])
@@ -623,7 +627,8 @@ def _word_in_context(word: Word, tables: TableSet) -> tuple:
 
 
 # Word -> (its class, {context: (the word after step 5, its beat
-# segment)}), the `_step5` values a rule-path scan gave it there.
+# segment)}), the `_step5` values a rule-path scan gave it there; the
+# licensed reading's under ~context.
 _in_context = Memo(_word_in_context, None)
 
 
@@ -676,17 +681,51 @@ def scan_readings(
 ) -> list:
     """`scan` of `line` without, then with, the optional plural-m license.
 
-    Steps 1 to 3 run once for both readings.  Each entry is a reading's
-    ``(transcription, beats)``; the licensed reading is listed only when
-    the license changes the line's words.
+    Each entry is a reading's ``(transcription, beats)``; the licensed
+    reading is listed only when the license changes the line's words.
+    Like `scan`, a line is served from `_in_context`, where a word keeps
+    its licensed value under the complement (``~``) of its context;
+    otherwise steps 1 to 3 run once for both readings.
     """
+    if tables is None:
+        tables = default_tables()
+    _in_context.use(tables)
+    entries = list(map(_in_context.__getitem__, line.words))
+    classes = [cls for cls, _ in entries]
+    contexts = None
+    if None not in classes:
+        contexts = [*classes[1:], 4 + verse_final]
+        contexts[0] += 6 + 6 * sentence_initial
+        try:
+            plain = [values[context]
+                     for (_, values), context in zip(entries, contexts)]
+            licensed = [values[~context]
+                        for (_, values), context in zip(entries, contexts)]
+        except KeyError:
+            pass
+        else:
+            return _listed(plain, licensed)
     seen = _before_isba(line, tables, sentence_initial)
-    plain = apply_isba(seen, verse_final)
-    licensed = apply_isba(seen, verse_final, optional_plural_m=True)
-    readings = [plain]
-    if licensed.words != plain.words:
-        readings.append(licensed)
-    return [_after_isba(reading) for reading in readings]
+    plain_line = apply_isba(seen, verse_final)
+    licensed_line = apply_isba(seen, verse_final, optional_plural_m=True)
+    plain = list(map(_step5.__getitem__, plain_line.words))
+    licensed = plain if licensed_line.words == plain_line.words \
+        else list(map(_step5.__getitem__, licensed_line.words))
+    if contexts and len(plain) == len(entries):
+        for (_, values), context, value, licensed_value in zip(
+                entries, contexts, plain, licensed):
+            values[context] = value
+            values[~context] = licensed_value
+    return _listed(plain, licensed)
+
+
+def _listed(plain: list, licensed: list) -> list:
+    """The readings of a line's plain and licensed step-5 values; the
+    licensed one only when some word's value differs.  Values compare by
+    value: a value computed again after an eviction is equal to the one
+    before, but not the same object."""
+    readings = [plain] if licensed == plain else [plain, licensed]
+    return [_joined(done) for done in readings]
 
 
 def scan_text(

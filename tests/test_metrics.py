@@ -263,6 +263,36 @@ def _coherence_line(mean):
                       mean_coherence=mean).render_report().splitlines()[-1]
 
 
+class TestContextsReadOnce:
+    def test_each_distinct_context_parsed_once(self, monkeypatch):
+        from arud import filler, metrics
+        metrics._contexts.clear()
+        parsed = []
+        parse = filler.parse_line
+        monkeypatch.setattr(filler, "parse_line",
+                            lambda raw: parsed.append(raw) or parse(raw))
+        records = [PredictionRecord(target_beats="110",
+                                    generated_text="لَهُ",
+                                    left_context=left, right_context="مَا")
+                   for left in ("قَالَ", "قُلْ", "", None) * 5]
+        report = evaluate_predictions(records)
+        assert report.exact_accuracy == 100.0
+        assert sorted(parsed) == sorted(["قَالَ", "قُلْ", "مَا"])
+
+    @pytest.mark.parametrize("side", ["left_context", "right_context"])
+    def test_a_context_that_does_not_parse_fails_every_record(self, side):
+        from arud import metrics
+        metrics._contexts.clear()
+        bad = PredictionRecord(target_beats="10", generated_text="مَا",
+                               **{side: "x"})
+        good = PredictionRecord(target_beats="10", generated_text="مَا",
+                                **{side: "قَالَ"})
+        report = evaluate_predictions([bad, good, bad, bad])
+        assert report.scan_failure_count == 3
+        assert report.exact_accuracy == 25.0
+        assert "x" not in metrics._contexts
+
+
 class TestPredictionFile:
     def test_reads_records_and_counts_bad(self):
         stream = io.StringIO("\n".join([

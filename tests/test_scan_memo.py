@@ -63,6 +63,21 @@ def whole_line(line, sentence_initial, verse_final, optional_plural_m):
     return after_isba, (out, "".join(beat_segments(out)))
 
 
+def readings_by_rules(line, sentence_initial, verse_final):
+    """`scan_readings` by `whole_line`: the plain reading, then the
+    licensed one when the license changes the line's words after isba;
+    or the error."""
+    plain_isba, plain = whole_line(line, sentence_initial, verse_final,
+                                   False)
+    if not isinstance(plain[0], ScriptLine):
+        return plain
+    licensed_isba, licensed = whole_line(line, sentence_initial,
+                                         verse_final, True)
+    if licensed_isba.words == plain_isba.words:
+        return [plain]
+    return [plain, licensed]
+
+
 def error(exc):
     return type(exc), str(exc)
 
@@ -188,25 +203,39 @@ LOCALITY_POOL = [
 
 
 class TestLocality:
-    def test_every_short_line_over_the_pool(self):
-        # Every line of 1 to 3 pool words, at each position: once from
-        # cold memos, then in another order with warm ones.
+    """Every line of 1 to 3 pool words, at each position, by the memo of
+    words in context and by the whole-line rules."""
+
+    def check(self, by_memo, by_rules):
+        # Each case once from cold memos, then in another order with warm
+        # ones; the expected outcomes are returned.
         words = [parse_line(text).words[0] for text in LOCALITY_POOL]
         lines = [ScriptLine(combo) for n in (1, 2, 3)
                  for combo in product(words, repeat=n)]
         cases = [(line, si, vf) for line in lines
                  for si, vf in product((False, True), repeat=2)]
-        expected = [outcome(lambda: whole_line(line, si, vf, False)[1])
-                    for line, si, vf in cases]
+        expected = [outcome(lambda: by_rules(*case)) for case in cases]
         order = list(range(len(cases)))
         clear_memos()
         for _ in range(2):
             got = {}
             for i in order:
-                line, si, vf = cases[i]
-                got[i] = outcome(lambda: scan(line, None, si, vf))
+                got[i] = outcome(lambda: by_memo(*cases[i]))
             assert [got[i] for i in range(len(cases))] == expected
             random.Random(7).shuffle(order)
+        return expected
+
+    def test_every_short_line_over_the_pool(self):
+        self.check(lambda line, si, vf: scan(line, None, si, vf),
+                   lambda line, si, vf: whole_line(line, si, vf, False)[1])
+
+    def test_both_readings_of_every_short_line_over_the_pool(self):
+        expected = self.check(
+            lambda line, si, vf: scan_readings(line, None, si, vf),
+            readings_by_rules)
+        # the license changes many of them
+        assert sum(isinstance(e, list) and len(e) == 2
+                   for e in expected) > 1000
 
 
 class TestWordOffsets:
@@ -249,13 +278,33 @@ WORD_RULES = ("apply_special_words", "remove_silent_graphemes",
 BOUNDARY_RULES = ("process_hamzat_wasl", "apply_isba")
 
 
+def count_rule_calls(monkeypatch):
+    """Calls of each rule of `scansion` from now on, by name."""
+    calls = dict.fromkeys(WORD_RULES + BOUNDARY_RULES, 0)
+
+    def counting(name):
+        rule = getattr(scansion, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return rule(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(scansion, name, counting(name))
+    return calls
+
+
+SECOND_SCAN_TEXTS = [
+    "قَالَ ٱبْنُ مَالِكٍ",     # the connective alif changes its word
+    "قُلْ ٱبْنُ مَالِكٍ",      # and the word before it
+    "لَهُمْ مَا عَلَّمَهُ قَدْ",  # isba lengthens a word, and the license
+    "و۠ آمَنَ مَعًا",          # silent removal, madda and tanwin
+]
+
+
 class TestWordRulesRunOncePerWord:
-    @pytest.mark.parametrize("text", [
-        "قَالَ ٱبْنُ مَالِكٍ",     # the connective alif changes its word
-        "قُلْ ٱبْنُ مَالِكٍ",      # and the word before it
-        "لَهُمْ مَا عَلَّمَهُ قَدْ",  # isba lengthens a word
-        "و۠ آمَنَ مَعًا",          # silent removal, madda and tanwin
-    ])
+    @pytest.mark.parametrize("text", SECOND_SCAN_TEXTS)
     def test_second_scan_calls_only_boundary_rules(self, monkeypatch,
                                                    text):
         # A line whose words all have a class is served from
@@ -264,18 +313,7 @@ class TestWordRulesRunOncePerWord:
         falls_back = any(scansion.lead(word) is word
                          for word in parse_line(text).words)
         assert falls_back == text.startswith("و۠")
-        calls = dict.fromkeys(WORD_RULES + BOUNDARY_RULES, 0)
-
-        def counting(name):
-            rule = getattr(scansion, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return rule(*args, **kwargs)
-            return counted
-
-        for name in calls:
-            monkeypatch.setattr(scansion, name, counting(name))
+        calls = count_rule_calls(monkeypatch)
         clear_memos()
         first = scan_text(text)
         assert all(calls[name] for name in WORD_RULES)
@@ -283,6 +321,32 @@ class TestWordRulesRunOncePerWord:
         assert scan_text(text) == first
         assert {name: calls[name] for name in WORD_RULES} == \
             dict.fromkeys(WORD_RULES, 0)
+        if falls_back:
+            assert all(calls[name] for name in BOUNDARY_RULES)
+        else:
+            assert calls == dict.fromkeys(calls, 0)
+
+    @pytest.mark.parametrize("step5_size", [MEMO_SIZE, 1])
+    @pytest.mark.parametrize("text", SECOND_SCAN_TEXTS)
+    def test_second_readings_call_no_rule(self, monkeypatch, text,
+                                          step5_size):
+        # Both readings of a line whose words all have a class are served
+        # from `_in_context`, also after `scan` of the other lines stored
+        # their shared words' plain values again: with a one-entry step-5
+        # memo, values equal to the licensed ones but not the same
+        # objects.
+        line = parse_line(text)
+        falls_back = any(scansion.lead(word) is word for word in line.words)
+        calls = count_rule_calls(monkeypatch)
+        clear_memos()
+        monkeypatch.setattr(scansion._step5, "size", step5_size)
+        first = scan_readings(line)
+        assert first == readings_by_rules(line, True, False)
+        assert len(first) == 1 + text.startswith("لَهُمْ")
+        for other in SECOND_SCAN_TEXTS:
+            scan_text(other)
+        calls.update(dict.fromkeys(calls, 0))
+        assert scan_readings(line) == first
         if falls_back:
             assert all(calls[name] for name in BOUNDARY_RULES)
         else:
@@ -337,6 +401,23 @@ class TestMemoSizes:
         for word in _distinct_words(MEMO_SIZE + 50, SUKUN):
             scan_text(word)
         assert len(getattr(scansion, memo)) == MEMO_SIZE
+
+    def test_readings_after_evictions(self, monkeypatch):
+        # `_in_context` holds the three words of the first two lines and
+        # loses them to the third; `_step5` keeps one word, so values are
+        # computed again, equal to the ones before but other objects.
+        # The license changes only لَهُمْ.
+        unchanged, licensed, evicting = map(parse_line, [
+            "قَالَ مَا قَالَ", "لَهُمْ مَا قَالَ", "قُلْ ٱبْنُ مَالِكٍ"])
+        clear_memos()
+        monkeypatch.setattr(scansion._in_context, "size", 3)
+        monkeypatch.setattr(scansion._step5, "size", 1)
+        for line in [unchanged, licensed, unchanged, evicting] * 3:
+            expected = readings_by_rules(line, True, False)
+            assert len(expected) == 1 + (line is licensed)
+            assert scan(line) == expected[0]
+            assert scan_readings(line) == expected
+            assert scan(line) == expected[0]
 
 
 class Refused(Exception):
