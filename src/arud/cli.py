@@ -166,12 +166,13 @@ def _describe(exc: Exception) -> str:
 def _write(results, dst):
     """Write per-line results: (output lines, error text or None) each.
 
-    The lines go to `dst`, and an error to stderr under its 1-based line
-    number.
+    The lines are written to `dst` directly, each with its newline, and
+    an error goes to stderr under its 1-based line number.
     """
+    write = dst.write
     for lineno, (lines, err) in enumerate(results, start=1):
         for line in lines:
-            print(line, file=dst)
+            write(line + "\n")
         if err is not None:
             print(f"line {lineno}: {err}", file=sys.stderr)
 

@@ -78,10 +78,11 @@ every word is fixed by the word and its context:
 So both keep one memo, `_in_context`, from a word to its class and the
 step-5 values it has had in each context, per reading: the plain value
 under the context, the licensed one under its complement (``~``), which
-only `scan_readings` stores.  A line is served from it when no class is
-None and every word has the values the call needs for its context;
-otherwise the rules run as above, and a line that drops no word stores
-each word's values under its context.  A line that raises stores
+only `scan_readings` stores.  Both look a line up in it through
+`_looked_up`.  A line is served from it when no class is None and every
+word has the values the call needs for its context; otherwise the rules
+run as above, and a line that drops no word stores each word's values
+under its context.  A line that raises stores
 nothing, so errors and their order are those of the rules.  Each error
 is raised by one word in its context (gemination, validation, or an
 opening alif at the line start), so the rules would not raise on a line
@@ -605,12 +606,13 @@ def _before_isba(line: ScriptLine, tables: TableSet | None,
 
 def _joined(done: list) -> tuple[ScansionLine, BeatPattern]:
     """The line of step-5 values `done` and its beats."""
-    beats = "".join([segment for _, segment in done])
+    words, segments = zip(*done) if done else ((), ())
+    beats = "".join(segments)
     if "00" in beats[:-2]:
         # classical transcription forbids two mid-line sakins; surfaced
         # as a diagnostic only
         log.debug("double sakin inside line: %s", beats)
-    return ScriptLine(tuple(word for word, _ in done)), beats
+    return ScriptLine(words), beats
 
 
 def _word_in_context(word: Word, tables: TableSet) -> tuple:
@@ -632,6 +634,36 @@ def _word_in_context(word: Word, tables: TableSet) -> tuple:
 _in_context = Memo(_word_in_context, None)
 
 
+def _looked_up(line: ScriptLine, tables: TableSet, sentence_initial: bool,
+               verse_final: bool, licensed: bool) -> tuple:
+    """`line`'s words in `_in_context`: (each word's values by context,
+    the words' contexts, the line served).
+
+    The line served is a list of the plain reading's step-5 values and,
+    when `licensed`, the licensed one's, or None when some word lacks a
+    value the call needs.  The contexts are None when some word has no
+    class, or the line no word.
+    """
+    _in_context.use(tables)
+    if not line.words:
+        return (), None, None
+    classes, values = zip(*map(_in_context.__getitem__, line.words))
+    if None in classes:
+        return values, None, None
+    # The next word's class (0 to 3), else the line end (4 or 5), plus 6
+    # or 12 for the word that opens the line.
+    contexts = [*classes[1:], 4 + verse_final]
+    contexts[0] += 6 + 6 * sentence_initial
+    try:
+        served = [list(map(dict.__getitem__, values, contexts))]
+        if licensed:
+            served.append(list(map(dict.__getitem__, values,
+                                   map(int.__invert__, contexts))))
+    except KeyError:
+        return values, contexts, None
+    return values, contexts, served
+
+
 def scan(
     line: ScriptLine,
     tables: TableSet | None = None,
@@ -648,28 +680,16 @@ def scan(
     """
     if tables is None:
         tables = default_tables()
-    _in_context.use(tables)
-    entries = list(map(_in_context.__getitem__, line.words))
-    classes = [cls for cls, _ in entries]
-    contexts = None
-    if None not in classes:
-        # The next word's class (0 to 3), else the line end (4 or 5),
-        # plus 6 or 12 for the word that opens the line.
-        contexts = [*classes[1:], 4 + verse_final]
-        contexts[0] += 6 + 6 * sentence_initial
-        try:
-            done = [values[context]
-                    for (_, values), context in zip(entries, contexts)]
-        except KeyError:
-            pass
-        else:
-            return _joined(done)
+    values, contexts, served = _looked_up(line, tables, sentence_initial,
+                                          verse_final, False)
+    if served:
+        return _joined(served[0])
     seen = _before_isba(line, tables, sentence_initial)
     done = list(map(_step5.__getitem__,
                     apply_isba(seen, verse_final).words))
-    if contexts and len(done) == len(entries):
-        for (_, values), context, value in zip(entries, contexts, done):
-            values[context] = value
+    if contexts and len(done) == len(values):
+        for by_context, context, value in zip(values, contexts, done):
+            by_context[context] = value
     return _joined(done)
 
 
@@ -689,33 +709,21 @@ def scan_readings(
     """
     if tables is None:
         tables = default_tables()
-    _in_context.use(tables)
-    entries = list(map(_in_context.__getitem__, line.words))
-    classes = [cls for cls, _ in entries]
-    contexts = None
-    if None not in classes:
-        contexts = [*classes[1:], 4 + verse_final]
-        contexts[0] += 6 + 6 * sentence_initial
-        try:
-            plain = [values[context]
-                     for (_, values), context in zip(entries, contexts)]
-            licensed = [values[~context]
-                        for (_, values), context in zip(entries, contexts)]
-        except KeyError:
-            pass
-        else:
-            return _listed(plain, licensed)
+    values, contexts, served = _looked_up(line, tables, sentence_initial,
+                                          verse_final, True)
+    if served:
+        return _listed(*served)
     seen = _before_isba(line, tables, sentence_initial)
     plain_line = apply_isba(seen, verse_final)
     licensed_line = apply_isba(seen, verse_final, optional_plural_m=True)
     plain = list(map(_step5.__getitem__, plain_line.words))
     licensed = plain if licensed_line.words == plain_line.words \
         else list(map(_step5.__getitem__, licensed_line.words))
-    if contexts and len(plain) == len(entries):
-        for (_, values), context, value, licensed_value in zip(
-                entries, contexts, plain, licensed):
-            values[context] = value
-            values[~context] = licensed_value
+    if contexts and len(plain) == len(values):
+        for by_context, context, value, licensed_value in zip(
+                values, contexts, plain, licensed):
+            by_context[context] = value
+            by_context[~context] = licensed_value
     return _listed(plain, licensed)
 
 

@@ -12,8 +12,9 @@ vocalization flags the rules test most are computed once, at interning,
 and the interned connective alifs are collected in ``WASL_GRAPHEMES``.
 
 Verse repeats its words, so every layer keeps its per-word results in a
-``Memo``, the bounded memo defined here: the parser, the scansion steps,
-``normalize``'s word records, ``mask``'s plans and ``fill``'s windows.
+``Memo``, the bounded memo defined here: the parser, rendered words, the
+scansion steps, ``normalize``'s word records, ``mask``'s plans and
+``fill``'s windows.
 """
 
 from __future__ import annotations
@@ -343,11 +344,16 @@ def render_word(word: Word) -> str:
     return "".join([g._text for g in word])
 
 
+# A word -> its text.  Verse repeats its words, so a line's words are
+# mostly met here and each costs one dict lookup.
+_rendered = Memo(render_word)
+
+
 def render_line(line: ScriptLine) -> str:
     """Serialize a line in canonical mark order."""
     if not line.words:
         raise EmptyLine("cannot render an empty line")
-    return " ".join(map(render_word, line.words))
+    return " ".join(map(_rendered.__getitem__, line.words))
 
 
 def _canonical_marks(marks: list[str]) -> list[str]:

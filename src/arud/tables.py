@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from importlib import resources
 from pathlib import Path
 
 from . import script
@@ -26,8 +25,7 @@ def _read_table(name: str, table_dir: str | None, nfields: int, parse):
     rejects with a ValueError, or a file that is not UTF-8 raises
     TableError.
     """
-    path = Path(table_dir, name) if table_dir \
-        else resources.files("arud.data").joinpath(name)
+    path = Path(table_dir or Path(__file__).parent / "data", name)
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:

@@ -770,11 +770,13 @@ class TestWorkerPool:
 
 class TestColdStart:
     def test_import_loads_no_pool_machinery(self):
-        # A fresh interpreter: this one has long imported both.
+        # A fresh interpreter, without `site`: a `.pth` file there may
+        # import any of these at start-up.
         env = dict(os.environ, PYTHONPATH=str(Path(arud.__file__).parents[1]))
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, arud.cli; print(sorted("
-             "{'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"],
+            [sys.executable, "-S", "-c", "import sys, arud.cli; print(sorted("
+             "{'multiprocessing', 'concurrent.futures', 'importlib.resources',"
+             " 'tempfile', 'shutil', 'bz2', 'lzma'} & set(sys.modules)))"],
             capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"

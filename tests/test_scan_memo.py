@@ -179,6 +179,41 @@ class TestSameAsWholeLine:
 
 
 
+EMPTY_SCAN = (ScriptLine(()), "")
+PLACES = list(product((False, True), repeat=2))
+
+
+class TestNoWordsLeft:
+    """A line of no words, or of words that all drop, scans to no words
+    and no beats, from cold memos and from warm ones."""
+
+    @pytest.mark.parametrize("sentence_initial, verse_final", PLACES)
+    def test_a_line_of_no_words(self, sentence_initial, verse_final):
+        clear_memos()
+        for _ in range(2):
+            assert scan(ScriptLine(()), None, sentence_initial,
+                        verse_final) == EMPTY_SCAN
+            assert scan_readings(ScriptLine(()), None, sentence_initial,
+                                 verse_final) == [EMPTY_SCAN]
+
+    @pytest.mark.parametrize("text", EMPTIED + [" ".join(EMPTIED)])
+    @pytest.mark.parametrize("sentence_initial, verse_final", PLACES)
+    def test_a_line_whose_words_all_drop(self, text, sentence_initial,
+                                         verse_final):
+        # A dropped word has no class, so the warm scans find its
+        # `_in_context` entry and still run the rules.
+        line = parse_line(text)
+        clear_memos()
+        for _ in range(2):
+            assert scan(line, None, sentence_initial, verse_final) \
+                == whole_line(line, sentence_initial, verse_final,
+                              False)[1] == EMPTY_SCAN
+            assert scan_readings(line, None, sentence_initial, verse_final) \
+                == readings_by_rules(line, sentence_initial, verse_final) \
+                == [EMPTY_SCAN]
+            assert line.words[0] in scansion._in_context
+
+
 # One word of each kind the locality argument in `scansion` turns on.
 LOCALITY_POOL = [
     "وَ",          # one letter

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import unicodedata
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -120,6 +121,61 @@ class TestRender:
     @given(lines())
     def test_round_trip(self, line):
         assert parse_line(render_line(line)) == line
+
+
+def _data_words():
+    """Each distinct word of the test data's verse that parses, as the
+    parser gives it."""
+    data = Path(__file__).parent / "data"
+    texts = [row.split("\t")[0] for path in [
+        data / "golden_scansion.tsv", data / "engine_snapshot" / "input.txt",
+        data / "behaviour_snapshot" / "lexicon.txt"]
+        for row in path.read_text(encoding="utf-8").splitlines()
+        if not row.startswith("#")]
+    words = set()
+    for chunk in {chunk for text in texts for chunk in text.split()}:
+        try:
+            words.add(parse_line(chunk).words[0])
+        except ScriptError:
+            pass
+    return sorted(words, key=script.render_word)
+
+
+# Parsed verse words, which repeat as verse does, and generated ones.
+POOL_WORDS = _data_words()
+RENDER_WORDS = st.one_of(st.sampled_from(POOL_WORDS), words())
+
+
+class TestRenderMemo:
+    """`render_line` reads each word's text from `_rendered`."""
+
+    @given(st.lists(RENDER_WORDS, min_size=1, max_size=8))
+    def test_same_as_joining_render_word(self, line_words):
+        line = ScriptLine(tuple(line_words))
+        text = render_line(line)
+        assert text == " ".join([script.render_word(w) for w in line_words])
+        assert parse_line(text) == line
+
+    def test_evicted_word_is_rendered_again(self, monkeypatch):
+        script._rendered.clear()
+        monkeypatch.setattr(script._rendered, "size", 2)
+        a, b, c = parse_line("مَا لَهُ قَالَ").words
+        assert render_line(ScriptLine((a, b, c))) == "مَا لَهُ قَالَ"
+        assert list(script._rendered) == [b, c]
+        assert render_line(ScriptLine((c, a))) == "قَالَ مَا"
+        assert list(script._rendered) == [c, a]
+        assert render_line(ScriptLine((b, b))) == "لَهُ لَهُ"
+        assert list(script._rendered) == [a, b]
+
+    def test_empty_word_raises_and_is_not_stored(self):
+        script._rendered.clear()
+        word = parse_line("مَا").words[0]
+        with pytest.raises(EmptyWord):
+            render_line(ScriptLine((word, ())))
+        assert list(script._rendered) == [word]
+        with pytest.raises(EmptyWord):
+            render_line(ScriptLine(((),)))
+        assert list(script._rendered) == [word]
 
 
 class TestGraphemeInvariants:
