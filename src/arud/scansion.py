@@ -29,41 +29,42 @@ Graphemes are interned (see ``script.Grapheme``): one instance per
 distinct value, shared by every line in the process.
 
 Verse repeats its words, so `scan` and `scan_readings` run each
-word-scope step once per distinct word: each is a ``script.Memo`` from
-the word it receives to the word it returns (step 5 adds the beat
-segment), and a line's words are looked up in it left to right.  On a
-miss the step's rules run as they always do, on a one-word line.  The
-connective-alif rule returns a line holding no connective alif at once
-(``script.WASL_GRAPHEMES``) and copies only the words holding one and
-the word before an alif that a case changes; isba rejects a word first
-on its last letter, since it extends only a word ending in ha or mim
-before the next word.  A step that raises stores nothing, and each
-raises from one rule only (gemination in step 3, validation in step 5),
-so mapping a step over the words left to right raises the error the
-whole-line rules raise first.
+word-scope step once per distinct word.  A word's step-1 form is kept in
+its record in `_in_context` (below); steps 3 and 5 are each a
+``script.Memo`` from the word it receives to the word it returns (step 5
+adds the beat segment), and a line's words are looked up in it left to
+right.  On a miss the step's rules run as they always do, on a one-word
+line.  The connective-alif rule returns a line holding no connective
+alif at once (``script.WASL_GRAPHEMES``) and copies only the words
+holding one and the word before an alif that a case changes; isba
+rejects a word first on its last letter, since it extends only a word
+ending in ha or mim before the next word.  A step that raises stores
+nothing, and each raises from one rule only (gemination in step 3,
+validation in step 5), so mapping a step over the words left to right
+raises the error the whole-line rules raise first.
 
 `scan` and `scan_readings` go further and serve a line from words in
 context, because each word's step-5 form is fixed by a small window
-around it.  A word's class is its `lead`, and None when `lead` keys it
-by itself.  Its context is whether it opens the line (and then
-`sentence_initial`) and the next word's class, or the line end (and
-`verse_final`).  When no word's class is None, the step-5 form of
+around it.  A word's class is its `lead`, an int from 0 to 3, and None
+when `lead` keys it by itself.  Its context is whether it opens the line
+(and then `sentence_initial`) and the next word's class, or the line end
+(and `verse_final`).  When no word's class is None, the step-5 form of
 every word is fixed by the word and its context:
 
 - Only the connective-alif rule reads backwards.  An alif that opens a
   word's step-1 form drops after any grapheme, so what it reads decides
   only what it does to the word before.  The rest of its word reads the
   word before only when it ``reads_back`` (once the alif is dropped),
-  and `lead` is None for it.  When the word before an alif is one
+  and its class is None.  When the word before an alif is one
   unvocalized letter, the alif reads the word before that one too, to
-  tell a long vowel, and `lead` is None for such a word.
+  tell a long vowel, and such a word's class is None.
 - Everything a next word does to a word goes through its `lead`: an
   alif that opens it changes the word's last letters by the word's own
   graphemes and no more, and isba reads whether the next word's first
   letter is vocalized once such an alif is dropped.  Nothing after the
   next word changes that letter: an alif after it reaches it only when
   the next word is one letter, and changes it only when that letter is
-  unvocalized, and `lead` is None for such a word.
+  unvocalized, and such a word's class is None.
 - A word whose class is not None reads the line start only through an
   opening alif: pronounced (case 2) at a sentence start, else
   ``DanglingWasl``.  Such a word is never dropped, so every word of the
@@ -75,14 +76,16 @@ every word is fixed by the word and its context:
   longer than its plain form, so the license changes the line's words
   exactly when it changes some word's step-5 form.
 
-So both keep one memo, `_in_context`, from a word to its class and the
-step-5 values it has had in each context, per reading: the plain value
-under the context, the licensed one under its complement (``~``), which
-only `scan_readings` stores.  Both look a line up in it through
-`_looked_up`.  A line is served from it when no class is None and every
-word has the values the call needs for its context; otherwise the rules
-run as above, and a line that drops no word stores each word's values
-under its context.  A line that raises stores
+So both keep one memo, `_in_context`, from a word to its record: its
+class, its step-1 form and the step-5 values it has had in each context,
+per reading: the plain value under the context, the licensed one under
+its complement (``~``), which only `scan_readings` stores.  Both look a
+line up in it through `_looked_up`, and `lead` and `reads_back` read the
+same record, so a word's step 1 and class are computed once per table
+set.  A line is served from it when no class is None and every word has
+the values the call needs for its context; otherwise the rules run as
+above from the records' step-1 forms, and a line that drops no word
+stores each word's values under its context.  A line that raises stores
 nothing, so errors and their order are those of the rules.  Each error
 is raised by one word in its context (gemination, validation, or an
 opening alif at the line start), so the rules would not raise on a line
@@ -116,7 +119,6 @@ from .script import (
     SUN_LETTERS,
     TANWINS,
     WASL_GRAPHEMES,
-    WASL_ALIF,
     WAW,
     YA,
     Grapheme,
@@ -516,23 +518,71 @@ def _fifth_step(word: Word) -> tuple[Word, BeatPattern]:
     return out.words[0], sys.intern(beat_segments(out)[0])
 
 
-# Word -> the word after step 1, computed with the special-word table
-# that `_first_steps` sets.
-_step1 = Memo(_first_step, None)
 # Word after the connective-alif rule -> the word after step 3.
 _step3 = Memo(_third_step)
 # Word after isba -> (the word after step 5, its beat segment).
 _step5 = Memo(_fifth_step)
 
 
-def _first_steps(words, tables: TableSet) -> list:
-    """Step 1 of each of `words`, through `_step1`."""
-    _step1.use(tables.special)
-    return list(map(_step1.__getitem__, words))
+def _second_third_steps(firsts, tables: TableSet,
+                        sentence_initial: bool) -> ScriptLine:
+    """Steps 2 and 3 of a line of step-1 forms; emptied words are
+    dropped."""
+    out = process_hamzat_wasl(ScriptLine(tuple(filter(None, firsts))),
+                              sentence_initial, tables.juncture)
+    return ScriptLine(tuple(map(_step3.__getitem__, out.words)))
 
 
 # A word ending in a short vowel, before which a connective alif drops.
 _AFTER_VOWEL = (Grapheme("ب", vowel="kasra"),)
+
+
+def _reads_back(first: Word) -> bool:
+    """`reads_back` of a word whose step-1 form is `first`."""
+    return not WASL_GRAPHEMES.isdisjoint(first) and (
+        first[0].is_wasl or (first[0].unvocalized
+                             and first[0].base in VOWEL_FOR_EXTENSION))
+
+
+def _word_in_context(word: Word, tables: TableSet) -> tuple:
+    """`word`'s record: (its class, its step-1 form, its step-5 values by
+    context, empty at first).
+
+    The class is what the words before `word` in a line can read of it:
+    whether isba finds its first letter vocalized, plus 2 when a
+    connective alif opens the step-1 form, which drops after any word and
+    changes the words before by reading only them.  It is None for a
+    word whose first letter can depend on the word before (`reads_back`,
+    once an opening alif is dropped), for one letter without a vowel
+    after step 3, which an alif in the next word can vocalize or delete,
+    and for a word that the scan drops or that does not scan.
+    """
+    first = _first_step(word, tables.special)
+    wasl = bool(first) and first[0].is_wasl
+    if _reads_back(first[1:] if wasl else first):
+        return None, first, {}
+    line = (_first_step(_AFTER_VOWEL, tables.special), first) if wasl \
+        else (first,)
+    try:
+        words = _second_third_steps(line, tables, False).words
+    except ScriptError:
+        return None, first, {}
+    if len(words) < len(line) or (len(words[-1]) < 2
+                                  and not words[-1][0].vocalized):
+        return None, first, {}
+    return words[-1][0].vocalized + 2 * wasl, first, {}
+
+
+# Word -> its record: (its class, the word after step 1, {context: (the
+# word after step 5, its beat segment)}), the `_step5` values a rule-path
+# scan gave it there; the licensed reading's under ~context.
+_in_context = Memo(_word_in_context, None)
+
+
+def _record(word: Word, tables: TableSet | None) -> tuple:
+    """`word`'s `_in_context` record under `tables`."""
+    _in_context.use(tables or default_tables())
+    return _in_context[word]
 
 
 def reads_back(word: Word, tables: TableSet | None = None) -> bool:
@@ -548,60 +598,20 @@ def reads_back(word: Word, tables: TableSet | None = None) -> bool:
     two graphemes, and the word before's last one when this word is one
     letter, but all it can do there is delete that letter.
     """
-    return _reads_back(_first_steps((word,), tables or default_tables())[0])
-
-
-def _reads_back(first: Word) -> bool:
-    """`reads_back` of a word whose step-1 form is `first`."""
-    return not WASL_GRAPHEMES.isdisjoint(first) and (
-        first[0].is_wasl or (first[0].unvocalized
-                             and first[0].base in VOWEL_FOR_EXTENSION))
+    return _reads_back(_record(word, tables)[1])
 
 
 def lead(word: Word, tables: TableSet | None = None):
     """What the words before `word` in a line can read of it, as a key:
     words with equal keys leave the words before them alike.
 
-    For most words that is whether isba finds the first letter vocalized,
-    True or False.  A connective alif that opens the step-1 form drops
-    after any word, and how it changes the words before reads only them,
-    so such a word is keyed by the alif and whether the letter after it
-    is vocalized.  The key is `word` itself for a word whose first letter
-    can depend on the word before (``reads_back``, once an opening alif
-    is dropped), for one letter without a vowel after step 3, which an
-    alif in the next word can vocalize or delete, and for a word that
-    the scan drops or that does not scan.
-
-    The key is the class of a word in the memo of words in context that
-    `scan` and `scan_readings` read, where the word before reads it as
-    its context, and `fill` groups its lexicon by it.
+    The key is the word's class in `_in_context` (0 to 3), or `word`
+    itself when the class is None.  The word before reads the class as
+    its context in `scan` and `scan_readings`, and `fill` groups its
+    lexicon by the key.
     """
-    tables = tables or default_tables()
-    first = _first_steps((word,), tables)[0]
-    wasl = bool(first) and first[0].is_wasl
-    if _reads_back(first[1:] if wasl else first):
-        return word
-    line = (_AFTER_VOWEL, word) if wasl else (word,)
-    try:
-        words = _before_isba(ScriptLine(line), tables, False).words
-    except ScriptError:
-        return word
-    if len(words) < len(line) or (len(words[-1]) < 2
-                                  and not words[-1][0].vocalized):
-        return word
-    return (WASL_ALIF, words[-1][0].vocalized) if wasl \
-        else words[-1][0].vocalized
-
-
-def _before_isba(line: ScriptLine, tables: TableSet | None,
-                 sentence_initial: bool) -> ScriptLine:
-    """Steps 1 to 3 of a line; words emptied, or empty, are dropped."""
-    if tables is None:
-        tables = default_tables()
-    words = _first_steps(line.words, tables)
-    out = process_hamzat_wasl(ScriptLine(tuple(filter(None, words))),
-                              sentence_initial, tables.juncture)
-    return ScriptLine(tuple(map(_step3.__getitem__, out.words)))
+    key = _record(word, tables)[0]
+    return word if key is None else key
 
 
 def _joined(done: list) -> tuple[ScansionLine, BeatPattern]:
@@ -615,29 +625,10 @@ def _joined(done: list) -> tuple[ScansionLine, BeatPattern]:
     return ScriptLine(words), beats
 
 
-def _word_in_context(word: Word, tables: TableSet) -> tuple:
-    """(`word`'s class, its step-5 values by context, empty at first).
-
-    The class is `lead`'s key as a small int: whether the first letter
-    is vocalized, plus 2 for a word that opens with a connective alif;
-    None when `lead` keys the word by itself.
-    """
-    key = lead(word, tables)
-    if key is word:
-        return None, {}
-    return (key if type(key) is bool else 2 + key[1]), {}
-
-
-# Word -> (its class, {context: (the word after step 5, its beat
-# segment)}), the `_step5` values a rule-path scan gave it there; the
-# licensed reading's under ~context.
-_in_context = Memo(_word_in_context, None)
-
-
 def _looked_up(line: ScriptLine, tables: TableSet, sentence_initial: bool,
                verse_final: bool, licensed: bool) -> tuple:
-    """`line`'s words in `_in_context`: (each word's values by context,
-    the words' contexts, the line served).
+    """`line`'s words in `_in_context`: (their step-1 forms, each word's
+    values by context, the words' contexts, the line served).
 
     The line served is a list of the plain reading's step-5 values and,
     when `licensed`, the licensed one's, or None when some word lacks a
@@ -646,10 +637,10 @@ def _looked_up(line: ScriptLine, tables: TableSet, sentence_initial: bool,
     """
     _in_context.use(tables)
     if not line.words:
-        return (), None, None
-    classes, values = zip(*map(_in_context.__getitem__, line.words))
+        return (), (), None, None
+    classes, firsts, values = zip(*map(_in_context.__getitem__, line.words))
     if None in classes:
-        return values, None, None
+        return firsts, values, None, None
     # The next word's class (0 to 3), else the line end (4 or 5), plus 6
     # or 12 for the word that opens the line.
     contexts = [*classes[1:], 4 + verse_final]
@@ -660,8 +651,8 @@ def _looked_up(line: ScriptLine, tables: TableSet, sentence_initial: bool,
             served.append(list(map(dict.__getitem__, values,
                                    map(int.__invert__, contexts))))
     except KeyError:
-        return values, contexts, None
-    return values, contexts, served
+        return firsts, values, contexts, None
+    return firsts, values, contexts, served
 
 
 def scan(
@@ -680,11 +671,11 @@ def scan(
     """
     if tables is None:
         tables = default_tables()
-    values, contexts, served = _looked_up(line, tables, sentence_initial,
-                                          verse_final, False)
+    firsts, values, contexts, served = _looked_up(
+        line, tables, sentence_initial, verse_final, False)
     if served:
         return _joined(served[0])
-    seen = _before_isba(line, tables, sentence_initial)
+    seen = _second_third_steps(firsts, tables, sentence_initial)
     done = list(map(_step5.__getitem__,
                     apply_isba(seen, verse_final).words))
     if contexts and len(done) == len(values):
@@ -705,15 +696,15 @@ def scan_readings(
     reading is listed only when the license changes the line's words.
     Like `scan`, a line is served from `_in_context`, where a word keeps
     its licensed value under the complement (``~``) of its context;
-    otherwise steps 1 to 3 run once for both readings.
+    otherwise steps 2 and 3 run once for both readings.
     """
     if tables is None:
         tables = default_tables()
-    values, contexts, served = _looked_up(line, tables, sentence_initial,
-                                          verse_final, True)
+    firsts, values, contexts, served = _looked_up(
+        line, tables, sentence_initial, verse_final, True)
     if served:
         return _listed(*served)
-    seen = _before_isba(line, tables, sentence_initial)
+    seen = _second_third_steps(firsts, tables, sentence_initial)
     plain_line = apply_isba(seen, verse_final)
     licensed_line = apply_isba(seen, verse_final, optional_plural_m=True)
     plain = list(map(_step5.__getitem__, plain_line.words))

@@ -12,9 +12,9 @@ vocalization flags the rules test most are computed once, at interning,
 and the interned connective alifs are collected in ``WASL_GRAPHEMES``.
 
 Verse repeats its words, so every layer keeps its per-word results in a
-``Memo``, the bounded memo defined here: the parser, rendered words, the
-scansion steps, ``normalize``'s word records, ``mask``'s plans and
-``fill``'s windows.
+``Memo``, the bounded memo defined here: the parser, rendered words,
+scansion's per-word records and its step memos, ``normalize``'s word
+records, ``mask``'s plans and ``fill``'s windows.
 """
 
 from __future__ import annotations
@@ -398,7 +398,8 @@ def fix_diacritic_order(raw: str) -> str:
     """Rewrite text so marks sit in the canonical order.
 
     Shadda is moved before any vowel-class mark.  A tanwin-fath written
-    after its orthographic alif is moved onto the letter before it: it
+    after its orthographic alif is moved onto the letter before it,
+    unless that is an alif, an alif maksura or a connective alif: it
     replaces a fatha there, a silence mark gives way to it, and beside
     any other vowel it is dropped.  Illegal double marks keep the first
     occurrence, a silence mark beside an audible mark is dropped, and
@@ -426,11 +427,11 @@ def _reorder_marks(raw: str) -> str:
             raise ForeignCharacter(f"disallowed code point {ch!r}")
     # A tanwin-fath on an orthographic alif belongs on the letter before
     # it, in place of a fatha or of no vowel, and is dropped beside any
-    # other vowel; after an alif variant, which can never host nunation,
-    # it stays.
+    # other vowel; after an alif variant or the connective alif, which
+    # can never host nunation, it stays.
     for (before, marks_before), (ch, marks) in zip(runs, runs[1:]):
         if ch in (ALIF, ALIF_MAKSURA) and TANWIN_FATH in marks \
-                and before in _NOT_ALIF:
+                and before in _NOT_ALIF and before != WASL_ALIF:
             marks[:] = [m for m in marks if m != TANWIN_FATH]
             vowel = next((i for i, m in enumerate(marks_before)
                           if m in VOWEL_CHAR_TO_KIND), None)

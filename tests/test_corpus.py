@@ -38,10 +38,13 @@ from arud.scansion import scan, scan_text
 from arud.tables import TableSet, default_tables
 from arud.script import (
     ALIF,
+    ALIF_MAKSURA,
     ARABIC_LETTERS,
     LAM,
     MARKS,
     MEMO_SIZE,
+    SHADDA,
+    TANWIN_FATH,
     TATWEEL,
     WASL_ALIF,
     WAW,
@@ -290,6 +293,15 @@ class TestPipeline:
         second = run_pipeline(first.accepted)
         assert second.accepted == first.accepted
         assert not second.rejections
+
+    def test_connective_alif_keeps_the_tanwin_after_it(self):
+        # normalize writes the bare alif as a connective alif, which must
+        # not take the tanwin-fath of the alif maksura after it
+        text, reason = process_line("مَا لَهُ عَلَّمَ بَاىًّ")
+        assert reason == "ok"
+        assert text.endswith(" بَ" + WASL_ALIF + ALIF_MAKSURA + SHADDA
+                             + TANWIN_FATH)
+        assert process_line(text) == (text, "ok")
 
     def test_rejects_under_diacritized_scan(self):
         # geminated letter with no vowel survives filtering (ratio ok)
@@ -583,9 +595,9 @@ class TestWordRecords:
     # Each memo whose entries depend on the tables, and a call that fills
     # it; هَذَا is a special word, so step 1 changes it.
     @pytest.mark.parametrize("module, name, fills", [
-        pytest.param(scansion, "_step1",
+        pytest.param(scansion, "_in_context",
                      lambda tables: scan_text("هَذَا قَالَ", tables=tables),
-                     id="scansion._step1"),
+                     id="scansion._in_context"),
         pytest.param(corpus, "_words",
                      lambda tables: process_line(ACCEPT_LINE, tables=tables),
                      id="corpus._words"),
@@ -621,6 +633,27 @@ class TestWordRecords:
         assert corpus._words.get(chunk) is record
         process_line(ACCEPT_LINE, PipelineConfig(lam_kasra=False))
         assert corpus._words.get(chunk) is not record
+
+
+# Letters with one or two marks in any order, and bare alifs; alif, alif
+# maksura and the connective alif come up more often than the other
+# letters.
+ALIFS = [ALIF, ALIF_MAKSURA, WASL_ALIF]
+MARKED_LETTER = st.tuples(
+    st.sampled_from(sorted(ARABIC_LETTERS) + ALIFS * 6),
+    st.lists(st.sampled_from(sorted(MARKS)), min_size=1, max_size=2)
+    .map("".join)).map("".join)
+RAW_WORD = st.lists(st.one_of(MARKED_LETTER, st.sampled_from(ALIFS)),
+                    min_size=1, max_size=6).map("".join)
+
+
+class TestNormalizeIdempotence:
+    @given(st.lists(RAW_WORD, min_size=4, max_size=6).map(" ".join))
+    @settings(deadline=None)
+    def test_every_accepted_line_renormalizes_to_itself(self, raw):
+        text, _ = process_line(raw)
+        if text is not None:
+            assert process_line(text) == (text, "ok")
 
 
 class TestAcceptedLinesMask:

@@ -5,6 +5,7 @@ and per-table isolation."""
 import logging
 import random
 from collections import OrderedDict
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -33,10 +34,11 @@ from arud.scansion import (
 )
 from arud.script import ARABIC_LETTERS, FATHA, MEMO_SIZE, SUKUN, Memo, \
     ScriptLine, parse_line
-from arud.tables import default_tables
+from arud.tables import WordTable, default_tables
 
 DATA = Path(__file__).parent / "data"
-MEMOS = ("_step1", "_step3", "_step5", "_in_context")
+# Every memo of `scansion`.
+MEMOS = ("_step3", "_step5", "_in_context")
 
 
 def clear_memos():
@@ -388,6 +390,40 @@ class TestWordRulesRunOncePerWord:
             assert calls == dict.fromkeys(calls, 0)
 
 
+class TestWordRecord:
+    """`lead` and `reads_back` read a word's record in `_in_context`,
+    computed once per word and tables."""
+
+    @pytest.mark.parametrize("first", ["lead", "reads_back"])
+    def test_second_call_runs_no_rule(self, monkeypatch, first):
+        words = [parse_line(text).words[0] for text in LOCALITY_POOL]
+        calls = count_rule_calls(monkeypatch)
+        clear_memos()
+        for word in words:
+            getattr(scansion, first)(word)
+        # the record runs steps 1 to 3
+        assert all(calls[name] for name in WORD_RULES[:5]
+                   + ("process_hamzat_wasl",))
+        calls.update(dict.fromkeys(calls, 0))
+        for _ in range(2):
+            for word in words:
+                scansion.lead(word)
+                scansion.reads_back(word)
+        assert calls == dict.fromkeys(calls, 0)
+
+    def test_lead_reads_the_special_words_of_its_tables(self):
+        # لكن is a special word spelled لَاكِنْ: without its row the first
+        # letter has no vowel.
+        shipped = default_tables()
+        without = replace(shipped, special=WordTable({
+            key: rows for key, rows in shipped.special.entries.items()
+            if key != "لكن"}))
+        word = parse_line("لكن").words[0]
+        for _ in range(2):
+            assert scansion.lead(word) == 1
+            assert scansion.lead(word, without) == 0
+
+
 class TestErrors:
     @pytest.mark.parametrize("text, kwargs, exc", [
         ("بَمّ", {}, ShaddaWithoutVowel),
@@ -429,6 +465,10 @@ def _distinct_words(n, tail=""):
 
 
 class TestMemoSizes:
+    def test_memos_lists_every_memo(self):
+        assert {name for name, value in vars(scansion).items()
+                if isinstance(value, Memo)} == set(MEMOS)
+
     @pytest.mark.parametrize("memo", MEMOS)
     def test_each_memo_stays_at_its_size(self, memo):
         # no rule changes these words, and each is a key of every memo

@@ -295,6 +295,9 @@ class TestFixDiacriticOrder:
         ("ب" + SILENCE + "ا" + TANWIN_FATH, "ب" + TANWIN_FATH + "ا"),
         # alif maksura as the orthographic alif
         ("ه" + ALIF_MAKSURA + TANWIN_FATH, "ه" + TANWIN_FATH + ALIF_MAKSURA),
+        # the connective alif cannot take it either: it stays
+        (WASL_ALIF + ALIF_MAKSURA + TANWIN_FATH,
+         WASL_ALIF + ALIF_MAKSURA + TANWIN_FATH),
     ])
     def test_tanwin_on_alif_per_letter_before(self, before, after):
         assert fix_diacritic_order(before) == after
