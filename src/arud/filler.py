@@ -4,7 +4,7 @@ A non-neural oracle for the substitution task: search the lexicon for
 word sequences whose in-context beat pattern equals a target.  A phrase
 is decided only by a full rescan of left context + phrase + right
 context (``matches_target``) under the plain and the optional plural-m
-reading (``scansion.scan_readings``), because juncture effects make
+reading (``scansion.reading_segments``), because juncture effects make
 naive beat concatenation unsound.
 
 The search prunes on exact beats.  Only the two boundary rules cross a
@@ -34,7 +34,8 @@ import logging
 from dataclasses import dataclass
 
 from .errors import ScriptError
-from .scansion import lead, reads_back, scan, scan_readings, word_offsets
+from .scansion import lead, reading_segments, reads_back, scan, \
+    word_offsets
 from .script import Memo, ScriptLine, parse_line
 from .tables import TableSet, default_tables
 
@@ -123,12 +124,12 @@ def index_lexicon(words, tables: TableSet | None = None) -> Lexicon:
 
 def _readings(words: tuple, verse_final: bool,
               tables: TableSet | None) -> list:
-    """(where each word's beats start, then end; the beats) per reading
-    of the line `words`; [] when it does not scan or keep its words."""
+    """Per reading of the line `words`, each word's beat segment
+    (``scansion.reading_segments``); [] when the line does not scan or
+    keep its words."""
     try:
-        return [(word_offsets(words, transcription), beats)
-                for transcription, beats in scan_readings(
-                    ScriptLine(words), tables, verse_final=verse_final)]
+        return reading_segments(ScriptLine(words), tables,
+                                verse_final=verse_final)
     except ScriptError:
         return []
 
@@ -137,15 +138,16 @@ def phrase_beats_in_context(phrase_words, left_words, right_words,
                             verse_final: bool,
                             tables: TableSet | None = None) -> list:
     """Beat contribution of the phrase inside the full assembly, under
-    each reading of ``scansion.scan_readings``.
+    each reading of ``scansion.scan_readings``: the beat segments of the
+    phrase's words, joined.
 
     Empty when the assembly does not scan or the transformation loses
     word alignment.
     """
     words = tuple(left_words) + tuple(phrase_words) + tuple(right_words)
     lo, hi = len(left_words), len(left_words) + len(phrase_words)
-    return [beats[offsets[lo]:offsets[hi]]
-            for offsets, beats in _readings(words, verse_final, tables)]
+    return ["".join(segments[lo:hi])
+            for segments in _readings(words, verse_final, tables)]
 
 
 def matches_target(phrase_words, left_words, right_words, query: FillQuery,
@@ -160,22 +162,23 @@ def _final_beats(window: tuple, tables: TableSet | None) -> tuple:
     """(plain, licensed): the beats ``window[-2]`` can have, per reading,
     in a line where ``window[:-2]`` precede it and ``window[-1]``, a word
     or ``_LINE_END`` or ``_VERSE_END``, follows it.
+
+    Each is the word's beat segment in a scan of the window, and also in
+    one with a connective alif after it when the next word may take a
+    vowel from one.
     """
     at = len(window) - 2
     line_end = window[-1] in (_LINE_END, _VERSE_END)
     scans = [_readings(window[:-1] if line_end else window,
                        window[-1] == _VERSE_END, tables)]
-    if scans[0] and not line_end:
-        offsets, beats = scans[0][0]
-        # The next word is one unvocalized letter: a connective alif after
-        # it would vocalize it, which isba on window[-2] reads.
-        if beats[offsets[at + 1]:] == "0":
-            scans.append(_readings(window + (_WASL_WORD,), False, tables))
+    # The next word is one unvocalized letter: a connective alif after it
+    # would vocalize it, which isba on window[-2] reads.
+    if scans[0] and not line_end and scans[0][0][at + 1] == "0":
+        scans.append(_readings(window + (_WASL_WORD,), False, tables))
     plain, licensed = set(), set()
     for readings in filter(None, scans):
-        for found, (offsets, beats) in ((plain, readings[0]),
-                                        (licensed, readings[-1])):
-            found.add(beats[offsets[at]:offsets[at + 1]])
+        plain.add(readings[0][at])
+        licensed.add(readings[-1][at])
     return tuple(plain), tuple(licensed)
 
 

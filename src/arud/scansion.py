@@ -43,13 +43,13 @@ nothing, and each raises from one rule only (gemination in step 3,
 validation in step 5), so mapping a step over the words left to right
 raises the error the whole-line rules raise first.
 
-`scan` and `scan_readings` go further and serve a line from words in
-context, because each word's step-5 form is fixed by a small window
-around it.  A word's class is its `lead`, an int from 0 to 3, and None
-when `lead` keys it by itself.  Its context is whether it opens the line
-(and then `sentence_initial`) and the next word's class, or the line end
-(and `verse_final`).  When no word's class is None, the step-5 form of
-every word is fixed by the word and its context:
+`scan`, `scan_readings` and `reading_segments` go further and serve a
+line from words in context, because each word's step-5 form is fixed by
+a small window around it.  A word's class is its `lead`, an int from 0
+to 3, and None when `lead` keys it by itself.  Its context is whether it
+opens the line (and then `sentence_initial`) and the next word's class,
+or the line end (and `verse_final`).  When no word's class is None, the
+step-5 form of every word is fixed by the word and its context:
 
 - Only the connective-alif rule reads backwards.  An alif that opens a
   word's step-1 form drops after any grapheme, so what it reads decides
@@ -76,21 +76,22 @@ every word is fixed by the word and its context:
   longer than its plain form, so the license changes the line's words
   exactly when it changes some word's step-5 form.
 
-So both keep one memo, `_in_context`, from a word to its record: its
-class, its step-1 form and the step-5 values it has had in each context,
-per reading: the plain value under the context, the licensed one under
-its complement (``~``), which only `scan_readings` stores.  Both look a
-line up in it through `_looked_up`, and `lead` and `reads_back` read the
-same record, so a word's step 1 and class are computed once per table
-set.  A line is served from it when no class is None and every word has
-the values the call needs for its context; otherwise the rules run as
-above from the records' step-1 forms, and a line that drops no word
-stores each word's values under its context.  A line that raises stores
-nothing, so errors and their order are those of the rules.  Each error
-is raised by one word in its context (gemination, validation, or an
-opening alif at the line start), so the rules would not raise on a line
-whose words all have values, and the licensed reading of a word raises
-only where its plain one does.
+So one memo, `_in_context`, maps a word to its record: its class, its
+step-1 form and the step-5 values it has had in each context, per
+reading: the plain value under the context, the licensed one under its
+complement (``~``), which only a call that asks for the licensed reading
+stores.  One pass, `_scanned`, reads a line's words there for `scan`,
+`scan_readings` and `reading_segments`, and `lead` and `reads_back` read
+the same record, so a word's step 1 and class are computed once per
+table set.  A line is served from it when no class is None and every
+word has the values the call needs for its context; otherwise the rules
+run as above from the records' step-1 forms, and a line that drops no
+word stores each word's values under its context.  A line that raises
+stores nothing, so errors and their order are those of the rules.  Each
+error is raised by one word in its context (gemination, validation, or
+an opening alif at the line start), so the rules would not raise on a
+line whose words all have values, and the licensed reading of a word
+raises only where its plain one does.
 """
 
 from __future__ import annotations
@@ -492,10 +493,16 @@ def word_offsets(words, transcription: ScansionLine) -> list[int]:
     lone connective alif after a vowel, and a span of the line's words
     then has no beats of its own: that raises ScanError.
     """
-    if len(transcription.words) != len(words):
-        raise ScanError("word alignment lost during transformation")
+    _check_kept(words, transcription.words)
     # Every grapheme of a transcription gives exactly one beat.
     return [0, *accumulate(map(len, transcription.words))]
+
+
+def _check_kept(words, scanned) -> None:
+    """Raise ScanError unless a scan of the line of `words` kept each of
+    them: `scanned` is its words after the scan."""
+    if len(scanned) != len(words):
+        raise ScanError("word alignment lost during transformation")
 
 
 def _first_step(word: Word, special: WordTable) -> Word:
@@ -625,34 +632,50 @@ def _joined(done: list) -> tuple[ScansionLine, BeatPattern]:
     return ScriptLine(words), beats
 
 
-def _looked_up(line: ScriptLine, tables: TableSet, sentence_initial: bool,
-               verse_final: bool, licensed: bool) -> tuple:
-    """`line`'s words in `_in_context`: (their step-1 forms, each word's
-    values by context, the words' contexts, the line served).
+def _scanned(line: ScriptLine, tables: TableSet | None,
+             sentence_initial: bool, verse_final: bool,
+             licensed: bool) -> list:
+    """Each reading's step-5 values of `line`'s words: the plain reading
+    and, when `licensed`, the licensed one unless it equals the plain one.
 
-    The line served is a list of the plain reading's step-5 values and,
-    when `licensed`, the licensed one's, or None when some word lacks a
-    value the call needs.  The contexts are None when some word has no
-    class, or the line no word.
+    Readings compare by value: a value computed again after an eviction
+    is equal to the one before, but not the same object.  The line is
+    served from `_in_context` when no word's class is None and each word
+    has a value for its context in every reading asked for; otherwise
+    the rules run from the words' step-1 forms, and a line that drops no
+    word stores each word's plain value under its context and, when
+    `licensed`, its licensed one under the complement (``~``).
     """
+    tables = tables or default_tables()
     _in_context.use(tables)
     if not line.words:
-        return (), (), None, None
+        return [[]]
     classes, firsts, values = zip(*map(_in_context.__getitem__, line.words))
-    if None in classes:
-        return firsts, values, None, None
-    # The next word's class (0 to 3), else the line end (4 or 5), plus 6
-    # or 12 for the word that opens the line.
-    contexts = [*classes[1:], 4 + verse_final]
-    contexts[0] += 6 + 6 * sentence_initial
-    try:
-        served = [list(map(dict.__getitem__, values, contexts))]
-        if licensed:
-            served.append(list(map(dict.__getitem__, values,
-                                   map(int.__invert__, contexts))))
-    except KeyError:
-        return firsts, values, contexts, None
-    return firsts, values, contexts, served
+    readings = None
+    if None not in classes:
+        # The next word's class (0 to 3), else the line end (4 or 5), plus
+        # 6 or 12 for the word that opens the line.
+        contexts = [*classes[1:], 4 + verse_final]
+        contexts[0] += 6 + 6 * sentence_initial
+        try:
+            readings = [list(map(dict.__getitem__, values, contexts))]
+            if licensed:
+                readings.append(list(map(dict.__getitem__, values,
+                                         map(int.__invert__, contexts))))
+        except KeyError:
+            readings = None
+    if readings is None:
+        seen = _second_third_steps(firsts, tables, sentence_initial)
+        readings = [list(map(_step5.__getitem__,
+                             apply_isba(seen, verse_final, plural_m).words))
+                    for plural_m in (False, True)[:1 + licensed]]
+        if None not in classes and len(readings[0]) == len(values):
+            for keys, done in zip((contexts, map(int.__invert__, contexts)),
+                                  readings):
+                for by_context, context, value in zip(values, keys, done):
+                    by_context[context] = value
+    return readings[:1] if licensed and readings[1] == readings[0] \
+        else readings
 
 
 def scan(
@@ -669,19 +692,8 @@ def scan(
     contribute no beat; the returned pattern is the concatenation of the
     per-word contributions.
     """
-    if tables is None:
-        tables = default_tables()
-    firsts, values, contexts, served = _looked_up(
-        line, tables, sentence_initial, verse_final, False)
-    if served:
-        return _joined(served[0])
-    seen = _second_third_steps(firsts, tables, sentence_initial)
-    done = list(map(_step5.__getitem__,
-                    apply_isba(seen, verse_final).words))
-    if contexts and len(done) == len(values):
-        for by_context, context, value in zip(values, contexts, done):
-            by_context[context] = value
-    return _joined(done)
+    return _joined(_scanned(line, tables, sentence_initial, verse_final,
+                            False)[0])
 
 
 def scan_readings(
@@ -698,33 +710,22 @@ def scan_readings(
     its licensed value under the complement (``~``) of its context;
     otherwise steps 2 and 3 run once for both readings.
     """
-    if tables is None:
-        tables = default_tables()
-    firsts, values, contexts, served = _looked_up(
-        line, tables, sentence_initial, verse_final, True)
-    if served:
-        return _listed(*served)
-    seen = _second_third_steps(firsts, tables, sentence_initial)
-    plain_line = apply_isba(seen, verse_final)
-    licensed_line = apply_isba(seen, verse_final, optional_plural_m=True)
-    plain = list(map(_step5.__getitem__, plain_line.words))
-    licensed = plain if licensed_line.words == plain_line.words \
-        else list(map(_step5.__getitem__, licensed_line.words))
-    if contexts and len(plain) == len(values):
-        for by_context, context, value, licensed_value in zip(
-                values, contexts, plain, licensed):
-            by_context[context] = value
-            by_context[~context] = licensed_value
-    return _listed(plain, licensed)
+    return [_joined(done) for done in _scanned(
+        line, tables, sentence_initial, verse_final, True)]
 
 
-def _listed(plain: list, licensed: list) -> list:
-    """The readings of a line's plain and licensed step-5 values; the
-    licensed one only when some word's value differs.  Values compare by
-    value: a value computed again after an eviction is equal to the one
-    before, but not the same object."""
-    readings = [plain] if licensed == plain else [plain, licensed]
-    return [_joined(done) for done in readings]
+def reading_segments(line: ScriptLine, tables: TableSet | None = None,
+                     sentence_initial: bool = True,
+                     verse_final: bool = False) -> list:
+    """Each reading of `scan_readings` as its words' beat segments, one
+    per word of `line`, without building the reading's line.
+
+    Raises ScanError when the scan drops a word, as `word_offsets` does:
+    a span of the line's words then has no beats of its own.
+    """
+    readings = _scanned(line, tables, sentence_initial, verse_final, True)
+    _check_kept(line.words, readings[0])
+    return [[segment for _, segment in done] for done in readings]
 
 
 def scan_text(

@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import at_least
+
 from arud import filler, scansion
 from arud.errors import ScriptError
 from arud.filler import (
@@ -451,7 +453,7 @@ class TestExactPruning:
 
     @given(st.lists(st.sampled_from(FILL_POOL), max_size=2),
            st.sampled_from(FILL_POOL + ["ٱسْمُ"]))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=at_least(150), deadline=None)
     def test_words_with_one_lead_are_alike_as_next_word(self, before, word):
         # What `fill` relies on to read one window per group of words.
         words = tuple(parse_line(s).words[0] for s in [*before, word])
@@ -463,7 +465,7 @@ class TestExactPruning:
 
     @given(st.lists(st.sampled_from(FILL_POOL + ["ٱسْمُ"]),
                     min_size=2, max_size=6).map(" ".join), st.booleans())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=at_least(300), deadline=None)
     def test_window_holds_the_line_beats(self, text, verse_final):
         words = parse_line(text).words
         try:

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import at_least
+
 from arud.errors import EmptyEvaluation, ScriptError
 from arud.filler import (
     FillQuery,
@@ -407,7 +409,7 @@ class TestAgreesWithFill:
            st.one_of(st.text(alphabet="01", min_size=1, max_size=7),
                      st.lists(st.sampled_from(PHRASE_WORDS), min_size=1,
                               max_size=2)))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=at_least(150), deadline=None)
     def test_snapshot_lexicon_and_contexts(self, left, right, verse_final,
                                            max_words, target):
         # a context-free record takes `scan_text`'s plain reading

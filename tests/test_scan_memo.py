@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import at_least
+
 from arud import scansion
 from arud.cli import ENV_TABLE_DIR, main
 from arud.errors import DanglingWasl, ScanError, ScriptError, \
@@ -25,6 +27,7 @@ from arud.scansion import (
     expand_madda,
     expand_tanwin,
     process_hamzat_wasl,
+    reading_segments,
     remove_silent_graphemes,
     scan,
     scan_readings,
@@ -116,7 +119,7 @@ TEXTS = st.one_of(
 class TestSameAsWholeLine:
     @given(TEXTS, st.booleans(), st.booleans(),
            st.sampled_from(["cold", "warm", "kept"]))
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=at_least(500), deadline=None)
     def test_scan_scan_text_and_readings(self, text, verse_final,
                                          sentence_initial, memo):
         if memo == "cold":
@@ -171,17 +174,24 @@ class TestSameAsWholeLine:
             scan_text("بَمّ")
 
     def test_double_sakin_logged_on_every_scan(self, caplog):
-        # the second scan is served from `_in_context`
-        clear_memos()
-        with caplog.at_level(logging.DEBUG, logger="arud.scansion"):
-            for _ in range(2):
-                assert scan_text("بَيْتْ مَا")[1] == "10010"
-        assert [record.getMessage() for record in caplog.records] == \
-            ["double sakin inside line: 10010"] * 2
+        # by `scan_text`, `scan` and each reading of `scan_readings`; the
+        # second scan is served from `_in_context`
+        text = "بَيْتْ مَا"
+        line = parse_line(text)
+        for readings in (lambda: [scan_text(text)], lambda: [scan(line)],
+                         lambda: scan_readings(line)):
+            clear_memos()
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="arud.scansion"):
+                for _ in range(2):
+                    assert [beats for _, beats in readings()] == ["10010"]
+            assert [record.getMessage() for record in caplog.records] == \
+                ["double sakin inside line: 10010"] * 2
 
 
 
 EMPTY_SCAN = (ScriptLine(()), "")
+LOST = "^word alignment lost during transformation$"
 PLACES = list(product((False, True), repeat=2))
 
 
@@ -277,7 +287,8 @@ class TestLocality:
 
 class TestWordOffsets:
     """`word_offsets` cuts every reading's beats into the transcription's
-    `beat_segments`, and raises when the scan lost a word."""
+    `beat_segments`, which `reading_segments` gives per reading, and both
+    raise when the scan lost a word."""
 
     @given(TEXTS, st.booleans(), st.booleans())
     @settings(deadline=None)
@@ -289,10 +300,17 @@ class TestWordOffsets:
                                      verse_final=verse_final)
         except ScriptError:
             return
+        position = {"sentence_initial": sentence_initial,
+                    "verse_final": verse_final}
+        if len(readings[0][0].words) < len(line.words):
+            with pytest.raises(ScanError, match=LOST):
+                reading_segments(line, **position)
+        else:
+            assert reading_segments(line, **position) == [
+                beat_segments(transcription) for transcription, _ in readings]
         for transcription, beats in readings:
             if len(transcription.words) < len(line.words):
-                with pytest.raises(ScanError, match="^word alignment lost "
-                                   "during transformation$"):
+                with pytest.raises(ScanError, match=LOST):
                     word_offsets(line.words, transcription)
                 continue
             offsets = word_offsets(line.words, transcription)
@@ -305,8 +323,10 @@ class TestWordOffsets:
                                       "مَا لَهُ عَلَّمَ ا۠ مَعًا", *EMPTIED])
     def test_a_dropped_word_raises(self, text):
         line = parse_line(text)
-        with pytest.raises(ScanError):
+        with pytest.raises(ScanError, match=LOST):
             word_offsets(line.words, scan(line)[0])
+        with pytest.raises(ScanError, match=LOST):
+            reading_segments(line)
 
 
 WORD_RULES = ("apply_special_words", "remove_silent_graphemes",
