@@ -42,9 +42,10 @@ from .tables import TableSet, default_tables
 log = logging.getLogger(__name__)
 
 # Phrases one query may visit, each at most one rescan (10 to 20 µs) and
-# one memoized window per word group: 0.1 to 0.7 s when a search ends here,
-# and up to 1.7 s when a sixth of the lexicon reads back, as article nouns
-# do, since each such word reads windows of its own.
+# one memoized window per word group: 0.1 to 0.7 s when a search ends
+# here, also when a sixth of the lexicon reads back, as article nouns do,
+# though each such word reads windows of its own (0.3 to 0.45 s on 865
+# words).
 MAX_PHRASES = 20_000
 
 # A word that begins with a connective alif (see `_final_beats`).

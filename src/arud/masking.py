@@ -257,11 +257,11 @@ def _line_segments(line: ScriptLine, tables: TableSet | None) -> list[str]:
     return [beats[start:end] for start, end in zip(offsets, offsets[1:])]
 
 
-def _render_context(words, reduced, texts) -> str:
-    """The reduced context words as text; a word the reduction left as
-    it was keeps its text from `texts`."""
-    return " ".join([text if new == old else render_word(new)
-                     for old, new, text in zip(words, reduced, texts)])
+def _render_context(words, reduced, texts) -> list[str]:
+    """The reduced context words' texts; a word the reduction left as it
+    was keeps its text from `texts`."""
+    return [text if new == old else render_word(new)
+            for old, new, text in zip(words, reduced, texts)]
 
 
 def build_training_example(
@@ -275,7 +275,10 @@ def build_training_example(
     """One (input, target) record for a scan-ready line.
 
     `segments` are the line's `_line_segments` and `texts` its rendered
-    words; when absent, they are computed here.
+    words; when absent, they are computed here.  The context, the words
+    left and right of the span, is reduced in one call: the reduction
+    draws word by word, so this gives the draws that reducing the left
+    words and then the right words would.
     """
     start, length = sample_mask_span(line, cfg, rng)
     if segments is None:
@@ -286,29 +289,15 @@ def build_training_example(
     beats = "".join(segments[start:end])
     target = " ".join(texts[start:end])
 
-    left_words = left = line.words[:start]
-    right_words = right = line.words[end:]
+    context = reduced = line.words[:start] + line.words[end:]
     if cfg.reduce_context:
-        if left_words:
-            left = reduce_context_diacritics(
-                ScriptLine(left_words), cfg, rng).words
-        if right_words:
-            right = reduce_context_diacritics(
-                ScriptLine(right_words), cfg, rng).words
+        reduced = reduce_context_diacritics(
+            ScriptLine(context), cfg, rng).words
     e0, e1, e2 = cfg.markers
-    parts = []
-    if left_words:
-        parts.append(_render_context(left_words, left, texts))
-        parts.append(" ")
-    parts.append(e0)
-    parts.append(beats)
-    parts.append(e1)
-    if right_words:
-        parts.append(" ")
-        parts.append(_render_context(right_words, right, texts[end:]))
-    parts.append(e2)
-    return MaskedExample(input="".join(parts), target=target, beats=beats,
-                         span=(start, length))
+    shown = _render_context(context, reduced, texts[:start] + texts[end:])
+    shown.insert(start, f"{e0}{beats}{e1}")
+    return MaskedExample(input=" ".join(shown) + e2, target=target,
+                         beats=beats, span=(start, length))
 
 
 def line_rng(seed: int, line_index: int, repeat: int = 0) -> random.Random:

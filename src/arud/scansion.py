@@ -35,13 +35,12 @@ its record in `_in_context` (below); steps 3 and 5 are each a
 adds the beat segment), and a line's words are looked up in it left to
 right.  On a miss the step's rules run as they always do, on a one-word
 line.  The connective-alif rule returns a line holding no connective
-alif at once (``script.WASL_GRAPHEMES``) and copies only the words
-holding one and the word before an alif that a case changes; isba
-rejects a word first on its last letter, since it extends only a word
-ending in ha or mim before the next word.  A step that raises stores
-nothing, and each raises from one rule only (gemination in step 3,
-validation in step 5), so mapping a step over the words left to right
-raises the error the whole-line rules raise first.
+alif at once (``script.WASL_GRAPHEMES``) and otherwise copies every
+word; isba rejects a word first on its last letter, since it extends
+only a word ending in ha or mim before the next word.  A step that
+raises stores nothing, and each raises from one rule only (gemination in
+step 3, validation in step 5), so mapping a step over the words left to
+right raises the error the whole-line rules raise first.
 
 `scan`, `scan_readings` and `reading_segments` go further and serve a
 line from words in context, because each word's step-5 form is fixed by
@@ -262,14 +261,6 @@ def _is_extension(words, wi, gi) -> bool:
     return words[prev[0]][prev[1]].vowel == VOWEL_FOR_EXTENSION[g.base]
 
 
-def _editable(words: list, wi: int) -> list:
-    """`words[wi]` as a list, copied from its tuple on first use."""
-    word = words[wi]
-    if type(word) is tuple:
-        word = words[wi] = list(word)
-    return word
-
-
 def process_hamzat_wasl(
     line: ScriptLine,
     sentence_initial: bool,
@@ -280,15 +271,10 @@ def process_hamzat_wasl(
         return line  # no connective alif to resolve
     if juncture is None:
         juncture = default_tables().juncture
-    # Only the words that hold an alif, and a word before one that a case
-    # changes, are copied into lists; the others stay the input's tuples.
-    words = [word if WASL_GRAPHEMES.isdisjoint(word) else list(word)
-             for word in line.words]
+    words = list(map(list, line.words))
 
     # Case 1: definite article before a geminated sun letter loses its lam.
     for word in words:
-        if type(word) is tuple:
-            continue
         i = 0
         while i + 2 < len(word):
             if word[i].is_wasl \
@@ -302,8 +288,6 @@ def process_hamzat_wasl(
     # changes only it and the letters before it, so every alif still
     # sees the context a fresh search from the line start would give it.
     for wi, word in enumerate(words):
-        if type(word) is tuple:
-            continue
         gi = 0
         while gi < len(word):
             if not word[gi].is_wasl:
@@ -326,21 +310,19 @@ def process_hamzat_wasl(
             elif _is_extension(words, pw, pg):
                 # Case 4: a long vowel and the connective alif both drop
                 del word[gi]
-                del _editable(words, pw)[pg]
+                del words[pw][pg]
                 if pw == wi:
                     gi -= 1
             elif pgraph.unvocalized:
                 # Case 5: the preceding unvocalized letter takes the
                 # juncture vowel and the connective alif drops
                 del word[gi]
-                pword = _editable(words, pw)
-                pword[pg] = pgraph.with_vowel(juncture.vowel_for(
-                    tuple(pword)))
+                words[pw][pg] = pgraph.with_vowel(
+                    juncture.vowel_for(tuple(words[pw])))
             else:
                 raise DanglingWasl(
                     "connective alif with no resolvable context")
-    return _with_words(line, [word if type(word) is tuple else tuple(word)
-                              for word in words])
+    return _with_words(line, map(tuple, words))
 
 
 def _split_shadda(word):

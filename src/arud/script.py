@@ -247,11 +247,11 @@ def parse_line(raw: str) -> ScriptLine:
 
 def _parse_word(chunk: str) -> Word:
     """Graphemes of one whitespace-free chunk, read in NFC."""
-    return _parse_pieces(unicodedata.normalize("NFC", chunk))
+    return _parse_chars(unicodedata.normalize("NFC", chunk))
 
 
 # A word as written -> its graphemes.  Verse repeats its words, so most
-# words are met here and skip normalization and the grapheme lookup.
+# words are met here and skip normalization and parsing.
 # Normalizing each word alone equals normalizing the line: whitespace
 # characters are starters that compose with nothing, and each one's NFC
 # is a single whitespace character.  The memo is bounded, so text whose
@@ -259,39 +259,17 @@ def _parse_word(chunk: str) -> Word:
 _parsed = Memo(_parse_word)
 
 
-def _parse_pieces(chunk: str) -> Word:
-    """Graphemes of one whitespace-free chunk, as written."""
-    # Split at letters and look each piece up; a piece not met before,
-    # or a character outside every piece, takes the character loop.
-    pieces = _GRAPHEME_TEXT.findall(chunk)
-    graphemes = list(map(_BY_TEXT.get, pieces))
-    if None in graphemes or "".join(pieces) != chunk:
-        return _parse_chars(chunk)
-    return tuple(graphemes)
-
-
-# One letter and the mark run that follows it.
-_GRAPHEME_TEXT = re.compile(
-    f"[{''.join(sorted(ARABIC_LETTERS))}][{''.join(sorted(MARKS))}]*")
-
-# Written text of one grapheme -> its Grapheme, for every piece the
-# character loop has accepted.  A piece is a letter and at most three
-# marks in some order, so the table stays near a thousand entries at
-# most.
-_BY_TEXT: dict[str, Grapheme] = {}
-
-
 def _parse_chars(chunk: str) -> Word:
-    """`_parse_pieces` character by character, raising the first error."""
+    """Graphemes of one whitespace-free chunk, as written, raising the
+    first error in character order."""
     graphemes: list[Grapheme] = []
     base = None
-    for i, ch in enumerate(chunk):
+    for ch in chunk:
         if ch in ARABIC_LETTERS:
             if base is not None:
-                graphemes.append(_accept(chunk[start:i], base, vowel,
-                                         shadda, silent))
+                graphemes.append(Grapheme(base, vowel, shadda, silent,
+                                          base == WASL_ALIF))
             base = ch
-            start = i
             vowel = None
             shadda = silent = False
         elif ch in MARKS:
@@ -312,15 +290,9 @@ def _parse_chars(chunk: str) -> Word:
                 vowel = VOWEL_CHAR_TO_KIND[ch]
         else:
             raise ForeignCharacter(f"disallowed code point {ch!r}")
-    graphemes.append(_accept(chunk[start:], base, vowel, shadda, silent))
+    graphemes.append(Grapheme(base, vowel, shadda, silent,
+                              base == WASL_ALIF))
     return tuple(graphemes)
-
-
-def _accept(text: str, base: str, vowel, shadda: bool,
-            silent: bool) -> Grapheme:
-    g = _BY_TEXT[text] = Grapheme(base, vowel, shadda, silent,
-                                  base == WASL_ALIF)
-    return g
 
 
 def render_grapheme(g: Grapheme) -> str:

@@ -27,6 +27,7 @@ from arud.script import ALIF, ARABIC_LETTERS, MEMO_SIZE, \
     render_line, render_word
 from arud import tables as tables_module
 from arud.tables import TableSet
+from conftest import at_least
 
 
 class StubRng:
@@ -573,3 +574,44 @@ class TestMaskPlan:
                                       MaskConfig(), rng)
             assert len(masking._plans) <= MEMO_SIZE
         assert len(masking._plans) == MEMO_SIZE
+
+
+def _scan_ready(line):
+    try:
+        masking._line_segments(line, None)
+    except ScriptError:
+        return False
+    return True
+
+
+# Words of the lines above that `mask` accepts: the line scans and keeps
+# every word.
+SCAN_READY_WORDS = sorted({word for line in EQUIVALENCE_LINES
+                           if _scan_ready(line) for word in line.words},
+                          key=render_word)
+
+
+class TestOneReductionPerExample:
+    """`build_training_example` reduces the words left and right of the
+    span in one call: that draws what a call on the left words and then
+    one on the right words draw, since the reduction draws word by word."""
+
+    @given(words=st.lists(st.sampled_from(SCAN_READY_WORDS), min_size=1,
+                          max_size=10),
+           split=st.integers(0, 10), seed=st.integers(0, 2**64),
+           keep_p=PROBS, sukun_drop=PROBS)
+    @settings(max_examples=at_least(300), deadline=None)
+    def test_whole_context_draws_as_left_then_right(self, words, split,
+                                                    seed, keep_p,
+                                                    sukun_drop):
+        split = min(split, len(words))
+        cfg = MaskConfig(keep_p=keep_p, sukun_drop=sukun_drop)
+        whole, parts = random.Random(seed), random.Random(seed)
+        got = reduce_context_diacritics(ScriptLine(tuple(words)), cfg,
+                                        whole).words
+        left = reduce_context_diacritics(ScriptLine(tuple(words[:split])),
+                                         cfg, parts).words
+        right = reduce_context_diacritics(ScriptLine(tuple(words[split:])),
+                                          cfg, parts).words
+        assert got == left + right
+        assert whole.getstate() == parts.getstate()

@@ -8,18 +8,21 @@ must score exact in ``metrics.evaluate_predictions``, and `fill` must find
 each span of up to three words from a lexicon of the span's own
 words.  Both read the span's beats inside the line, so a change in how
 one tool reads a line's start, its end, the plural-m license or its word
-alignment fails here.
+alignment fails here.  The same round trip runs once more through the
+files the CLI reads and writes.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
+from arud.cli import main
 from arud.corpus import join_hemistichs, process_line
 from arud.errors import ScriptError
 from arud.filler import FillQuery, fill, index_lexicon
-from arud.masking import MaskConfig, line_examples
+from arud.masking import MaskConfig, MaskedExample, line_examples
 from arud.metrics import PredictionRecord, evaluate_predictions
 from arud.script import parse_line
 
@@ -92,3 +95,56 @@ def test_mask_eval_and_fill_agree(seed):
                           right_context=right, max_words=len(words))
         assert target in fill(query, index_lexicon(words)), (left, target,
                                                              right)
+
+
+# Raw chunks per seed for the round trip through the CLI files.
+CLI_CHUNKS = 2
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_round_trip_through_the_cli_files(seed, tmp_path):
+    """`normalize --hemistichs`, `mask` and `eval` on files: each
+    example's span, put back between its line's unreduced context words,
+    scores exact, and its input shows the span's beats between the
+    markers at the span's place among the context words."""
+    raw, normalized, masked, predictions, report = (
+        tmp_path / name for name in
+        ("raw.txt", "normalized.txt", "masked.jsonl", "eval.jsonl",
+         "report.txt"))
+    vocabulary = loadgen.vocabulary(seed)
+    raw.write_text("".join(
+        f"{line}\n" for index in range(CLI_CHUNKS)
+        for line in loadgen.raw_chunk(seed, index, vocabulary)["lines"]),
+        encoding="utf-8")
+    assert main(["normalize", "--hemistichs", "-i", str(raw),
+                 "-o", str(normalized),
+                 "--reject-log", str(tmp_path / "rejects.txt")]) == 0
+    assert main(["mask", "--seed", str(CONFIG.seed),
+                 "--per-line", str(CONFIG.per_line),
+                 "-i", str(normalized), "-o", str(masked)]) == 0
+
+    lines = normalized.read_text(encoding="utf-8").splitlines()
+    examples = [MaskedExample.from_json(text) for text in
+                masked.read_text(encoding="utf-8").splitlines()]
+    assert len(lines) > 100
+    assert len(examples) == CONFIG.per_line * len(lines)
+    e0, e1, e2 = CONFIG.markers
+    with predictions.open("w", encoding="utf-8") as out:
+        for k, example in enumerate(examples):
+            words = lines[k // CONFIG.per_line].split()
+            start, length = example.span
+            end = start + length
+            assert example.target == " ".join(words[start:end])
+            shown = example.input.removesuffix(e2).split(" ")
+            assert len(shown) == len(words) - length + 1
+            assert shown[start] == f"{e0}{example.beats}{e1}"
+            print(json.dumps({"target_beats": example.beats,
+                              "generated_text": example.target,
+                              "left_context": " ".join(words[:start]),
+                              "right_context": " ".join(words[end:])},
+                             ensure_ascii=False), file=out)
+    assert main(["eval", "-i", str(predictions), "-o", str(report)]) == 0
+    rows = report.read_text(encoding="utf-8").splitlines()
+    assert f"n: {len(examples)}" in rows
+    assert "exact_accuracy: 100.00" in rows
+    assert "scan_failure_count: 0" in rows

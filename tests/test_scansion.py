@@ -569,24 +569,6 @@ class TestValidationAcceptsTheRules:
             assert scansion.validate_scansion(out) is out
 
 
-class TestHamzatWaslKeepsIdleWords:
-    @pytest.mark.parametrize("text, changed", [
-        ("قَالَ ٱبْنُ مَالِكٍ", {1}),          # case 3: only the alif's word
-        ("قُلْ ٱبْنُ قَالَ", {0, 1}),          # case 5: and the word before
-        ("فِي ٱلْبَيْتِ قَالَ مَا", {0, 1}),   # case 4: and the word before
-        ("ٱبْنُ قَالَ مَا", {0}),              # case 2: line-initial
-    ])
-    def test_idle_words_are_the_input_objects(self, text, changed):
-        line = parse_line(text)
-        out = process_hamzat_wasl(line, True)
-        assert len(out.words) == len(line.words)
-        for i, (before, after) in enumerate(zip(line.words, out.words)):
-            if i in changed:
-                assert after != before
-            else:
-                assert after is before
-
-
 class TestLead:
     def test_a_word_whose_steps_raise_is_its_own_key(self):
         # A shadda without a vowel: the steps before isba refuse the word.

@@ -555,24 +555,6 @@ class TestVocalizationFlags:
         assert wasl in script.WASL_GRAPHEMES
 
 
-class TestParseByPieces:
-    """`_parse_pieces` looks accepted pieces up; `_parse_chars` is the
-    character loop it must agree with, errors included."""
-
-    @given(st.lists(st.text(alphabet=SAFE_LETTERS[:6] + ["ٱ", FATHA, SUKUN,
-                                                         SHADDA, SILENCE,
-                                                         TANWIN_FATH, "x"],
-                            min_size=1, max_size=8),
-                    min_size=1, max_size=6))
-    def test_same_graphemes_and_errors_as_the_loop(self, chunks):
-        for chunk in chunks:
-            want = _raised(lambda: script._parse_chars(chunk)) \
-                or script._parse_chars(chunk)
-            got = _raised(lambda: script._parse_pieces(chunk)) \
-                or script._parse_pieces(chunk)
-            assert got == want
-
-
 def _parse_line_of_nfc(raw):
     """`parse_line` as first defined: NFC of the whole line, then split."""
     text = unicodedata.normalize("NFC", raw)
