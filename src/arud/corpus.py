@@ -197,6 +197,22 @@ def filter_line(line: ScriptLine, min_words: int = PipelineConfig.min_words,
     return FilterDecision(REASON_OK)
 
 
+@scansion._per_grapheme
+def _guess_wasl(word, i):
+    # Each test reads the letters before the alif, which a guess leaves
+    # unvocalized, and the letters after it, not yet guessed, so the
+    # input word serves them all.  A word-final alif is never one.
+    g = word[i]
+    if g.base != ALIF or not g.bare or i == len(word) - 1 \
+            or (i and not word[i - 1].vocalized):
+        return None
+    nxt = word[i + 1]
+    if nxt.vowel == "sukun" or nxt.shadda or (
+            nxt.base == LAM and i + 2 < len(word) and word[i + 2].shadda):
+        return (Grapheme(WASL_ALIF, is_wasl=True),)
+    return None
+
+
 def apply_wasl_heuristic(line: ScriptLine) -> ScriptLine:
     """Guess connective alifs on bare alifs in telltale positions.
 
@@ -206,28 +222,7 @@ def apply_wasl_heuristic(line: ScriptLine) -> ScriptLine:
     qualifies when its lam is sukun-marked or the letter after the lam
     is geminated.
     """
-    def guess(word):
-        # Each test reads the letters before the alif, which a guess
-        # leaves unvocalized, and the letters after it, not yet guessed,
-        # so the input word serves them all.
-        out = None
-        for gi in range(len(word) - 1):  # a word-final alif is never one
-            g = word[gi]
-            if g.base != ALIF or not g.bare:
-                continue
-            if gi > 0 and not word[gi - 1].vocalized:
-                continue
-            nxt = word[gi + 1]
-            connective = (nxt.vowel == "sukun" and not nxt.shadda) \
-                or nxt.shadda
-            if not connective and nxt.base == LAM and gi + 2 < len(word):
-                connective = word[gi + 2].shadda
-            if connective:
-                if out is None:
-                    out = list(word)
-                out[gi] = Grapheme(WASL_ALIF, is_wasl=True)
-        return out
-    return scansion._rewrite_words(line, guess)
+    return scansion._rewrite_words(line, _guess_wasl)
 
 
 def mark_silent_letters(line: ScriptLine,

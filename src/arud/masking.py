@@ -28,20 +28,13 @@ from dataclasses import dataclass
 
 from .errors import LineTooShort, ScriptError
 from .scansion import scan, word_offsets
-from .script import ALIF, ARABIC_LETTERS, MARKS, Grapheme, Memo, \
-    ScriptLine, parse_line, render_word
+from .script import ALIF, Grapheme, Memo, ScriptLine, parse_line, \
+    render_word
 from .tables import TableSet
 
 log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
-
-
-def _check_marker(marker: str) -> None:
-    if not marker:
-        raise ValueError("markers must be non-empty")
-    if any(ch in ARABIC_LETTERS or ch in MARKS for ch in marker):
-        raise ValueError(f"marker {marker!r} contains Arabic characters")
 
 
 # Most examples one line may ask for: a line's examples are built in
@@ -54,20 +47,18 @@ class MaskConfig:
     span_p: float = 0.2
     keep_p: float = 0.2
     sukun_drop: float = 0.5
-    markers: tuple = ("[E0]", "[E1]", "[E2]")
     seed: int = 0
     per_line: int = 1
     reduce_context: bool = True
+    # Not a field: the span start, span end and input end markers are
+    # fixed, and free of Arabic characters so that none reads as text.
+    markers = ("[E0]", "[E1]", "[E2]")
 
     def __post_init__(self):
         for name in ("span_p", "keep_p", "sukun_drop"):
             p = getattr(self, name)
             if not 0.0 < p < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {p}")
-        if len(self.markers) != 3 or len(set(self.markers)) != 3:
-            raise ValueError("three pairwise distinct markers required")
-        for marker in self.markers:
-            _check_marker(marker)
         if not 1 <= self.per_line <= MAX_PER_LINE:
             raise ValueError(f"per_line must lie in [1, {MAX_PER_LINE}], "
                              f"got {self.per_line}")

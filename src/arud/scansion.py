@@ -25,6 +25,12 @@ isba lengthens the line's last short vowel (step 4).
 
 Each rule maps a ScriptLine to a ScriptLine and returns its input object
 itself when it does not fire, so a line no rule touches is never copied.
+The word rules but special words (silent removal, madda, gemination,
+tanwin and default sukun) are decisions on one grapheme of one word,
+read from the input word: keep it, or replace it by some graphemes.
+`_per_grapheme` runs such a decision over a word in the one loop that
+copies the word, at its first change, and `_rewrite_words` over the
+line's words, so an idle rule still returns its input object.
 Graphemes are interned (see ``script.Grapheme``): one instance per
 distinct value, shared by every line in the process.
 
@@ -166,6 +172,25 @@ def _rewrite_words(line: ScriptLine, rewrite) -> ScriptLine:
     return _with_words(line, out)
 
 
+def _per_grapheme(rule):
+    """The word rewrite, for `_rewrite_words`, of a per-grapheme decision.
+
+    ``rule(word, i)`` returns None to keep ``word[i]``, else the graphemes
+    that replace it (none to drop it), and always reads the input word.
+    The rewrite returns None when every grapheme is kept.
+    """
+    def rewrite(word):
+        out = None
+        for i, g in enumerate(word):
+            new = rule(word, i)
+            if out is not None:
+                out.extend((g,) if new is None else new)
+            elif new is not None:
+                out = [*word[:i], *new]
+        return out
+    return rewrite
+
+
 def _with_words(line: ScriptLine, words) -> ScriptLine:
     """`line` if `words` is None, else a line of the non-empty words."""
     if words is None:
@@ -210,31 +235,20 @@ def apply_special_words(line: ScriptLine, table: WordTable) -> ScriptLine:
     return _rewrite_words(line, replacement)
 
 
-def _drop_silent(word):
-    for g in word:
-        if g.silent:
-            return [g for g in word if not g.silent]
-    return None
+@_per_grapheme
+def _drop_silent(word, i):
+    return () if word[i].silent else None
 
 
 def remove_silent_graphemes(line: ScriptLine) -> ScriptLine:
     return _rewrite_words(line, _drop_silent)
 
 
-def _split_madda(word):
-    for g in word:
-        if g.base == MADDA_ALIF:
-            break
-    else:
-        return None
-    out = []
-    for g in word:
-        if g.base == MADDA_ALIF:
-            out.append(Grapheme(HAMZA_ALIF, vowel="fatha"))
-            out.append(Grapheme(ALIF))
-        else:
-            out.append(g)
-    return out
+@_per_grapheme
+def _split_madda(word, i):
+    if word[i].base == MADDA_ALIF:
+        return Grapheme(HAMZA_ALIF, vowel="fatha"), Grapheme(ALIF)
+    return None
 
 
 def expand_madda(line: ScriptLine) -> ScriptLine:
@@ -325,23 +339,14 @@ def process_hamzat_wasl(
     return _with_words(line, map(tuple, words))
 
 
-def _split_shadda(word):
-    for g in word:
-        if g.shadda:
-            break
-    else:
+@_per_grapheme
+def _split_shadda(word, i):
+    g = word[i]
+    if not g.shadda:
         return None
-    out = []
-    for g in word:
-        if g.shadda:
-            if g.vowel is None or g.vowel == "sukun":
-                raise ShaddaWithoutVowel(
-                    f"geminated {g.base!r} has no vowel mark")
-            out.append(Grapheme(g.base, vowel="sukun"))
-            out.append(Grapheme(g.base, vowel=g.vowel))
-        else:
-            out.append(g)
-    return out
+    if g.vowel is None or g.vowel == "sukun":
+        raise ShaddaWithoutVowel(f"geminated {g.base!r} has no vowel mark")
+    return Grapheme(g.base, vowel="sukun"), Grapheme(g.base, vowel=g.vowel)
 
 
 def expand_gemination(line: ScriptLine) -> ScriptLine:
@@ -349,30 +354,15 @@ def expand_gemination(line: ScriptLine) -> ScriptLine:
     return _rewrite_words(line, _split_shadda)
 
 
-def _split_tanwin(word):
-    for g in word:
-        if g.vowel in TANWINS:
-            break
-    else:
-        return None
-    out = []
-    skip = False
-    for i, g in enumerate(word):
-        if skip:
-            skip = False
-            continue
-        if g.vowel in TANWINS:
-            tanwin = g.vowel
-            out.append(g.with_vowel(TANWIN_TO_SHORT[tanwin]))
-            out.append(Grapheme(NUN, vowel="sukun"))
-            if tanwin == "tanwin_fath" and i + 1 < len(word):
-                nxt = word[i + 1]
-                if (nxt.base in (ALIF, ALIF_MAKSURA) and nxt.unvocalized
-                        and not nxt.shadda):
-                    skip = True  # drop the orthographic alif
-        else:
-            out.append(g)
-    return out
+@_per_grapheme
+def _split_tanwin(word, i):
+    g = word[i]
+    if g.vowel in TANWINS:
+        return g.with_vowel(TANWIN_TO_SHORT[g.vowel]), Grapheme(NUN, "sukun")
+    if i and word[i - 1].vowel == "tanwin_fath" and g.unvocalized \
+            and not g.shadda and g.base in (ALIF, ALIF_MAKSURA):
+        return ()  # the orthographic alif after tanwin-fath
+    return None
 
 
 def expand_tanwin(line: ScriptLine) -> ScriptLine:
@@ -427,14 +417,9 @@ def apply_isba(
     return _with_words(line, out)
 
 
-def _sukun_for_bare(word):
-    out = None
-    for i, g in enumerate(word):
-        if g.bare:
-            if out is None:
-                out = list(word)
-            out[i] = g.with_vowel("sukun")
-    return out
+@_per_grapheme
+def _sukun_for_bare(word, i):
+    return (word[i].with_vowel("sukun"),) if word[i].bare else None
 
 
 def assign_default_sukun(line: ScriptLine) -> ScriptLine:

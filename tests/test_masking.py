@@ -65,14 +65,6 @@ class TestConfig:
     def test_per_line_bound_is_inclusive(self):
         assert MaskConfig(per_line=MAX_PER_LINE).per_line == MAX_PER_LINE
 
-    def test_markers_must_differ(self):
-        with pytest.raises(ValueError):
-            MaskConfig(markers=("[E0]", "[E0]", "[E2]"))
-
-    def test_markers_reject_arabic(self):
-        with pytest.raises(ValueError):
-            MaskConfig(markers=("[E0]", "[مE1]", "[E2]"))
-
 
 class TestGeometric:
     def test_support_starts_at_zero(self):

@@ -9,7 +9,8 @@ each span of up to three words from a lexicon of the span's own
 words.  Both read the span's beats inside the line, so a change in how
 one tool reads a line's start, its end, the plural-m license or its word
 alignment fails here.  The same round trip runs once more through the
-files the CLI reads and writes.
+files the CLI reads and writes, and once over lines drawn from a small
+pool of the words those readings turn on.
 """
 
 import importlib.util
@@ -17,14 +18,16 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import at_least
 from arud.cli import main
 from arud.corpus import join_hemistichs, process_line
 from arud.errors import ScriptError
 from arud.filler import FillQuery, fill, index_lexicon
 from arud.masking import MaskConfig, MaskedExample, line_examples
 from arud.metrics import PredictionRecord, evaluate_predictions
-from arud.script import parse_line
+from arud.script import parse_line, render_line
 
 LOADGEN = Path(__file__).parents[1] / "perfbench" / "loadgen.py"
 SEEDS = (79, 5, 11)
@@ -76,10 +79,10 @@ def spans(seed):
     return out
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_mask_eval_and_fill_agree(seed):
-    examples = spans(seed)
-    assert len(examples) > 500
+def assert_agree(examples):
+    """Each (span text, beats, left context, right context) scores exact
+    in `eval`, and `fill` finds a span of up to three words from a
+    lexicon of its own words."""
     report = evaluate_predictions(
         PredictionRecord(target_beats=beats, generated_text=target,
                          left_context=left, right_context=right)
@@ -95,6 +98,38 @@ def test_mask_eval_and_fill_agree(seed):
                           right_context=right, max_words=len(words))
         assert target in fill(query, index_lexicon(words)), (left, target,
                                                              right)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mask_eval_and_fill_agree(seed):
+    examples = spans(seed)
+    assert len(examples) > 500
+    assert_agree(examples)
+
+
+# Article nouns, sun-letter articles, plural-m hosts, tanwin words and
+# words ending in a short vowel, in the text `mask` writes for them.
+POOL = render_line(parse_line(
+    "ٱلْقَمَرُ ٱلْكِتَابِ وَٱلْحَقِّ بِٱلْقَلْبِ ٱلشَّمْسُ ٱلنَّاسِ وَٱلدَّمْعِ "
+    "لَهُمْ عَلَيْكُمْ بِهِمْ أَنْتُمْ لَكُمُ عَلِمْتُمْ بَيْتًا دَمْعٌ قَلْبٍ "
+    "دَلْوًا هُدًى مَا لَهُ قَالَ قَلْبِي مِنْهُ عَلَّمَ")).split()
+
+
+@given(st.lists(st.sampled_from(POOL), min_size=2, max_size=5),
+       st.integers(0, 999))
+@settings(max_examples=at_least(100), deadline=None)
+def test_generated_lines_agree(words, index):
+    """The round trip over lines of `POOL` words: every example of a line
+    at any index scores exact and is found by `fill`."""
+    examples = []
+    for example in line_examples(parse_line(" ".join(words)), index,
+                                 CONFIG):
+        start, length = example.span
+        end = start + length
+        assert example.target == " ".join(words[start:end])
+        examples.append((example.target, example.beats,
+                         " ".join(words[:start]), " ".join(words[end:])))
+    assert_agree(examples)
 
 
 # Raw chunks per seed for the round trip through the CLI files.

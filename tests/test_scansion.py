@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arud import scansion
+from conftest import at_least
+from arud import corpus, scansion
 from arud.errors import (
     DanglingWasl,
     ScriptError,
@@ -576,3 +577,161 @@ class TestLead:
         with pytest.raises(ShaddaWithoutVowel):
             scan(line)
         assert scansion.lead(line.words[0]) is line.words[0]
+
+
+# The word rules as they were before they became per-grapheme decisions:
+# each scans for a grapheme to change, then copies and rewrites the word.
+def _parent_drop_silent(word):
+    for g in word:
+        if g.silent:
+            return [g for g in word if not g.silent]
+    return None
+
+
+def _parent_split_madda(word):
+    for g in word:
+        if g.base == "آ":
+            break
+    else:
+        return None
+    out = []
+    for g in word:
+        if g.base == "آ":
+            out.append(Grapheme("أ", vowel="fatha"))
+            out.append(Grapheme("ا"))
+        else:
+            out.append(g)
+    return out
+
+
+def _parent_split_shadda(word):
+    for g in word:
+        if g.shadda:
+            break
+    else:
+        return None
+    out = []
+    for g in word:
+        if g.shadda:
+            if g.vowel is None or g.vowel == "sukun":
+                raise ShaddaWithoutVowel(
+                    f"geminated {g.base!r} has no vowel mark")
+            out.append(Grapheme(g.base, vowel="sukun"))
+            out.append(Grapheme(g.base, vowel=g.vowel))
+        else:
+            out.append(g)
+    return out
+
+
+def _parent_split_tanwin(word):
+    for g in word:
+        if g.vowel in scansion.TANWINS:
+            break
+    else:
+        return None
+    out = []
+    skip = False
+    for i, g in enumerate(word):
+        if skip:
+            skip = False
+            continue
+        if g.vowel in scansion.TANWINS:
+            tanwin = g.vowel
+            out.append(g.with_vowel(scansion.TANWIN_TO_SHORT[tanwin]))
+            out.append(Grapheme("ن", vowel="sukun"))
+            if tanwin == "tanwin_fath" and i + 1 < len(word):
+                nxt = word[i + 1]
+                if (nxt.base in ("ا", "ى") and nxt.unvocalized
+                        and not nxt.shadda):
+                    skip = True
+        else:
+            out.append(g)
+    return out
+
+
+def _parent_sukun_for_bare(word):
+    out = None
+    for i, g in enumerate(word):
+        if g.bare:
+            if out is None:
+                out = list(word)
+            out[i] = g.with_vowel("sukun")
+    return out
+
+
+def _parent_guess_wasl(word):
+    out = None
+    for gi in range(len(word) - 1):
+        g = word[gi]
+        if g.base != "ا" or not g.bare:
+            continue
+        if gi > 0 and not word[gi - 1].vocalized:
+            continue
+        nxt = word[gi + 1]
+        connective = (nxt.vowel == "sukun" and not nxt.shadda) or nxt.shadda
+        if not connective and nxt.base == "ل" and gi + 2 < len(word):
+            connective = word[gi + 2].shadda
+        if connective:
+            if out is None:
+                out = list(word)
+            out[gi] = Grapheme("ٱ", is_wasl=True)
+    return out
+
+
+WORD_RULES = [
+    (scansion._drop_silent, _parent_drop_silent),
+    (scansion._split_madda, _parent_split_madda),
+    (scansion._split_shadda, _parent_split_shadda),
+    (scansion._split_tanwin, _parent_split_tanwin),
+    (scansion._sukun_for_bare, _parent_sukun_for_bare),
+    (corpus._guess_wasl, _parent_guess_wasl),
+]
+
+ALL_VOWELS = [None, "fatha", "damma", "kasra", "sukun", *scansion.TANWINS]
+WASL = Grapheme("ٱ", is_wasl=True)
+# Pieces of a word: one letter with any marks, a silent letter, a madda,
+# a connective alif, a tanwin before an alif or alif maksura that may be
+# vocalized or geminated, and a bare or connective alif before a lam and
+# a (sun) letter.
+WORD_PIECES = st.one_of(
+    st.builds(Grapheme, st.sampled_from("ابلشوىآ"),
+              st.sampled_from(ALL_VOWELS), st.booleans()).map(lambda g: (g,)),
+    st.builds(Grapheme, st.sampled_from("اوب"),
+              silent=st.just(True)).map(lambda g: (g,)),
+    st.just((Grapheme("آ"),)),
+    st.just((WASL,)),
+    st.tuples(st.builds(Grapheme, st.sampled_from("بت"),
+                        st.sampled_from(scansion.TANWINS)),
+              st.builds(Grapheme, st.sampled_from("اى"),
+                        st.sampled_from([None, "sukun", "fatha"]),
+                        st.booleans())),
+    st.tuples(st.sampled_from([Grapheme("ا"), WASL]),
+              st.builds(Grapheme, st.just("ل"),
+                        st.sampled_from([None, "sukun", "fatha"])),
+              st.builds(Grapheme, st.sampled_from("شسبق"),
+                        st.sampled_from([None, "fatha"]), st.booleans())),
+)
+RULE_WORDS = st.lists(WORD_PIECES, max_size=4).map(
+    lambda pieces: tuple(itertools.chain.from_iterable(pieces)))
+
+
+def _rewritten(rule, word):
+    """`rule`'s new word as a tuple, None when it keeps `word`, or its
+    error's type and message."""
+    def run():
+        new = rule(word)
+        return None if new is None else tuple(new)
+    return _outcome(run)
+
+
+class TestPerGraphemeDecisions:
+    """Each word rule written as a per-grapheme decision gives, through
+    ``scansion._per_grapheme``, what its own scan-then-copy loop gave:
+    the same word, the same error, or None for a word it leaves alone."""
+
+    @given(RULE_WORDS)
+    @settings(max_examples=at_least(500), deadline=None)
+    def test_same_word_or_error_as_the_parent_loop(self, word):
+        for rule, parent in WORD_RULES:
+            assert _rewritten(rule, word) == _rewritten(parent, word), \
+                parent.__name__
