@@ -11,12 +11,15 @@ with exit code 2 and no message.
 ``--jobs N`` above 1 runs the per-line work in a pool of N worker
 processes; N is at most `MAX_JOBS`.  The pool is fed `_BATCH` lines at a
 time, so a parallel command holds at most that many lines and their
-results, however long its input.  A process keeps one pool for its
-lifetime, so a program that calls `main` many times forks its workers
-once and they keep their memos warm.  The workers are forked at the
-first parallel command and see module state from that moment.  A pool
-of another size replaces it, and a forked child builds its own.  A
-one-shot command forks its workers once and stops them when it exits.
+results, however long its input.  Each batch is split into one chunk
+per worker, so a parallel command's first output line waits for the
+first worker's whole chunk: up to 2,048 lines at ``--jobs 2``.  A
+process keeps one pool for its lifetime, so a program that calls `main`
+many times forks its workers once and they keep their memos warm.  The
+workers are forked at the first parallel command and see module state
+from that moment.  A pool of another size replaces it, and a forked
+child builds its own.  A one-shot command forks its workers once and
+stops them when it exits.
 
 A bare ``os.fork()`` child of a process that has run a parallel command
 inherits `multiprocessing`'s record of the pool's workers.  When that
@@ -49,7 +52,8 @@ ENV_TABLE_DIR = "ARUD_TABLE_DIR"
 # Largest --jobs: a fork pool starts all its workers at once, each with
 # its own copy of the tables and memos.
 MAX_JOBS = 64
-# Lines a parallel command sends to its pool at once: 64 chunks of 64.
+# Lines a parallel command sends to its pool at once, cut into one
+# contiguous chunk per worker.
 _BATCH = 4096
 
 
@@ -144,14 +148,16 @@ def _pmap(fn, items, jobs: int):
 
     items = iter(items)
     while batch := list(itertools.islice(items, _BATCH)):
+        # One chunk per worker: each chunk costs a round trip to the pool.
+        chunksize = math.ceil(len(batch) / jobs)
         # Executor.map submits every chunk of the batch before it yields
         # a result, so a pool found broken at submission can be replaced
         # and the batch sent again: none of it has run.
         try:
-            results = _executor(jobs).map(fn, batch, chunksize=64)
+            results = _executor(jobs).map(fn, batch, chunksize=chunksize)
         except BrokenProcessPool:
             _drop_pool()
-            results = _executor(jobs).map(fn, batch, chunksize=64)
+            results = _executor(jobs).map(fn, batch, chunksize=chunksize)
         try:
             yield from results
         except BrokenProcessPool:

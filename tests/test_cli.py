@@ -21,6 +21,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import at_least
+
 import arud
 from arud import cli, corpus, filler
 from arud.cli import main
@@ -733,6 +735,41 @@ class TestWorkerPool:
         assert pulled <= cli._BATCH
         assert list(results) == [f"A{i}" for i in range(1, 3 * cli._BATCH)]
 
+    @pytest.mark.parametrize("jobs", [2, 3, 64])
+    @pytest.mark.parametrize("count", [1, 2, 3, 100, 192, 4096, 4097])
+    def test_each_worker_gets_one_chunk_per_batch(self, monkeypatch, jobs,
+                                                  count):
+        sent = []
+
+        class Executor:
+            def map(self, fn, batch, chunksize):
+                sent.append((len(batch), chunksize))
+                return map(fn, batch)
+
+        monkeypatch.setattr(cli, "_executor", lambda workers: Executor())
+        items = [f"a{i}" for i in range(count)]
+        assert list(cli._pmap(str.upper, items, jobs)) == \
+            [item.upper() for item in items]
+        assert [size for size, _ in sent] == \
+            [min(cli._BATCH, count - start)
+             for start in range(0, count, cli._BATCH)]
+        for size, chunksize in sent:
+            chunks = [min(chunksize, size - start)
+                      for start in range(0, size, chunksize)]
+            # No worker takes a second chunk, and the largest chunk is as
+            # small as any split of the batch among the workers allows.
+            assert len(chunks) <= min(jobs, size)
+            assert chunksize == -(-size // jobs)
+            assert max(chunks) - min(chunks) < chunksize
+
+    @given(st.one_of(st.integers(0, 300),
+                     st.sampled_from([cli._BATCH - 1, cli._BATCH + 1])),
+           st.integers(1, 3))
+    @settings(max_examples=at_least(30), deadline=None)
+    def test_real_pool_keeps_order(self, count, jobs):
+        items = range(count)
+        assert list(cli._pmap(hex, items, jobs)) == list(map(hex, items))
+
     def test_process_exits_and_leaves_no_worker(self):
         report = _run_script("""\
             first = normalize("a.txt")
@@ -766,6 +803,33 @@ class TestWorkerPool:
         assert not set(report["child"]) & set(report["pids"])
         assert report["after"] == report["pids"]
         _assert_dead(report["pids"] + report["child"])
+
+
+# Good and bad lines for every parallel command: verse, a hemistich pair,
+# a leading mark, a shadda without vowel, Latin and a two-word line.
+MIXED_LINES = [TestNormalize.VERSE, FIG_LINE, "َعَلَمَ مَا", "بَمّ مَا",
+               "مِكَرٍّ مِفَرٍّ مُقْبِلٍ\tمُدْبِرٍ مَعًا", "abc", "مَا لَهُ"]
+
+
+class TestJobsAreByteIdentical:
+    """Lines around the chunk and batch sizes give the same bytes at
+    ``--jobs 1`` and ``2``: output, diagnostics and side files."""
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--golden"],
+        ["normalize", "--hemistichs", "--stats", "{tmp}/stats",
+         "--reject-log", "{tmp}/rejects"],
+        ["mask", "--seed", "5", "--per-line", "2"]],
+        ids=["scan", "normalize", "mask"])
+    @pytest.mark.parametrize("count", [1, 2, 3, 64, 65, 129, 193])
+    def test_same_bytes(self, argv, count):
+        lines = [MIXED_LINES[i % len(MIXED_LINES)] for i in range(count)]
+        serial = _run_main([*argv, "--jobs", "1"], lines)
+        assert _run_main([*argv, "--jobs", "2"], lines) == serial
+        code, out, diagnostics, warnings, sides = serial
+        assert code == 0 and out and not warnings
+        if count > 2:
+            assert diagnostics or sides.get("rejects")
 
 
 class TestColdStart:
