@@ -17,9 +17,14 @@ at a time, and verse repeats its words.  So each whitespace-free raw
 chunk goes through cleaning, parsing, the known words and the
 heuristics once, on a one-word line, and its record is kept in one
 ``script.Memo``: the word after the known words, the finished word and
-its text.  `accept_line` filters the line of known-words forms, and
-`process_line` scans the line of finished words and joins their texts.
-The memo empties when the stage flags or the tables' values change.
+its text.  Raw text writes one word in many partly diacritized
+spellings, so that memo holds 8,192 records, twice `MEMO_SIZE`, in each
+process (a ``--jobs`` worker holds its own); and a record's parse does
+not go through `parse_line`'s memo, which the record would only fill
+with spellings met once.  `accept_line` filters the line of known-words
+forms, and `process_line` scans the line of finished words and joins
+their texts.  The memo empties when the stage flags or the tables'
+values change.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .script import (
     ARABIC_LETTERS,
     LAM,
     MARKS,
+    MEMO_SIZE,
     TATWEEL,
     VOWEL_CHAR_TO_KIND,
     WASL_ALIF,
@@ -45,6 +51,7 @@ from .script import (
     Grapheme,
     Memo,
     ScriptLine,
+    _parse_word,
     fix_diacritic_order,
     parse_line,
     render_word,
@@ -291,7 +298,9 @@ def _record(chunk: str, flags: tuple, tables: TableSet):
     if not cleaned:
         return _DROPPED
     try:
-        line = parse_line(cleaned)
+        # Parsed outside `parse_line`'s memo: this record keeps the
+        # result, and a raw spelling's cleaned text is mostly met once.
+        line = ScriptLine((_parse_word(cleaned),))
     except ScriptError:
         return _FOREIGN
     if known_words:
@@ -317,6 +326,13 @@ def _record(chunk: str, flags: tuple, tables: TableSet):
 # `_accept` sets what a record depends on besides its chunk: the
 # `STAGE_FLAGS` values and the tables.
 _words = Memo(_record, None, None)
+# Raw text writes one word in many spellings (marks partly dropped,
+# tatweel, a plain connective alif), so the memo holds twice the words
+# of the other memos.  On perfbench `prepare` (seed 79, operations
+# 50-200) this cut its misses from 243 to 132 per 192-line operation,
+# and `peak_rss_mb` rose from 30.6 to 32.3 MB; four times the words
+# gave 35.3-35.7 MB, past that metric's 10% bound.
+_words.size = 2 * MEMO_SIZE
 
 
 def _accept(raw: str, cfg: PipelineConfig, tables: TableSet):

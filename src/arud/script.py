@@ -182,37 +182,44 @@ class ScriptLine:
         return len(self.words)
 
 
-# Entries per memo: every `Memo` holds this many.  Chosen by measurement
-# on perfbench: a word memo must hold a verse vocabulary, a 25 s `scan`
-# run meets about 3,900 distinct words, and memos of 1024 entries gave
-# no gain.
+# Entries per memo.  Chosen by measurement on perfbench: a word memo
+# must hold a verse vocabulary, a 25 s `scan` run meets about 3,900
+# distinct words, and memos of 1024 entries gave no gain.
+# `corpus._words` holds twice as many, since raw text spells one word in
+# many ways.
 MEMO_SIZE = 4096
 
 
 class Memo(dict):
     """``memo[key]`` is ``compute(key, *memo.args)``, computed on the
-    first lookup of `key` and kept until `MEMO_SIZE` newer keys have been
-    stored; the oldest entry makes room.
+    first lookup of `key` and kept until `size` (`MEMO_SIZE`) newer keys
+    have been stored; the oldest entry makes room.
 
     A lookup that finds its key is one dict lookup.  A compute that
     raises stores nothing.  `_order` holds the keys oldest first, so
     making room takes constant time however many entries have gone
-    before.
+    before.  `misses` counts the lookups that computed (a compute that
+    raises included) and `evictions` the entries that made room, since
+    the memo was built.
     """
 
-    __slots__ = ("compute", "args", "size", "_order")
+    __slots__ = ("compute", "args", "size", "misses", "evictions",
+                 "_order")
 
     def __init__(self, compute, *args):
         super().__init__()
         self.compute = compute
         self.args = args
         self.size = MEMO_SIZE
+        self.misses = self.evictions = 0
         self._order = deque()
 
     def __missing__(self, key):
+        self.misses += 1
         value = self.compute(key, *self.args)
         if len(self) >= self.size:
             del self[self._order.popleft()]
+            self.evictions += 1
         self._order.append(key)
         self[key] = value
         return value

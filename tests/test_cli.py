@@ -762,6 +762,7 @@ class TestWorkerPool:
             assert chunksize == -(-size // jobs)
             assert max(chunks) - min(chunks) < chunksize
 
+    @pytest.mark.property
     @given(st.one_of(st.integers(0, 300),
                      st.sampled_from([cli._BATCH - 1, cli._BATCH + 1])),
            st.integers(1, 3))

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arud import corpus, filler, masking, scansion, tables as tables_module
+from arud import corpus, filler, masking, scansion, script, \
+    tables as tables_module
 from arud.errors import (
     DanglingWasl,
     EmptyHemistich,
@@ -133,9 +134,38 @@ class TestCleanLineByChunks:
         assert clean_line(raw) == expected
 
     def test_memo_stays_at_its_size(self):
-        for n in range(MEMO_SIZE + 50):
-            process_line(f"{n} مَا{n}")
-        assert len(corpus._words) == MEMO_SIZE
+        # a chunk that cleans to nothing and one that is a word, in turn
+        for n in range(corpus._words.size + 50):
+            process_line(f"{n}" if n % 2 else f"مَا{n}")
+        assert len(corpus._words) == corpus._words.size == 2 * MEMO_SIZE
+
+
+class TestParserMemoKeepsFinishedWords:
+    """A chunk's cleaned spelling is parsed for its record alone, so
+    `normalize` leaves in the parser memo only the words it writes."""
+
+    # Each line once accepted and once rejected; the first line's
+    # spellings differ from its finished words (tatweel, bare letters).
+    LINES = ["قِفـَا نَبْكِ مِن ذِكْرَى حَبِيبٍ وَمَنْزِل", "قَالَ في بَيْتِهِ",
+             "abc قَالَ لَه"]
+
+    @pytest.fixture
+    def cold(self):
+        default_tables()
+        corpus._words.clear()
+        script._parsed.clear()
+
+    def test_records_add_no_parsed_word(self, cold):
+        for raw in self.LINES:
+            corpus.accept_line(raw, PipelineConfig(), default_tables())
+            process_line(raw)
+        assert corpus._words and not script._parsed
+
+    def test_stats_add_the_finished_words(self, cold):
+        out = normalize_lines(self.LINES, None, None, DiacriticStats())
+        texts = [text for _, text, _ in out if text is not None]
+        assert len(texts) == 1
+        assert set(script._parsed) == set(texts[0].split())
 
 
 class TestFilterLine:
@@ -648,6 +678,7 @@ RAW_WORD = st.lists(st.one_of(MARKED_LETTER, st.sampled_from(ALIFS)),
 
 
 class TestNormalizeIdempotence:
+    @pytest.mark.property
     @given(st.lists(RAW_WORD, min_size=4, max_size=6).map(" ".join))
     @settings(deadline=None)
     def test_every_accepted_line_renormalizes_to_itself(self, raw):
@@ -659,6 +690,7 @@ class TestNormalizeIdempotence:
 class TestAcceptedLinesMask:
     """`normalize` emits only lines that `mask` accepts."""
 
+    @pytest.mark.property
     @given(st.lists(st.one_of(
         st.tuples(st.sampled_from(VOCABULARY), st.integers(0, 2**16)).map(
             lambda word_seed: degrade(*word_seed)),

@@ -451,6 +451,7 @@ class TestExactPruning:
         for surface in ("مَا", "وَٱبْنُ", "لِ", "بْ"):
             assert not scansion.reads_back(parse_line(surface).words[0])
 
+    @pytest.mark.property
     @given(st.lists(st.sampled_from(FILL_POOL), max_size=2),
            st.sampled_from(FILL_POOL + ["ٱسْمُ"]))
     @settings(max_examples=at_least(150), deadline=None)
@@ -463,6 +464,7 @@ class TestExactPruning:
             beats = filler._final_beats(words + (x,), None)
             assert seen.setdefault(scansion.lead(x), beats) == beats
 
+    @pytest.mark.property
     @given(st.lists(st.sampled_from(FILL_POOL + ["ٱسْمُ"]),
                     min_size=2, max_size=6).map(" ".join), st.booleans())
     @settings(max_examples=at_least(300), deadline=None)

@@ -588,6 +588,7 @@ class TestOneReductionPerExample:
     span in one call: that draws what a call on the left words and then
     one on the right words draw, since the reduction draws word by word."""
 
+    @pytest.mark.property
     @given(words=st.lists(st.sampled_from(SCAN_READY_WORDS), min_size=1,
                           max_size=10),
            split=st.integers(0, 10), seed=st.integers(0, 2**64),

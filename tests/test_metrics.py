@@ -32,6 +32,10 @@ from arud.metrics import (
 from arud.scansion import scan_text
 from arud.script import parse_line
 
+# The whole module runs at the ci profile: its property tests and the
+# exhaustive and oracle checks beside them.
+pytestmark = pytest.mark.property
+
 patterns = st.text(alphabet="01", max_size=30)
 # Longer than one 64-bit word of the bit-vector kernel.
 long_patterns = st.text(alphabet="01", max_size=200)

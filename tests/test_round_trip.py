@@ -115,6 +115,7 @@ POOL = render_line(parse_line(
     "دَلْوًا هُدًى مَا لَهُ قَالَ قَلْبِي مِنْهُ عَلَّمَ")).split()
 
 
+@pytest.mark.property
 @given(st.lists(st.sampled_from(POOL), min_size=2, max_size=5),
        st.integers(0, 999))
 @settings(max_examples=at_least(100), deadline=None)

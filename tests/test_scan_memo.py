@@ -117,6 +117,7 @@ TEXTS = st.one_of(
 
 
 class TestSameAsWholeLine:
+    @pytest.mark.property
     @given(TEXTS, st.booleans(), st.booleans(),
            st.sampled_from(["cold", "warm", "kept"]))
     @settings(max_examples=at_least(500), deadline=None)
@@ -272,10 +273,12 @@ class TestLocality:
             random.Random(7).shuffle(order)
         return expected
 
+    @pytest.mark.property
     def test_every_short_line_over_the_pool(self):
         self.check(lambda line, si, vf: scan(line, None, si, vf),
                    lambda line, si, vf: whole_line(line, si, vf, False)[1])
 
+    @pytest.mark.property
     def test_both_readings_of_every_short_line_over_the_pool(self):
         expected = self.check(
             lambda line, si, vf: scan_readings(line, None, si, vf),
@@ -290,6 +293,7 @@ class TestWordOffsets:
     `beat_segments`, which `reading_segments` gives per reading, and both
     raise when the scan lost a word."""
 
+    @pytest.mark.property
     @given(TEXTS, st.booleans(), st.booleans())
     @settings(deadline=None)
     def test_offsets_cut_the_beat_segments(self, text, verse_final,
@@ -522,6 +526,7 @@ class Refused(Exception):
 class TestMemo:
     # Each op looks a key from 0 to 6 up, clears (-3) or calls `use` with
     # a new list object: [0] for -2, [1] for -1.
+    @pytest.mark.property
     @given(st.integers(1, 4), st.sets(st.integers(0, 6), max_size=3),
            st.lists(st.integers(-3, 6), max_size=40))
     def test_same_as_a_fifo_ordered_dict(self, size, refused, ops):
@@ -536,6 +541,7 @@ class TestMemo:
         arg = [0]
         memo, model = Memo(compute, arg), OrderedDict()
         memo.size = size
+        misses = evictions = 0
         for op in ops:
             if op == -3:
                 memo.clear()
@@ -554,6 +560,7 @@ class TestMemo:
                     with pytest.raises(Refused):
                         memo[op]
                     assert calls == [op]
+                    misses += 1
             elif op in model:
                 calls.clear()
                 assert memo[op] is model[op]
@@ -561,10 +568,14 @@ class TestMemo:
             else:
                 if len(model) >= size:
                     model.popitem(last=False)
+                    evictions += 1
                 model[op] = memo[op]
+                misses += 1
                 assert model[op] == (op, tuple(arg))
             assert list(memo.items()) == list(model.items())
             assert len(memo) <= size
+            # clearing and `use` drop entries but count none
+            assert (memo.misses, memo.evictions) == (misses, evictions)
 
 
 class TestTablesIsolation:

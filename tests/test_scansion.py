@@ -729,6 +729,7 @@ class TestPerGraphemeDecisions:
     ``scansion._per_grapheme``, what its own scan-then-copy loop gave:
     the same word, the same error, or None for a word it leaves alone."""
 
+    @pytest.mark.property
     @given(RULE_WORDS)
     @settings(max_examples=at_least(500), deadline=None)
     def test_same_word_or_error_as_the_parent_loop(self, word):

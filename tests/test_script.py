@@ -149,6 +149,7 @@ RENDER_WORDS = st.one_of(st.sampled_from(POOL_WORDS), words())
 class TestRenderMemo:
     """`render_line` reads each word's text from `_rendered`."""
 
+    @pytest.mark.property
     @given(st.lists(RENDER_WORDS, min_size=1, max_size=8))
     def test_same_as_joining_render_word(self, line_words):
         line = ScriptLine(tuple(line_words))
@@ -339,6 +340,7 @@ class TestFixDiacriticOrder:
         assert outcome(fix_diacritic_order) \
             == outcome(script._reorder_marks)
 
+    @pytest.mark.property
     @given(MARKED_TEXT)
     @example("ب" + SILENCE + "ا" + TANWIN_FATH)
     def test_output_is_a_parsing_fixed_point(self, text):
@@ -576,6 +578,7 @@ class TestParseLineOracle:
     """`parse_line` looks each word up as written and normalizes only a
     word it has not met."""
 
+    @pytest.mark.property
     @given(RAW_TEXT)
     def test_same_words_or_error_as_nfc_of_the_line(self, raw):
         want = _raised(lambda: _parse_line_of_nfc(raw)) \
