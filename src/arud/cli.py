@@ -8,6 +8,15 @@ input that is not UTF-8, or malformed data table.  A broken pipe (the
 reader stopped early, as in ``arud scan | head -1``) ends the command
 with exit code 2 and no message.
 
+Each subcommand is one entry of `COMMANDS`: the argument naming the file
+it reads (``--input``, or ``--lexicon`` for ``fill``), what builds its
+settings from its arguments, and its run.  `main` is the one driver: it
+parses the arguments, loads the tables, builds the settings (a value
+they refuse is a usage error), opens the input and then the output, and
+calls the run, which reads and writes those two streams.  Only
+``normalize`` opens files of its own, its ``--reject-log`` and
+``--stats``, so a run that fails leaves no empty report.
+
 ``--jobs N`` above 1 runs the per-line work in a pool of N worker
 processes; N is at most `MAX_JOBS`.  The pool is fed `_BATCH` lines at a
 time, so a parallel command holds at most that many lines and their
@@ -91,16 +100,12 @@ def _finite(text: str) -> float:
     return value
 
 
-def _open_in(stack: ExitStack, path: str):
+def _open(stack: ExitStack, path: str, mode: str):
+    """`path` opened for reading ("r") or writing ("w"), or the standard
+    stream for "-"."""
     if path == "-":
-        return sys.stdin
-    return stack.enter_context(open(path, "r", encoding="utf-8"))
-
-
-def _open_out(stack: ExitStack, path: str):
-    if path == "-":
-        return sys.stdout
-    return stack.enter_context(open(path, "w", encoding="utf-8"))
+        return sys.stdin if mode == "r" else sys.stdout
+    return stack.enter_context(open(path, mode, encoding="utf-8"))
 
 
 # The process's worker pool as (pid that built it, workers, executor),
@@ -283,7 +288,8 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("fill", help="rhythm-constrained phrase search")
     p.add_argument("-o", "--output", default="-", help="output path or -")
-    p.add_argument("--lexicon", required=True, metavar="PATH")
+    p.add_argument("--lexicon", required=True, metavar="PATH",
+                   help="lexicon path or -")
     p.add_argument("--target", required=True, metavar="BEATS")
     p.add_argument("--left", default=FillQuery.left_context,
                    help="left context text")
@@ -300,30 +306,32 @@ def build_parser() -> Parser:
     return parser
 
 
-def _cmd_scan(args) -> int:
-    with ExitStack() as stack:
-        src = _open_in(stack, args.input)
-        dst = _open_out(stack, args.output)
-        scan_one = functools.partial(
-            _scan_one, verse_final=args.verse_final,
-            sentence_initial=not args.mid_sentence, golden=args.golden,
-            tables=args.tables)
-        _write(_pmap(scan_one, src, args.jobs), dst)
-    return 0
+# Each subcommand's run: it reads `src`, writes its data to `dst` and
+# returns its exit code, or None for 0.  A subcommand with settings gets
+# them built from its arguments as a fourth argument.
+
+def _cmd_scan(args, src, dst):
+    scan_one = functools.partial(
+        _scan_one, verse_final=args.verse_final,
+        sentence_initial=not args.mid_sentence, golden=args.golden,
+        tables=args.tables)
+    _write(_pmap(scan_one, src, args.jobs), dst)
 
 
-def _cmd_normalize(args) -> int:
-    cfg = corpus.PipelineConfig(
-        min_words=args.min_words,
-        min_ratio=args.min_ratio,
-        **{name: not getattr(args, f"no_{name}")
-           for name in corpus.STAGE_FLAGS},
-    )
+def _pipeline_config(args) -> corpus.PipelineConfig:
+    # `filter` has no stage switches, so it runs every stage.
+    return corpus.PipelineConfig(
+        min_words=args.min_words, min_ratio=args.min_ratio,
+        **{name: not getattr(args, f"no_{name}", False)
+           for name in corpus.STAGE_FLAGS})
+
+
+def _cmd_normalize(args, src, dst, cfg):
     stats = corpus.DiacriticStats() if args.stats else None
+    # The side files are opened here, not by `main`: a run that fails
+    # before its end leaves no empty statistics report.
     with ExitStack() as stack:
-        src = _open_in(stack, args.input)
-        dst = _open_out(stack, args.output)
-        reject = _open_out(stack, args.reject_log) if args.reject_log \
+        reject = _open(stack, args.reject_log, "w") if args.reject_log \
             else sys.stderr
 
         def rows():
@@ -341,28 +349,21 @@ def _cmd_normalize(args) -> int:
                 rows(), cfg, args.tables, stats,
                 map=functools.partial(_pmap, jobs=args.jobs)):
             if text is None:
-                print(f"{lineno}\t{reason}", file=reject)
+                reject.write(f"{lineno}\t{reason}\n")
             else:
-                print(text, file=dst)
+                dst.write(text + "\n")
         if stats is not None:
             with open(args.stats, "w", encoding="utf-8") as f:
-                print(stats.render_report(), file=f)
-    return 0
+                f.write(stats.render_report() + "\n")
 
 
-def _cmd_filter(args) -> int:
-    cfg = corpus.PipelineConfig(min_words=args.min_words,
-                                min_ratio=args.min_ratio)
-    with ExitStack() as stack:
-        src = _open_in(stack, args.input)
-        dst = _open_out(stack, args.output)
-        for raw in src:
-            _, reason = corpus.accept_line(raw.rstrip("\n"), cfg, args.tables)
-            print(reason, file=dst)
-    return 0
+def _cmd_filter(args, src, dst, cfg):
+    for raw in src:
+        _, reason = corpus.accept_line(raw.rstrip("\n"), cfg, args.tables)
+        dst.write(reason + "\n")
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args, src, dst):
     stats = corpus.DiacriticStats()
 
     def add(raw):
@@ -374,87 +375,66 @@ def _cmd_stats(args) -> int:
                 return (), _describe(exc)
         return (), None
 
-    with ExitStack() as stack:
-        src = _open_in(stack, args.input)
-        dst = _open_out(stack, args.output)
-        _write(map(add, src), dst)
-        print(stats.render_report(), file=dst)
-    return 0
+    _write(map(add, src), dst)
+    dst.write(stats.render_report() + "\n")
 
 
-def _cmd_mask(args) -> int:
+def _mask_config(args) -> MaskConfig:
+    return MaskConfig(span_p=args.span_p, keep_p=args.keep_p,
+                      sukun_drop=args.sukun_drop, seed=args.seed,
+                      per_line=args.per_line,
+                      reduce_context=not args.no_reduce)
+
+
+def _cmd_mask(args, src, dst, cfg):
+    mask_one = functools.partial(_mask_one, cfg=cfg, tables=args.tables)
+    _write(_pmap(mask_one, enumerate(src), args.jobs), dst)
+
+
+def _fill_query(args) -> FillQuery:
+    return FillQuery(target=args.target, left_context=args.left,
+                     right_context=args.right, max_words=args.max_words,
+                     max_results=args.max_results,
+                     verse_final=args.verse_final)
+
+
+def _cmd_fill(args, src, dst, query):
+    # Decoded whole, so a lexicon that is not UTF-8 is refused before any
+    # of its words is indexed or warned about; the lines are those that
+    # iterating `src` gives.
+    lexicon = index_lexicon(io.StringIO(src.read()), args.tables)
+    for phrase in fill(query, lexicon, args.tables):
+        dst.write(phrase + "\n")
+
+
+def _cmd_eval(args, src, dst):
+    records, bad = metrics.read_prediction_file(src)
     try:
-        cfg = MaskConfig(
-            span_p=args.span_p,
-            keep_p=args.keep_p,
-            sukun_drop=args.sukun_drop,
-            seed=args.seed,
-            per_line=args.per_line,
-            reduce_context=not args.no_reduce,
-        )
-    except ValueError as exc:
-        raise UsageError(f"arud mask: {exc}") from None
-    with ExitStack() as stack:
-        src = _open_in(stack, args.input)
-        dst = _open_out(stack, args.output)
-        mask_one = functools.partial(_mask_one, cfg=cfg, tables=args.tables)
-        _write(_pmap(mask_one, enumerate(src), args.jobs), dst)
-    return 0
+        report = metrics.evaluate_predictions(records, args.tables)
+    except ScriptError as exc:
+        print(f"eval: {exc}", file=sys.stderr)
+        return 1
+    dst.write(report.render_report() + "\n")
+    if bad:
+        print(f"malformed records skipped: {bad}", file=sys.stderr)
 
 
-def _cmd_fill(args) -> int:
-    try:
-        query = FillQuery(
-            target=args.target,
-            left_context=args.left,
-            right_context=args.right,
-            max_words=args.max_words,
-            max_results=args.max_results,
-            verse_final=args.verse_final,
-        )
-    except ValueError as exc:
-        raise UsageError(f"arud fill: {exc}") from None
-    with open(args.lexicon, "r", encoding="utf-8") as f:
-        # Decoded whole, so a file that is not UTF-8 is refused before
-        # any of its words is indexed or warned about; the lines are
-        # those that iterating `f` gives.
-        lines = io.StringIO(f.read())
-    lexicon = index_lexicon(lines, args.tables)
-    with ExitStack() as stack:
-        dst = _open_out(stack, args.output)
-        for phrase in fill(query, lexicon, args.tables):
-            print(phrase, file=dst)
-    return 0
-
-
-def _cmd_eval(args) -> int:
-    with ExitStack() as stack:
-        src = _open_in(stack, args.input)
-        dst = _open_out(stack, args.output)
-        records, bad = metrics.read_prediction_file(src)
-        try:
-            report = metrics.evaluate_predictions(records, args.tables)
-        except ScriptError as exc:
-            print(f"eval: {exc}", file=sys.stderr)
-            return 1
-        print(report.render_report(), file=dst)
-        if bad:
-            print(f"malformed records skipped: {bad}", file=sys.stderr)
-    return 0
-
-
+# Each subcommand as (the argument naming the file it reads, what builds
+# its settings from its arguments or None, its run).
 COMMANDS = {
-    "scan": _cmd_scan,
-    "normalize": _cmd_normalize,
-    "filter": _cmd_filter,
-    "stats": _cmd_stats,
-    "mask": _cmd_mask,
-    "fill": _cmd_fill,
-    "eval": _cmd_eval,
+    "scan": ("input", None, _cmd_scan),
+    "normalize": ("input", _pipeline_config, _cmd_normalize),
+    "filter": ("input", _pipeline_config, _cmd_filter),
+    "stats": ("input", None, _cmd_stats),
+    "mask": ("input", _mask_config, _cmd_mask),
+    "fill": ("lexicon", _fill_query, _cmd_fill),
+    "eval": ("input", None, _cmd_eval),
 }
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: parse `argv`, load the tables, build the
+    settings, open the input and then the output, and call the run."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -464,9 +444,17 @@ def main(argv=None) -> int:
             return 0
         if not args.command:
             raise UsageError(parser.format_usage())
+        reads, build, run = COMMANDS[args.command]
         args.tables = TableSet.load(table_dir) if table_dir \
             else default_tables()
-        return COMMANDS[args.command](args)
+        try:
+            settings = [] if build is None else [build(args)]
+        except ValueError as exc:
+            raise UsageError(f"arud {args.command}: {exc}") from None
+        with ExitStack() as stack:
+            src = _open(stack, getattr(args, reads), "r")
+            dst = _open(stack, args.output, "w")
+            return run(args, src, dst, *settings) or 0
     except UsageError as exc:
         print(str(exc), file=sys.stderr, end="" if str(exc).endswith("\n")
               else "\n")
@@ -475,9 +463,7 @@ def main(argv=None) -> int:
         print(f"arud: {exc}", file=sys.stderr)
         return 2
     except UnicodeDecodeError as exc:
-        # Each command reads one text file: `fill` its lexicon, the others
-        # their input.
-        path = args.lexicon if args.command == "fill" else args.input
+        path = getattr(args, COMMANDS[args.command][0])
         name = "<stdin>" if path == "-" else path
         print(f"arud: {name}: not valid UTF-8 ({exc})", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ import logging
 import multiprocessing
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -978,12 +979,16 @@ class TestMask:
 
 
 class TestFill:
-    def test_phrases_to_stdout(self, tmp_path, capsys):
+    def test_phrases_to_stdout(self, tmp_path, capsys, monkeypatch):
         lex = write(tmp_path, "lex.txt", "لَهُ\nمَا\nعَلَّمَ\n")
-        code, out, _ = run(capsys, "fill", "--lexicon", lex,
-                           "--target", "11010")
-        assert code == 0
-        assert out.strip() == "لَهُ مَا"
+        # `--lexicon -` reads standard input, as `-i -` does.
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            Path(lex).read_text(encoding="utf-8")))
+        for path in (lex, "-"):
+            code, out, _ = run(capsys, "fill", "--lexicon", path,
+                               "--target", "11010")
+            assert code == 0
+            assert out.strip() == "لَهُ مَا"
 
     @pytest.mark.parametrize("flags", [
         ["--target", "2"], ["--target", "10", "--max-words", "0"]])
@@ -1063,6 +1068,42 @@ class TestEval:
         assert code == 0
         assert "n: 1" in out
         assert "malformed records skipped: 2" in err
+
+
+class TestRefusedBeforeFiles:
+    """The tables load, then the settings are built, then the input and
+    the output open: a run refused before that leaves ``-o`` as it was
+    and makes no file."""
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (["mask", "--seed", "1", "--per-line", "0"], 1,
+         "arud mask: per_line must lie in "),
+        (["fill", "--lexicon", "LEX", "--target", "2"], 1,
+         "arud fill: target must be "),
+        (["fill", "--lexicon", "LEX", "--target", "10", "--left", "abc"], 1,
+         "arud fill: left context does not parse: "),
+        # the tables load before the settings are built
+        (["--tables", "TABLES", "mask", "--seed", "1", "--per-line", "0"], 2,
+         "arud: TABLES"),
+    ])
+    def test_output_keeps_its_bytes(self, tmp_path, capsys, argv, code, err):
+        tables = tmp_path / "tables"
+        shutil.copytree(Path(arud.__file__).parent / "data", tables)
+        with open(tables / "silent_words.tsv", "a", encoding="utf-8") as f:
+            f.write("\nعمرو\tx\n")
+        work = tmp_path / "work"
+        work.mkdir()
+        names = {"LEX": write(work, "lex.txt", "مَا\n"),
+                 "TABLES": str(tables)}
+        out = work / "out.txt"
+        out.write_bytes(b"kept\n")
+        before = sorted(work.iterdir())
+        got = run(capsys, *[names.get(arg, arg) for arg in argv],
+                  "-o", str(out))
+        assert got[:2] == (code, "")
+        assert got[2].startswith(err.replace("TABLES", str(tables)))
+        assert out.read_bytes() == b"kept\n"
+        assert sorted(work.iterdir()) == before
 
 
 class TestTopLevel:
@@ -1166,9 +1207,10 @@ class TestTopLevel:
     def test_broken_pipe_elsewhere_keeps_stdout(self, tmp_path, monkeypatch):
         # A pipe that broke on another stream (say an -o FIFO) must not
         # redirect the stdout of a process that calls main in-process.
-        def broken(args):
+        def broken(args, src, dst):
             raise BrokenPipeError(32, "Broken pipe")
-        monkeypatch.setitem(cli.COMMANDS, "scan", broken)
+        reads, build, _ = cli.COMMANDS["scan"]
+        monkeypatch.setitem(cli.COMMANDS, "scan", (reads, build, broken))
         path = tmp_path / "stdout.txt"
         with open(path, "w", encoding="utf-8") as out:
             monkeypatch.setattr(sys, "stdout", out)

@@ -2,8 +2,12 @@
 results as the whole-line rules, errors in the same order, bounded memos
 and per-table isolation."""
 
+import json
 import logging
+import os
 import random
+import subprocess
+import sys
 from collections import OrderedDict
 from dataclasses import replace
 from itertools import product
@@ -14,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import at_least
 
-from arud import scansion
+import arud
+from arud import scansion, script
 from arud.cli import ENV_TABLE_DIR, main
 from arud.errors import DanglingWasl, ScanError, ScriptError, \
     ShaddaWithoutVowel
@@ -288,6 +293,74 @@ class TestLocality:
                    for e in expected) > 1000
 
 
+# Ta marbuta: no rule names it, but it ends many words.
+TA_MARBUTA = "\u0629"
+
+
+def generated_alphabet():
+    """Every grapheme, over the letters the rules name, that parses alone
+    back to itself.
+
+    The letters are `script`'s named letters, the sun letters, the
+    plural-m hosts, the isba finals, ta marbuta and the connective alif;
+    each takes no vowel mark, each short vowel, sukun and each tanwin,
+    with and without shadda, or the silence mark alone.  A new constant
+    of the rules widens the alphabet.
+    """
+    bases = ({value for value in vars(script).values()
+              if isinstance(value, str) and value in ARABIC_LETTERS}
+             | script.SUN_LETTERS | set(scansion.PLURAL_M_HOSTS)
+             | scansion.ISBA_FINALS | {TA_MARBUTA, script.WASL_ALIF})
+    states = [{"vowel": vowel, "shadda": shadda}
+              for vowel in (None, *script.SHORT_VOWELS, "sukun",
+                            *script.TANWINS)
+              for shadda in (False, True)] + [{"silent": True}]
+    alphabet = set()
+    for base, state, is_wasl in product(sorted(bases), states,
+                                        (False, True)):
+        try:
+            g = script.Grapheme(base, is_wasl=is_wasl, **state)
+            parsed = parse_line(script.render_word((g,))).words
+        except (ScriptError, ValueError):
+            continue
+        if parsed == ((g,),):
+            alphabet.add(g)
+    return sorted(alphabet, key=repr)
+
+
+ALPHABET = generated_alphabet()
+GENERATED_WORDS = st.lists(st.sampled_from(ALPHABET), min_size=1,
+                           max_size=2).map(tuple)
+
+
+class TestGeneratedAlphabet:
+    """The locality argument on words of one or two graphemes drawn from
+    every mark state of the letters the rules name: every line of 1 to 3
+    of two drawn words, at each `sentence_initial` and `verse_final`, in
+    a drawn order, by the memo of words in context and by the rules."""
+
+    def test_alphabet_covers_every_mark_state(self):
+        assert len(ALPHABET) > 200
+        assert {g.vowel for g in ALPHABET} == {
+            None, "sukun", *script.SHORT_VOWELS, *script.TANWINS}
+        assert any(g.is_wasl for g in ALPHABET)
+        assert any(g.silent for g in ALPHABET)
+
+    @pytest.mark.property
+    @given(GENERATED_WORDS, GENERATED_WORDS, st.randoms())
+    @settings(max_examples=at_least(300), deadline=None)
+    def test_readings_as_by_rules(self, first, second, rng):
+        # A word's values for one place are stored by the first read
+        # and served to the reads after it.
+        cases = [(ScriptLine(words), si, vf) for n in (1, 2, 3)
+                 for words in product((first, second), repeat=n)
+                 for si, vf in product((False, True), repeat=2)]
+        rng.shuffle(cases)
+        for case in cases:
+            assert outcome(lambda: scan_readings(case[0], None, *case[1:])) \
+                == outcome(lambda: readings_by_rules(*case))
+
+
 class TestWordOffsets:
     """`word_offsets` cuts every reading's beats into the transcription's
     `beat_segments`, which `reading_segments` gives per reading, and both
@@ -517,6 +590,29 @@ class TestMemoSizes:
             assert scan(line) == expected[0]
             assert scan_readings(line) == expected
             assert scan(line) == expected[0]
+
+
+class TestModuleMemos:
+    def test_walk_finds_every_memo(self):
+        # A fresh interpreter, so only the memos `arud` builds are seen.
+        tests = Path(__file__).parent
+        env = dict(os.environ, PYTHONPATH=str(Path(arud.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import gc, json, sys\n"
+             "sys.path.insert(0, sys.argv[1])\n"
+             "import arud.cli\n"
+             "from arud.script import Memo\n"
+             "from conftest import module_memos\n"
+             "seen = [m for m in gc.get_objects() if isinstance(m, Memo)]\n"
+             "walked = {id(m) for m in module_memos()}\n"
+             "print(json.dumps([len(seen), len(walked), sorted(\n"
+             "    repr(m.compute) for m in seen if id(m) not in walked)]))",
+             str(tests)], capture_output=True, text=True, env=env,
+            timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        seen, walked, missed = json.loads(proc.stdout)
+        assert missed == []
+        assert seen == walked > 0
 
 
 class Refused(Exception):
