@@ -234,7 +234,8 @@ def _add_filter_args(p: argparse.ArgumentParser):
 @functools.cache
 def build_parser() -> Parser:
     """The argument parser, built once per process and shared."""
-    parser = Parser(prog="arud", description=__doc__)
+    parser = Parser(prog="arud", description="A prosody engine and dataset "
+                    "toolkit for classical Arabic verse.")
     parser.add_argument("--version", action="store_true",
                         help="print tool and table-data versions")
     parser.add_argument("--tables", metavar="DIR", dest="table_dir",

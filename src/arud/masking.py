@@ -9,12 +9,16 @@ the seed, the 0-based line index and the repeat, and a line gives all
 its examples or none (`line_examples`).
 
 Context reduction draws per word, but what it draws over depends on the
-word alone: its letters once silence marks are dropped and connective
-alifs made plain, their sukuns, and the slots of their other marks.
-That plan is built once per distinct word, in a ``script.Memo``.  The kept
-slots are drawn by `_sample`, which replays `random.Random.sample` for
-small populations without its generic checks, so every draw, and every
-output byte, is what ``rng.sample`` would give.
+word alone: its text once silence marks are dropped and connective alifs
+made plain, cut into pieces (each letter's base, shadda and vowel-class
+mark), which of those pieces are sukuns, and which are its other marks,
+the slots.  That plan is built once per distinct word, in a
+``script.Memo``, and the reduction blanks the pieces its draws drop and
+joins the rest, so it gives each context word's text without building a
+word.  The kept slots are drawn by `_sample`, which replays
+`random.Random.sample` for small populations without its generic
+checks, so every draw, and every output byte, is what ``rng.sample``
+would give.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from dataclasses import dataclass
 
 from .errors import LineTooShort, ScriptError
 from .scansion import scan, word_offsets
-from .script import ALIF, Grapheme, Memo, ScriptLine, parse_line, \
-    render_word
+from .script import ALIF, SHADDA, VOWEL_KIND_TO_CHAR, Memo, ScriptLine, \
+    parse_line, render_word
 from .tables import TableSet
 
 log = logging.getLogger(__name__)
@@ -64,9 +68,8 @@ class MaskConfig:
                              f"got {self.per_line}")
 
 
-# `json.dumps(..., ensure_ascii=False)` without building an encoder per
-# record.
-_ENCODE = json.JSONEncoder(ensure_ascii=False).encode
+# The string escaper of `json.JSONEncoder(ensure_ascii=False)`.
+_quote = json.encoder.encode_basestring
 
 
 @dataclass(frozen=True)
@@ -77,15 +80,25 @@ class MaskedExample:
     span: tuple  # (start word index, length)
 
     def to_json(self) -> str:
-        return _ENCODE(
-            {"v": SCHEMA_VERSION, "input": self.input, "target": self.target,
-             "beats": self.beats, "span": list(self.span)})
+        """``json.dumps`` of the record's five keys with
+        ``ensure_ascii=False``, written without building a dict.  The
+        span must be two ints, as in every record `mask` builds and
+        `from_json` reads."""
+        start, length = self.span
+        return (f'{{"v": {SCHEMA_VERSION}, "input": {_quote(self.input)}, '
+                f'"target": {_quote(self.target)}, "beats": '
+                f'{_quote(self.beats)}, "span": [{start}, {length}]}}')
 
     @classmethod
     def from_json(cls, text: str) -> "MaskedExample":
+        """The record `to_json` wrote.  Raises ValueError for a span that
+        is not a list of two ints, which `to_json` never writes."""
         obj = json.loads(text)
+        span = obj["span"]
+        if type(span) is not list or [type(x) for x in span] != [int, int]:
+            raise ValueError(f"span must be two ints, got {span!r}")
         return cls(input=obj["input"], target=obj["target"],
-                   beats=obj["beats"], span=tuple(obj["span"]))
+                   beats=obj["beats"], span=tuple(span))
 
 
 def geometric(rng: random.Random, p: float) -> int:
@@ -115,50 +128,41 @@ def sample_mask_span(line: ScriptLine, cfg: MaskConfig,
 def _plan(word: tuple) -> tuple:
     """What `reduce_context_diacritics` needs of `word` before it draws.
 
-    (letters, sukuns, slots): the letters with silence marks dropped and
-    connective alifs made plain (None when that leaves `word` as it is),
-    the positions of their sukuns, and the slots of their other marks in
-    letter order: ``i`` for the vowel of letter i and ``~i`` for its
-    shadda.  A sukun letter has no vowel slot, so the sukun draws leave
-    the slots as they are.
+    (pieces, sukuns, slots): the text of `word` with silence marks
+    dropped and connective alifs made plain, cut into pieces (each
+    letter's base, then its shadda, then its vowel-class mark), the
+    indexes of its sukun pieces, and the indexes of its other marks'
+    pieces, the slots, in letter order: a letter's vowel, then its
+    shadda.  A connective alif loses its vowel with its connective mark.
     """
-    letters = []
+    pieces, sukuns, slots = [], [], []
     for g in word:
-        if g.silent:
-            g = Grapheme(g.base)
-        if g.is_wasl:
-            g = Grapheme(ALIF)
-        letters.append(g)
-    letters = tuple(letters)
-    sukuns = tuple(i for i, g in enumerate(letters) if g.vowel == "sukun")
-    slots = []
-    for i, g in enumerate(letters):
-        if g.vowel is not None and g.vowel != "sukun":
-            slots.append(i)
+        if g.is_wasl and not g.silent:
+            pieces.append(ALIF)
+            continue
+        pieces.append(g.base)
+        shadda = len(pieces)
         if g.shadda:
-            slots.append(~i)
-    if letters != word:
-        return letters, sukuns, tuple(slots)
-    return _shapes[None, sukuns, tuple(slots)]
+            pieces.append(SHADDA)
+        if g.vowel is not None:
+            (sukuns if g.vowel == "sukun" else slots).append(len(pieces))
+            pieces.append(VOWEL_KIND_TO_CHAR[g.vowel])
+        if g.shadda:
+            slots.append(shadda)
+    return (tuple(pieces), *_shapes[tuple(sukuns), tuple(slots)])
 
 
 # Word -> its mask plan.  Verse vocabulary repeats words: in 250
-# `prepare` chunks (perfbench seed 78) the masked contexts hold 5,104
+# `prepare` chunks (perfbench seed 78) the masked contexts hold 5,120
 # distinct words, and a memo of `MEMO_SIZE` entries serves 98% of their
-# 399,863 lookups (one of 1,024 entries serves 89% and ran about 4%
-# slower on `prepare`).  Plans hold no render text and no per-slot
-# objects, and the plans of words without silence marks or connective
-# alifs, most words, are shared through `_shapes`, where about a hundred
-# distinct ones serve a few thousand words.  So a full memo costs little
-# more than its table and the words it keeps.
+# 407,616 lookups (one of 1,024 entries serves 89%).  A plan's pieces
+# are strings that every plan shares, and its index tuples are shared
+# through `_shapes`, where 248 distinct ones serve those words; so a
+# plan holds no string of its own, only two tuples of 169 bytes in all
+# on average, and a full memo about 0.7 MB.
 _plans = Memo(_plan)
-# Plans without letters of their own -> one shared instance of each.
-_shapes = Memo(lambda plan: plan)
-# Interned grapheme -> the same letter without one kind of mark;
-# graphemes are few, so these stay small.
-_NO_VOWEL = Memo(Grapheme.with_vowel, None)
-_NO_SHADDA = Memo(lambda g: Grapheme(g.base, g.vowel, silent=g.silent,
-                                     is_wasl=g.is_wasl))
+# (sukuns, slots) -> one shared instance of each.
+_shapes = Memo(lambda shape: shape)
 
 
 # Largest population for which `random.Random.sample` always takes its
@@ -192,8 +196,9 @@ def _sample(rng: random.Random, n: int, k: int) -> list:
 
 
 def reduce_context_diacritics(context: ScriptLine, cfg: MaskConfig,
-                              rng: random.Random) -> ScriptLine:
-    """Thin out context marks to mimic typical diacritization habits.
+                              rng: random.Random) -> list[str]:
+    """Thin out context marks to mimic typical diacritization habits, and
+    return the context words' texts.
 
     Silence marks always go (the letter stays), connective alifs become
     plain alifs, each sukun independently survives with probability
@@ -202,38 +207,28 @@ def reduce_context_diacritics(context: ScriptLine, cfg: MaskConfig,
 
     Per word, in order: one ``rng.random()`` per sukun, one `geometric`
     draw, then the kept slots when any is kept.  Everything else comes
-    from the word's memoized `_plan`.
+    from the word's memoized `_plan`, whose dropped pieces are blanked.
     """
     sukun_drop = cfg.sukun_drop
     keep_p = cfg.keep_p
     draw = rng.random
-    words = []
+    texts = []
     for word in context.words:
-        letters, sukuns, slots = _plans[word]
-        if letters is None:
-            letters = word
-        if sukuns:
-            letters = list(letters)
-            for i in sukuns:
-                if draw() < sukun_drop:
-                    letters[i] = _NO_VOWEL[letters[i]]
+        pieces, sukuns, slots = _plans[word]
+        pieces = list(pieces)
+        for i in sukuns:
+            if draw() < sukun_drop:
+                pieces[i] = ""
         n = len(slots)
         keep = min(geometric(rng, keep_p), n)
         kept = _sample(rng, n, keep) if keep else ()
         if keep < n:
-            if not sukuns:
-                letters = list(letters)
             kept = set(kept)
-            for si, slot in enumerate(slots):
-                if si in kept:
-                    continue
-                if slot >= 0:
-                    letters[slot] = _NO_VOWEL[letters[slot]]
-                else:
-                    # The letter as its sukun draw and vowel strip left it.
-                    letters[~slot] = _NO_SHADDA[letters[~slot]]
-        words.append(tuple(letters))
-    return ScriptLine(tuple(words))
+            for si, i in enumerate(slots):
+                if si not in kept:
+                    pieces[i] = ""
+        texts.append("".join(pieces))
+    return texts
 
 
 def _line_segments(line: ScriptLine, tables: TableSet | None) -> list[str]:
@@ -246,13 +241,6 @@ def _line_segments(line: ScriptLine, tables: TableSet | None) -> list[str]:
     transcription, beats = scan(line, tables, sentence_initial=True)
     offsets = word_offsets(line.words, transcription)
     return [beats[start:end] for start, end in zip(offsets, offsets[1:])]
-
-
-def _render_context(words, reduced, texts) -> list[str]:
-    """The reduced context words' texts; a word the reduction left as it
-    was keeps its text from `texts`."""
-    return [text if new == old else render_word(new)
-            for old, new, text in zip(words, reduced, texts)]
 
 
 def build_training_example(
@@ -280,12 +268,12 @@ def build_training_example(
     beats = "".join(segments[start:end])
     target = " ".join(texts[start:end])
 
-    context = reduced = line.words[:start] + line.words[end:]
     if cfg.reduce_context:
-        reduced = reduce_context_diacritics(
-            ScriptLine(context), cfg, rng).words
+        shown = reduce_context_diacritics(
+            ScriptLine(line.words[:start] + line.words[end:]), cfg, rng)
+    else:
+        shown = texts[:start] + texts[end:]
     e0, e1, e2 = cfg.markers
-    shown = _render_context(context, reduced, texts[:start] + texts[end:])
     shown.insert(start, f"{e0}{beats}{e1}")
     return MaskedExample(input=" ".join(shown) + e2, target=target,
                          beats=beats, span=(start, length))

@@ -6,9 +6,9 @@ it through `at_least`, so the profile can raise it.
 
 ``--memo-size N`` cuts every memo of `arud` (`module_memos`) to N entries
 and empties it before any test runs, so a result that holds only while a
-memo keeps its entries fails.  Tests that count memo hits fail under it
-by design; the CI step that passes ``--memo-size 1`` names the files it
-runs, and none of them holds such a test.
+memo keeps its entries fails.  Tests that count memo entries or hits
+fail under it by design; the CI step that passes ``--memo-size 1`` names
+the files it runs and deselects the one such test among them.
 """
 
 import importlib

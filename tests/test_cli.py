@@ -1113,6 +1113,18 @@ class TestTopLevel:
         assert out.startswith("arud ")
         assert "tables" in out
 
+    @pytest.mark.parametrize("argv", [[], *([name] for name in cli.COMMANDS)])
+    def test_help_is_for_users(self, capsys, argv):
+        # A one-sentence description, not the module's notes for readers
+        # of the code.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        assert out.startswith("usage: arud")
+        assert "``" not in out
+        assert "COMMANDS" not in out and "_BATCH" not in out
+
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 1

@@ -1,5 +1,6 @@
 """Span sampling, context reduction and training-example assembly."""
 
+import json
 import random
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from arud.masking import (
     sample_mask_span,
 )
 from arud.scansion import beat_segments, scan
-from arud.script import ALIF, ARABIC_LETTERS, MEMO_SIZE, \
+from arud.script import ALIF, ARABIC_LETTERS, MEMO_SIZE, SHADDA, \
     VOWEL_KIND_TO_CHAR, WASL_ALIF, Grapheme, ScriptLine, fix_diacritic_order, parse_line, \
     render_line, render_word
 from arud import tables as tables_module
@@ -105,25 +106,30 @@ class TestSampleSpan:
 
 
 class TestReduceContext:
+    # `StubRng` keeps every sukun and draws a keep count above every
+    # word's slots unless told otherwise.
     def test_silence_mark_always_removed(self):
         line = parse_line("ذَهَبُوا۠")
         out = reduce_context_diacritics(line, MaskConfig(), StubRng())
-        assert not any(g.silent for g in out.graphemes())
-        assert [g.base for g in out.graphemes()] == \
-            [g.base for g in line.graphemes()]
+        assert out == ["ذَهَبُوا"]
 
     def test_wasl_becomes_plain_alif(self):
         line = parse_line("ٱلْبَيْتِ")
         out = reduce_context_diacritics(line, MaskConfig(), StubRng())
-        assert out.words[0][0].base == "ا"
-        assert not out.words[0][0].is_wasl
+        assert out == ["الْبَيْتِ"]
 
     def test_keep_zero_strips_all(self):
         # a keep-count draw of zero removes the vowels and the shadda
         line = parse_line("عَلَّمَ")
         out = reduce_context_diacritics(
             line, MaskConfig(), StubRng(randoms=[0.0]))
-        assert render_line(out) == "علم"
+        assert out == ["علم"]
+
+    def test_dropped_sukun_keeps_its_shadda(self):
+        line = parse_line("عَلّْ")
+        out = reduce_context_diacritics(
+            line, MaskConfig(), StubRng(randoms=[0.0]))
+        assert out == ["عَلّ"]
 
     def test_full_retention(self):
         # with near-zero drop probabilities everything survives
@@ -131,7 +137,7 @@ class TestReduceContext:
         out = reduce_context_diacritics(
             line, MaskConfig(sukun_drop=0.01, keep_p=0.01),
             random.Random(0))
-        assert render_line(out) == render_line(line)
+        assert " ".join(out) == render_line(line)
 
 
 FIG_LINE = "مِكَرٍّ مِفَرٍّ مُقْبِلٍ مُدْبِرٍ مَعًا"
@@ -186,6 +192,40 @@ class TestBuildExample:
         ex = build_training_example(line, MaskConfig(), line_rng(1, 0))
         assert MaskedExample.from_json(ex.to_json()) == ex
         assert '"v": 1' in ex.to_json()
+
+
+# Text the record's escaper must get right: quotes, backslashes, control
+# characters, non-BMP characters and lone surrogates among any others.
+JSON_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\n\t\x7f\u2028'), st.characters(),
+    st.integers(0, 0x1f).map(chr), st.integers(0xd800, 0xdfff).map(chr),
+    st.integers(0x10000, 0x10ffff).map(chr)))
+
+
+class TestRecordJson:
+    @pytest.mark.property
+    @given(text=st.tuples(JSON_TEXT, JSON_TEXT, JSON_TEXT),
+           span=st.tuples(st.integers(), st.integers()))
+    @settings(max_examples=at_least(300), deadline=None)
+    def test_to_json_is_json_dumps(self, text, span):
+        ex = MaskedExample(*text, span=span)
+        record = ex.to_json()
+        assert record == json.dumps(
+            {"v": masking.SCHEMA_VERSION, "input": text[0], "target": text[1],
+             "beats": text[2], "span": list(span)}, ensure_ascii=False)
+        assert MaskedExample.from_json(record) == ex
+
+    @pytest.mark.parametrize("span", [
+        "[1]", "[1, 2, 3]", "[]", "[1.0, 2]", "[1, 2.5]", "[true, 1]",
+        '["1", 2]', "[[1], 2]", "[null, 1]", '"12"', "null", "12",
+        '{"0": 1, "1": 2}'])
+    def test_from_json_refuses_a_span_not_two_ints(self, span):
+        # `to_json` writes a span's two ints as they are, so a record it
+        # could not write back is refused where it is read.
+        record = ('{"v": 1, "input": "a[E0]1[E1][E2]", "target": "b", '
+                  f'"beats": "1", "span": {span}}}')
+        with pytest.raises(ValueError, match="span must be two ints"):
+            MaskedExample.from_json(record)
 
 
 class TestGenerateDataset:
@@ -374,8 +414,9 @@ class TestScanOncePerLine:
 
 # Test-local copies of `reduce_context_diacritics` and
 # `build_training_example` as they were before the per-word plan: the
-# plan must give the same lines from the same draws.
+# plan must give the texts of the same words from the same draws.
 def reference_reduce(context, cfg, rng):
+    """The reduced context as a line of graphemes."""
     words = []
     for word in context.words:
         letters = []
@@ -471,7 +512,7 @@ PROBS = st.floats(0.01, 0.99)
 
 class TestMaskPlan:
     """The per-word plan and `_sample` draw what the code before them drew
-    and give the same lines."""
+    and give the texts of the same words."""
 
     @given(line=CONTEXT_LINES, seed=st.integers(0, 2**64),
            keep_p=PROBS, sukun_drop=PROBS, cold=st.booleans())
@@ -484,16 +525,17 @@ class TestMaskPlan:
         new, old = random.Random(seed), random.Random(seed)
         # The second call reads every plan from the memo.
         for _ in range(2):
-            assert reduce_context_diacritics(line, cfg, new) \
-                == reference_reduce(line, cfg, old)
+            assert reduce_context_diacritics(line, cfg, new) == [
+                render_word(w) for w in reference_reduce(line, cfg, old).words]
             assert new.getstate() == old.getstate()
 
     def test_examples_reach_long_words_and_shadda_with_sukun(self):
         # The pool below has what the line test needs.
         plans = [masking._plan(word) for word in PLAN_POOL]
         assert any(len(slots) > 21 for _, _, slots in plans)
-        assert any(~i in slots and i in sukuns
-                   for _, sukuns, slots in plans for i in sukuns)
+        # A sukun piece right after a shadda piece: the shadda's letter.
+        assert any(pieces[i - 1] == SHADDA
+                   for pieces, sukuns, _ in plans for i in sukuns)
 
     @given(words=st.lists(st.sampled_from(PLAN_POOL), min_size=1,
                           max_size=8),
@@ -542,16 +584,18 @@ class TestMaskPlan:
 
     def test_plan(self):
         word = parse_line("ٱلْبَيْتُوا۠").words[0]
-        letters, sukuns, slots = masking._plan(word)
-        assert render_word(letters) == "الْبَيْتُوا"
-        assert sukuns == (1, 3)
-        assert slots == (2, 4)
-        # A word without silence marks or connective alifs shares its
-        # plan with every word of its shape.
-        word = parse_line("عَلَّمَ").words[0]
-        plan = masking._plan(word)
-        assert plan == (None, (), (0, 1, ~1, 2))
-        assert masking._plan(parse_line("كَسَّرَ").words[0]) is plan
+        pieces, sukuns, slots = masking._plan(word)
+        assert pieces == ("ا", "ل", "ْ", "ب", "َ", "ي", "ْ", "ت", "ُ",
+                          "و", "ا")
+        assert sukuns == (2, 6)
+        assert slots == (4, 8)
+        # Slots in letter order, a letter's vowel before its shadda.
+        plan = masking._plan(parse_line("عَلَّمَ").words[0])
+        assert plan == (("ع", "َ", "ل", "ّ", "َ", "م", "َ"), (),
+                        (1, 4, 3, 6))
+        # Words of one shape share their index tuples.
+        other = masking._plan(parse_line("كَسَّرَ").words[0])
+        assert other[1] is plan[1] and other[2] is plan[2]
 
     def test_memo_holds_at_most_memo_size(self):
         masking._plans.clear()
@@ -601,10 +645,10 @@ class TestOneReductionPerExample:
         cfg = MaskConfig(keep_p=keep_p, sukun_drop=sukun_drop)
         whole, parts = random.Random(seed), random.Random(seed)
         got = reduce_context_diacritics(ScriptLine(tuple(words)), cfg,
-                                        whole).words
+                                        whole)
         left = reduce_context_diacritics(ScriptLine(tuple(words[:split])),
-                                         cfg, parts).words
+                                         cfg, parts)
         right = reduce_context_diacritics(ScriptLine(tuple(words[split:])),
-                                          cfg, parts).words
+                                          cfg, parts)
         assert got == left + right
         assert whole.getstate() == parts.getstate()
