@@ -8,12 +8,16 @@ input that is not UTF-8, or malformed data table.  A broken pipe (the
 reader stopped early, as in ``arud scan | head -1``) ends the command
 with exit code 2 and no message.
 
-Each subcommand is one entry of `COMMANDS`: the argument naming the file
-it reads (``--input``, or ``--lexicon`` for ``fill``), what builds its
-settings from its arguments, and its run.  `main` is the one driver: it
-parses the arguments, loads the tables, builds the settings (a value
-they refuse is a usage error), opens the input and then the output, and
-calls the run, which reads and writes those two streams.  Only
+Each subcommand is declared once, as one entry of `COMMANDS`: its help
+line, the argument naming the file it reads (``--input``, or
+``--lexicon`` for ``fill``), its settings class, its run and its
+options; `build_parser` is one loop over the table.  An option that sets
+a settings field is named as the field and takes its default from the
+class, so the settings are built from the parsed arguments by field
+name.  `main` is the one driver: it parses the arguments, loads the
+tables, builds the settings (a value they refuse is a usage error),
+opens the input and then the output, and calls the run, which reads and
+writes those two streams.  Only
 ``normalize`` opens files of its own, its ``--reject-log`` and
 ``--stats``, so a run that fails leaves no empty report.
 
@@ -41,6 +45,7 @@ start it through `multiprocessing`.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import io
 import itertools
@@ -113,8 +118,9 @@ def _open(stack: ExitStack, path: str, mode: str):
 _pool = None
 
 
-def _executor(jobs: int) -> ProcessPoolExecutor:
-    """This process's pool of `jobs` workers, built on first use.
+def _executor(jobs: int):
+    """This process's `concurrent.futures.ProcessPoolExecutor` of `jobs`
+    workers, built on first use.
 
     A pool of another size is shut down first; a pool inherited through
     a fork belongs to the parent and is left alone.  The pool machinery
@@ -219,94 +225,6 @@ def _mask_one(numbered_line, cfg, tables):
     return [example.to_json() for example in examples], None
 
 
-def _add_io_args(p: argparse.ArgumentParser):
-    p.add_argument("-i", "--input", default="-", help="input path or -")
-    p.add_argument("-o", "--output", default="-", help="output path or -")
-
-
-def _add_filter_args(p: argparse.ArgumentParser):
-    p.add_argument("--min-words", type=int,
-                   default=corpus.PipelineConfig.min_words)
-    p.add_argument("--min-ratio", type=_finite,
-                   default=corpus.PipelineConfig.min_ratio)
-
-
-@functools.cache
-def build_parser() -> Parser:
-    """The argument parser, built once per process and shared."""
-    parser = Parser(prog="arud", description="A prosody engine and dataset "
-                    "toolkit for classical Arabic verse.")
-    parser.add_argument("--version", action="store_true",
-                        help="print tool and table-data versions")
-    parser.add_argument("--tables", metavar="DIR", dest="table_dir",
-                        help="data table directory (default: "
-                        f"${ENV_TABLE_DIR}, else the shipped tables)")
-    sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("scan", help="lines -> beat patterns")
-    _add_io_args(p)
-    p.add_argument("--verse-final", action="store_true")
-    p.add_argument("--mid-sentence", action="store_true",
-                   help="treat lines as sentence-medial")
-    p.add_argument("--golden", action="store_true",
-                   help="also emit the prosodic transcription")
-    p.add_argument("--jobs", type=_jobs, default=1)
-
-    p = sub.add_parser("normalize", help="raw lines -> scan-ready lines")
-    _add_io_args(p)
-    p.add_argument("--hemistichs", action="store_true",
-                   help="input is tab-separated hemistich pairs")
-    p.add_argument("--reject-log", metavar="PATH",
-                   help="write rejection records here instead of stderr")
-    p.add_argument("--stats", metavar="PATH",
-                   help="write a diacritic statistics report")
-    _add_filter_args(p)
-    for name in corpus.STAGE_FLAGS:
-        p.add_argument(f"--no-{name.replace('_', '-')}", action="store_true",
-                       help=f"disable the {name.replace('_', ' ')} stage")
-    p.add_argument("--jobs", type=_jobs, default=1)
-
-    p = sub.add_parser("filter", help="report acceptance decisions")
-    _add_io_args(p)
-    _add_filter_args(p)
-
-    p = sub.add_parser("stats", help="diacritic statistics report")
-    _add_io_args(p)
-
-    p = sub.add_parser("mask", help="corpus -> masked training records")
-    _add_io_args(p)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--span-p", type=float, default=MaskConfig.span_p)
-    p.add_argument("--keep-p", type=float, default=MaskConfig.keep_p)
-    p.add_argument("--sukun-drop", type=float,
-                   default=MaskConfig.sukun_drop)
-    p.add_argument("--per-line", type=int, default=MaskConfig.per_line,
-                   help="examples per line, 1 to "
-                        f"{masking.MAX_PER_LINE}")
-    p.add_argument("--no-reduce", action="store_true",
-                   help="keep context diacritics intact")
-    p.add_argument("--jobs", type=_jobs, default=1)
-
-    p = sub.add_parser("fill", help="rhythm-constrained phrase search")
-    p.add_argument("-o", "--output", default="-", help="output path or -")
-    p.add_argument("--lexicon", required=True, metavar="PATH",
-                   help="lexicon path or -")
-    p.add_argument("--target", required=True, metavar="BEATS")
-    p.add_argument("--left", default=FillQuery.left_context,
-                   help="left context text")
-    p.add_argument("--right", default=FillQuery.right_context,
-                   help="right context text")
-    p.add_argument("--max-words", type=int, default=FillQuery.max_words)
-    p.add_argument("--max-results", type=int,
-                   default=FillQuery.max_results)
-    p.add_argument("--verse-final", action="store_true")
-
-    p = sub.add_parser("eval", help="prediction records -> rhythm report")
-    _add_io_args(p)
-
-    return parser
-
-
 # Each subcommand's run: it reads `src`, writes its data to `dst` and
 # returns its exit code, or None for 0.  A subcommand with settings gets
 # them built from its arguments as a fourth argument.
@@ -317,14 +235,6 @@ def _cmd_scan(args, src, dst):
         sentence_initial=not args.mid_sentence, golden=args.golden,
         tables=args.tables)
     _write(_pmap(scan_one, src, args.jobs), dst)
-
-
-def _pipeline_config(args) -> corpus.PipelineConfig:
-    # `filter` has no stage switches, so it runs every stage.
-    return corpus.PipelineConfig(
-        min_words=args.min_words, min_ratio=args.min_ratio,
-        **{name: not getattr(args, f"no_{name}", False)
-           for name in corpus.STAGE_FLAGS})
 
 
 def _cmd_normalize(args, src, dst, cfg):
@@ -380,23 +290,9 @@ def _cmd_stats(args, src, dst):
     dst.write(stats.render_report() + "\n")
 
 
-def _mask_config(args) -> MaskConfig:
-    return MaskConfig(span_p=args.span_p, keep_p=args.keep_p,
-                      sukun_drop=args.sukun_drop, seed=args.seed,
-                      per_line=args.per_line,
-                      reduce_context=not args.no_reduce)
-
-
 def _cmd_mask(args, src, dst, cfg):
     mask_one = functools.partial(_mask_one, cfg=cfg, tables=args.tables)
     _write(_pmap(mask_one, enumerate(src), args.jobs), dst)
-
-
-def _fill_query(args) -> FillQuery:
-    return FillQuery(target=args.target, left_context=args.left,
-                     right_context=args.right, max_words=args.max_words,
-                     max_results=args.max_results,
-                     verse_final=args.verse_final)
 
 
 def _cmd_fill(args, src, dst, query):
@@ -420,17 +316,106 @@ def _cmd_eval(args, src, dst):
         print(f"malformed records skipped: {bad}", file=sys.stderr)
 
 
-# Each subcommand as (the argument naming the file it reads, what builds
-# its settings from its arguments or None, its run).
+def _opt(*flags, **kwargs):
+    return flags, kwargs
+
+
+# Options that more than one subcommand takes.
+_JOBS = _opt("--jobs", type=_jobs, default=1)
+_THRESHOLDS = (_opt("--min-words", type=int),
+               _opt("--min-ratio", type=_finite))
+_VERSE_FINAL = _opt("--verse-final", action="store_true")
+
+# Each subcommand as (its help line, the argument naming the file it
+# reads, its settings class or None, its run, its options after
+# ``-i/--input``, given when it reads "input", and ``-o/--output``).  An
+# option that sets a settings field is named as the field and takes its
+# default from the class.
 COMMANDS = {
-    "scan": ("input", None, _cmd_scan),
-    "normalize": ("input", _pipeline_config, _cmd_normalize),
-    "filter": ("input", _pipeline_config, _cmd_filter),
-    "stats": ("input", None, _cmd_stats),
-    "mask": ("input", _mask_config, _cmd_mask),
-    "fill": ("lexicon", _fill_query, _cmd_fill),
-    "eval": ("input", None, _cmd_eval),
+    "scan": ("lines -> beat patterns", "input", None, _cmd_scan, (
+        _VERSE_FINAL,
+        _opt("--mid-sentence", action="store_true",
+             help="treat lines as sentence-medial"),
+        _opt("--golden", action="store_true",
+             help="also emit the prosodic transcription"),
+        _JOBS)),
+    "normalize": ("raw lines -> scan-ready lines", "input",
+                  corpus.PipelineConfig, _cmd_normalize, (
+        _opt("--hemistichs", action="store_true",
+             help="input is tab-separated hemistich pairs"),
+        _opt("--reject-log", metavar="PATH",
+             help="write rejection records here instead of stderr"),
+        _opt("--stats", metavar="PATH",
+             help="write a diacritic statistics report"),
+        *_THRESHOLDS,
+        *(_opt(f"--no-{name.replace('_', '-')}", action="store_false",
+               dest=name, help=f"disable the {name.replace('_', ' ')} stage")
+          for name in corpus.STAGE_FLAGS),
+        _JOBS)),
+    # No stage switches: `filter` runs every stage.
+    "filter": ("report acceptance decisions", "input", corpus.PipelineConfig,
+               _cmd_filter, _THRESHOLDS),
+    "stats": ("diacritic statistics report", "input", None, _cmd_stats, ()),
+    "mask": ("corpus -> masked training records", "input", MaskConfig,
+             _cmd_mask, (
+        _opt("--seed", type=int, required=True),
+        _opt("--span-p", type=float),
+        _opt("--keep-p", type=float),
+        _opt("--sukun-drop", type=float),
+        _opt("--per-line", type=int,
+             help=f"examples per line, 1 to {masking.MAX_PER_LINE}"),
+        _opt("--no-reduce", action="store_false", dest="reduce_context",
+             help="keep context diacritics intact"),
+        _JOBS)),
+    "fill": ("rhythm-constrained phrase search", "lexicon", FillQuery,
+             _cmd_fill, (
+        _opt("--lexicon", required=True, metavar="PATH",
+             help="lexicon path or -"),
+        _opt("--target", required=True, metavar="BEATS"),
+        _opt("--left", dest="left_context", metavar="LEFT",
+             help="left context text"),
+        _opt("--right", dest="right_context", metavar="RIGHT",
+             help="right context text"),
+        _opt("--max-words", type=int),
+        _opt("--max-results", type=int),
+        _VERSE_FINAL)),
+    "eval": ("prediction records -> rhythm report", "input", None, _cmd_eval,
+             ()),
 }
+
+
+@functools.cache
+def build_parser() -> Parser:
+    """The argument parser, built once per process and shared."""
+    parser = Parser(prog="arud", description="A prosody engine and dataset "
+                    "toolkit for classical Arabic verse.")
+    parser.add_argument("--version", action="store_true",
+                        help="print tool and table-data versions")
+    parser.add_argument("--tables", metavar="DIR", dest="table_dir",
+                        help="data table directory (default: "
+                        f"${ENV_TABLE_DIR}, else the shipped tables)")
+    sub = parser.add_subparsers(dest="command")
+    for name, (text, reads, cls, _, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if reads == "input":
+            p.add_argument("-i", "--input", default="-",
+                           help="input path or -")
+        p.add_argument("-o", "--output", default="-",
+                       help="output path or -")
+        for flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
+        if cls is not None:
+            p.set_defaults(**{f.name: f.default
+                              for f in dataclasses.fields(cls)
+                              if f.default is not dataclasses.MISSING})
+    return parser
+
+
+def _settings(cls, args):
+    """The settings of class `cls` from the parsed arguments, each field
+    from the argument of its name."""
+    return cls(**{f.name: getattr(args, f.name)
+                  for f in dataclasses.fields(cls)})
 
 
 def main(argv=None) -> int:
@@ -445,11 +430,11 @@ def main(argv=None) -> int:
             return 0
         if not args.command:
             raise UsageError(parser.format_usage())
-        reads, build, run = COMMANDS[args.command]
+        _, reads, cls, run, _ = COMMANDS[args.command]
         args.tables = TableSet.load(table_dir) if table_dir \
             else default_tables()
         try:
-            settings = [] if build is None else [build(args)]
+            settings = [] if cls is None else [_settings(cls, args)]
         except ValueError as exc:
             raise UsageError(f"arud {args.command}: {exc}") from None
         with ExitStack() as stack:
@@ -464,7 +449,7 @@ def main(argv=None) -> int:
         print(f"arud: {exc}", file=sys.stderr)
         return 2
     except UnicodeDecodeError as exc:
-        path = getattr(args, COMMANDS[args.command][0])
+        path = getattr(args, COMMANDS[args.command][1])
         name = "<stdin>" if path == "-" else path
         print(f"arud: {name}: not valid UTF-8 ({exc})", file=sys.stderr)
         return 2

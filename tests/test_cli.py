@@ -27,7 +27,6 @@ from conftest import at_least
 import arud
 from arud import cli, corpus, filler
 from arud.cli import main
-from arud.filler import FillQuery
 from arud.masking import MAX_PER_LINE, MaskConfig, generate_dataset
 from arud.script import ARABIC_LETTERS, MARKS, TATWEEL, WASL_ALIF
 
@@ -519,40 +518,32 @@ class TestNormalize:
         assert len(out.splitlines()) == 2
 
 
+# Per subcommand with settings, its shortest valid arguments and the
+# settings fields they set.
+SHORTEST_ARGV = {
+    "normalize": ([], {}),
+    "filter": ([], {}),
+    "mask": (["--seed", "7"], {"seed": 7}),
+    "fill": (["--lexicon", "x", "--target", "1"], {"target": "1"}),
+}
+
+
 class TestLibraryDefaults:
     """The CLI's defaults and stage flags are the library's."""
 
-    def parse(self, *argv):
-        return cli.build_parser().parse_args(list(argv))
-
-    @pytest.mark.parametrize("command", ["normalize", "filter"])
-    def test_filter_thresholds(self, command):
-        args = self.parse(command)
-        cfg = corpus.PipelineConfig()
-        assert (args.min_words, args.min_ratio) == (cfg.min_words,
-                                                    cfg.min_ratio)
+    @pytest.mark.parametrize("command", [
+        name for name, entry in cli.COMMANDS.items() if entry[2] is not None])
+    def test_settings_defaults(self, command):
+        argv, required = SHORTEST_ARGV[command]
+        cls = cli.COMMANDS[command][2]
+        args = cli.build_parser().parse_args([command, *argv])
+        assert cli._settings(cls, args) == cls(**required)
 
     def test_filter_line_defaults(self):
         params = inspect.signature(corpus.filter_line).parameters
         cfg = corpus.PipelineConfig()
         assert params["min_words"].default == cfg.min_words
         assert params["min_ratio"].default == cfg.min_ratio
-
-    def test_mask(self):
-        args = self.parse("mask", "--seed", "0")
-        cfg = MaskConfig(seed=0)
-        assert (args.span_p, args.keep_p, args.sukun_drop, args.seed,
-                args.per_line, not args.no_reduce) == (
-            cfg.span_p, cfg.keep_p, cfg.sukun_drop, cfg.seed,
-            cfg.per_line, cfg.reduce_context)
-
-    def test_fill(self):
-        args = self.parse("fill", "--lexicon", "x", "--target", "1")
-        query = FillQuery(target="1")
-        assert (args.left, args.right, args.max_words, args.max_results,
-                args.verse_final) == (
-            query.left_context, query.right_context, query.max_words,
-            query.max_results, query.verse_final)
 
     def test_stage_flags_are_config_switches(self):
         defaults = {f.name: f.default
@@ -604,7 +595,8 @@ def _switches(command):
     sub = next(action for action in cli.build_parser()._actions
                if isinstance(action, argparse._SubParsersAction))
     return sorted(flag for action in sub.choices[command]._actions
-                  if isinstance(action, argparse._StoreTrueAction)
+                  if isinstance(action, (argparse._StoreTrueAction,
+                                         argparse._StoreFalseAction))
                   for flag in action.option_strings)
 
 
@@ -1221,8 +1213,9 @@ class TestTopLevel:
         # redirect the stdout of a process that calls main in-process.
         def broken(args, src, dst):
             raise BrokenPipeError(32, "Broken pipe")
-        reads, build, _ = cli.COMMANDS["scan"]
-        monkeypatch.setitem(cli.COMMANDS, "scan", (reads, build, broken))
+        text, reads, cls, _, options = cli.COMMANDS["scan"]
+        monkeypatch.setitem(cli.COMMANDS, "scan",
+                            (text, reads, cls, broken, options))
         path = tmp_path / "stdout.txt"
         with open(path, "w", encoding="utf-8") as out:
             monkeypatch.setattr(sys, "stdout", out)
