@@ -449,7 +449,7 @@ def main(argv=None) -> int:
         print(f"arud: {exc}", file=sys.stderr)
         return 2
     except UnicodeDecodeError as exc:
-        path = getattr(args, COMMANDS[args.command][1])
+        path = getattr(args, reads)
         name = "<stdin>" if path == "-" else path
         print(f"arud: {name}: not valid UTF-8 ({exc})", file=sys.stderr)
         return 2
